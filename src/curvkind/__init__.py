@@ -59,7 +59,6 @@ from .tensor_core import (
     canonical_s2_basis,
     curvature_symmetry_report,
     dimension_cap,
-    is_trace_free,
     kulkarni_nomizu,
     multi_indices,
     random_trace_free,

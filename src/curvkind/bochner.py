@@ -7,6 +7,9 @@ orthonormal basis {S_a} of trace-free symmetric tensors yields the weights
 |S_a w|^2, whose total is (p(n-p)/n) * ((n+2)/2) * |w|^2 while each single
 weight is at most (p(n-p)/n) * |S|^2 |w|^2.
 
+Every action of a 2-tensor on p-forms here, symmetric or not, reads one
+index table over the sorted basis, _slot_table(n, p).
+
 The quadratic curvature term is
 
     g(Ric_L w, w) = p sum R_ij w_{i...} w_{j...}
@@ -27,6 +30,7 @@ import numpy as np
 from .errors import DimensionMismatch, POutOfRange
 from .operators import (
     act_sym_dense,
+    first_kind_matrix,
     ricci_scalar,
     second_kind_matrix,
     spectrum,
@@ -35,29 +39,48 @@ from .tensor_core import (
     PForm,
     canonical_s02_basis,
     multi_indices,
-    multi_index_positions,
     require_square,
     rotate_curvature,
     rotate_form,
 )
 
 
-def _act_stack_dense(basis, dense):
-    """Apply every symmetric matrix in a stacked basis to a dense tensor."""
-    p = dense.ndim
-    out = np.zeros((basis.shape[0],) + dense.shape)
-    for m in range(p):
-        out += np.moveaxis(np.tensordot(basis, dense, axes=([2], [m])), 1, 1 + m)
-    return out
+def _slot_table(n, p):
+    """How a 2-tensor acts slot by slot on p-forms over the sorted basis.
+
+    Returns integer arrays (target, a, j, source, sign), one entry per
+    (I, slot m, j) for which I[m->j] repeats no index: C(n,p) * p * (n-p+1)
+    entries, grouped by target row I and then by slot.  Replacing a = I_m
+    by j and sorting gives multi-index row `source` with parity `sign`, so
+
+        (S w)_I = sum over the entries of I of S[a, j] * sign * w[source].
+    """
+    count = math.comb(n, p)
+    idx = np.array(multi_indices(n, p), dtype=np.int64).reshape(count, p)
+    member = np.zeros((count, n), dtype=bool)
+    member[np.arange(count)[:, None], idx] = True
+    # entry (I, m, j) is kept when j is I_m or lies outside I
+    target, slot, j = np.nonzero(~member[:, None, :] | (idx[:, :, None] == np.arange(n)))
+    a = idx[target, slot]
+    # sorting I[m->j] moves j from slot m to just after the other members
+    # of I below it
+    below = np.cumsum(member, axis=1) - member
+    moved = below[target, j] - (a < j)
+    sign = 1 - 2 * (np.abs(slot - moved) % 2)
+    bits = (1 << idx).sum(axis=1)
+    order = np.argsort(bits)
+    source = order[np.searchsorted(bits[order], bits[target] ^ (1 << a) ^ (1 << j))]
+    return target, a, j, source, sign
 
 
-def _act_stack_coeffs(basis, w):
+def _act_stack_coeffs(stack, w):
     """Sorted coefficients of S_a w for every S_a in the stack: shape (N, C(n,p))."""
-    if w.p == 0:
-        return np.zeros((basis.shape[0], 1))
-    dense = _act_stack_dense(basis, w.to_dense())
-    idx = np.array(multi_indices(w.n, w.p))
-    return dense[(slice(None),) + tuple(idx[:, m] for m in range(w.p))]
+    n = w.n
+    target, a, j, source, sign = _slot_table(n, w.p)
+    X = np.zeros((n * n, len(w.coeffs)))
+    # each (a, j, target) occurs once, so plain assignment loses no term
+    X[a * n + j, target] = sign * w.coeffs[source]
+    return stack.reshape(len(stack), n * n) @ X
 
 
 def act_sym_on_form(S, w):
@@ -136,22 +159,16 @@ def ric_l_quadratic(R, w):
     return total
 
 
-def _pair_sign(sorted_tuple, member):
-    """Parity of extracting `member` from a sorted tuple: (-1)^position."""
-    return -1 if sorted_tuple.index(member) % 2 else 1
-
-
-def _pair_sign2(sorted_tuple, a, b):
-    """Parity of extracting the ordered pair (a, b) from a sorted tuple."""
-    rest = tuple(x for x in sorted_tuple if x != a)
-    return _pair_sign(sorted_tuple, a) * _pair_sign(rest, b)
-
-
 def ric_l_matrix(R, p):
     """Matrix of Ric_L over the unit-norm sorted wedge basis of p-forms.
 
-    Entries are the polarization of ric_l_quadratic: with I, J increasing
-    p-tuples,
+    With D_a the action on p-forms of the 2-form e_i ^ e_j, a = (i < j),
+    through the slot table, and F = first_kind_matrix(R),
+
+      Ric_L = -sum_{a,b} F_ab D_a D_b.
+
+    Each D_a has at most one nonzero per row, so the sum is accumulated one
+    a at a time.  Entrywise, with I, J increasing p-tuples,
 
       M[I,I] = sum_{i in I} Ric_ii - 2 sum_{a<b in I} R_{abab}
       M[I,J] = s * (Ric_ab - 2 sum_{c in I cap J} R_{acbc})   (|I^J| = p-1)
@@ -159,42 +176,28 @@ def ric_l_matrix(R, p):
 
     where s carries the wedge reordering parities, I \\ J = {a} (resp.
     {a,b}) and J \\ I = {b} (resp. {c,d}).  For p = 1 this is the Ricci
-    matrix; for the unit sphere it is p(n-p) times the identity.
+    matrix; for the unit sphere it is p(n-p) times the identity; for p = n
+    it is 0.
     """
     n = R.n
     if not 1 <= p <= n:
         raise POutOfRange(f"need 1 <= p <= n, got p={p}")
-    Rc = R.components
-    ric = ricci_scalar(R).ricci
-    idxs = multi_indices(n, p)
-    pos = multi_index_positions(n, p)
-    M = np.zeros((len(idxs), len(idxs)))
-    universe = set(range(n))
-
-    for r, I in enumerate(idxs):
-        members = list(I)
-        M[r, r] = sum(ric[i, i] for i in members) - 2.0 * sum(
-            Rc[a, b, a, b] for qa, a in enumerate(members) for b in members[qa + 1 :]
-        )
-        outside = sorted(universe.difference(I))
-        for a in members:
-            rest = tuple(x for x in members if x != a)
-            sa = _pair_sign(I, a)
-            for b in outside:
-                J = tuple(sorted(rest + (b,)))
-                entry = ric[a, b] - 2.0 * sum(Rc[a, c, b, c] for c in rest)
-                M[r, pos[J]] = sa * _pair_sign(J, b) * entry
-        if p >= 2:
-            for qa, a in enumerate(members):
-                for b in members[qa + 1 :]:
-                    core = tuple(x for x in members if x not in (a, b))
-                    sab = _pair_sign2(I, a, b)
-                    for qc, c in enumerate(outside):
-                        for d in outside[qc + 1 :]:
-                            J = tuple(sorted(core + (c, d)))
-                            M[r, pos[J]] = (
-                                -2.0 * sab * _pair_sign2(J, c, d) * Rc[a, b, c, d]
-                            )
+    F = first_kind_matrix(R)
+    M = np.zeros((math.comb(n, p),) * 2)
+    _, a, j, source, sign = _slot_table(n, p)
+    moves = a != j
+    pair = np.zeros((n, n), dtype=np.int64)
+    pair[np.triu_indices(n, 1)] = np.arange(len(F))
+    pair += pair.T
+    # row I of every D_b: p(n-p) entries, one per pair b = {a in I, j not in I}
+    shape = (len(M), p * (n - p))
+    b = pair[a[moves], j[moves]].reshape(shape)
+    col = source[moves].reshape(shape)
+    coef = (sign * np.where(a < j, 1.0, -1.0))[moves].reshape(shape)
+    for q in range(len(F)):  # M -= D_q sum_b F_qb D_b
+        rows, k = np.nonzero(b == q)
+        mid = col[rows, k]
+        M[rows[:, None], col[mid]] -= coef[rows, k][:, None] * coef[mid] * F[q, b[mid]]
     return M
 
 

@@ -6,7 +6,7 @@ class CurvkindError(ValueError):
 
 
 class ShapeMismatch(CurvkindError):
-    """Array does not have the shape required by the declared dimension."""
+    """Array has the wrong shape for its dimension, or a non-finite entry."""
 
 
 class DimensionMismatch(CurvkindError):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from .bochner import (
+    act_sym_on_form,
     bochner_decomposition,
     form_s02_expansion,
     ogiue_tachibana_term,
@@ -99,8 +100,6 @@ def run_selftest(seed=20260114, seeds=20, n_max=6):
                     worst_total, abs(exp.total - stotal * w.norm_sq) / (1.0 + exp.total)
                 )
                 S = random_trace_free(n, rng)
-                from .bochner import act_sym_on_form
-
                 worst_weight = max(
                     worst_weight, act_sym_on_form(S, w).norm_sq - cap * w.norm_sq
                 )

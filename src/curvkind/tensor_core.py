@@ -102,6 +102,8 @@ class PForm:
                 f"p-form on n={self.n}, p={self.p} needs {expected} coefficients,"
                 f" got shape {c.shape}"
             )
+        if not np.isfinite(c).all():
+            raise ShapeMismatch("p-form has a non-finite coefficient")
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -184,13 +186,6 @@ def trace_free_project(S):
     return S - (np.trace(S) / n) * np.eye(n)
 
 
-def is_trace_free(S, tol=None):
-    S = require_square(S)
-    if tol is None:
-        tol = 1e-12 * (1.0 + float(np.abs(S).max(initial=0.0)))
-    return abs(float(np.trace(S))) <= tol
-
-
 def sym_inner(A, B):
     """<A, B> = sum_{ij} A_{ij} B_{ij}."""
     return float(np.sum(np.asarray(A) * np.asarray(B)))
@@ -269,6 +264,8 @@ class CurvatureTensor:
             raise ShapeMismatch(
                 f"curvature tensor on n={n} needs {n**4} components, got {R.size}"
             )
+        if not np.isfinite(R).all():
+            raise ShapeMismatch("curvature tensor has a non-finite component")
         object.__setattr__(self, "components", R.reshape((n, n, n, n)))
 
     def validate(self, tol=None):

@@ -53,22 +53,22 @@ def test_action_against_slow_reference():
     from curvkind.tensor_core import multi_indices, multi_index_positions, sort_with_sign
 
     rng = np.random.default_rng(1)
-    n, p = 5, 3
-    S = rng.standard_normal((n, n))
-    S = S + S.T
-    w = PForm.random(n, p, rng)
-    idxs = multi_indices(n, p)
-    pos = multi_index_positions(n, p)
-    expected = np.zeros(len(idxs))
-    for r, I in enumerate(idxs):
-        val = 0.0
-        for m, im in enumerate(I):
-            for j in range(n):
-                sign, sidx = sort_with_sign(I[:m] + (j,) + I[m + 1 :])
-                if sign:
-                    val += S[im, j] * sign * w.coeffs[pos[sidx]]
-        expected[r] = val
-    assert np.allclose(act_sym_on_form(S, w).coeffs, expected, atol=1e-12)
+    for n, p in [(5, 3), (6, 2), (6, 4)]:
+        A = rng.standard_normal((n, n))
+        w = PForm.random(n, p, rng)
+        idxs = multi_indices(n, p)
+        pos = multi_index_positions(n, p)
+        for S in (A + A.T, A):
+            expected = np.zeros(len(idxs))
+            for r, I in enumerate(idxs):
+                val = 0.0
+                for m, im in enumerate(I):
+                    for j in range(n):
+                        sign, sidx = sort_with_sign(I[:m] + (j,) + I[m + 1 :])
+                        if sign:
+                            val += S[im, j] * sign * w.coeffs[pos[sidx]]
+                expected[r] = val
+            assert np.allclose(act_sym_on_form(S, w).coeffs, expected, atol=1e-12)
 
 
 def test_sharp_weight_pair():
@@ -182,9 +182,11 @@ def test_ric_l_matrix_matches_quadratic_form():
 
 def test_ric_l_matrix_against_slotwise_oracle():
     rng = np.random.default_rng(10)
-    for n, p in [(4, 2), (5, 3)]:
+    for n, p in [(4, 2), (5, 3), (6, 3), (5, 4), (7, 5), (4, 4)]:
         R = random_curvature(n, rng)
         M = ric_l_matrix(R, p)
+        if p == n:
+            assert not M.any()
         fact = math.factorial(p)
         for _ in range(10):
             w = PForm.random(n, p, rng)

@@ -67,6 +67,23 @@ def test_analyze_parse_error_exit_2(capsys):
     assert code == 2
 
 
+def test_certify_infinite_kappa_exit_2(capsys):
+    model = '{"kind":"constant_curvature","n":5,"kappa":1e400}'
+    code, out, err = run_cli(capsys, ["certify", "--model", model])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "non-finite" in err
+
+
+def test_analyze_dense_nan_exit_2(tmp_path, capsys):
+    R = constant_curvature(4, 1.0).components.copy()
+    R[0, 1, 0, 1] = np.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"n": 4, "components": R.ravel().tolist()}))
+    code, out, err = run_cli(capsys, ["analyze", "--dense", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "non-finite" in err
+
+
 def test_dense_round_trip_valid(tmp_path, capsys):
     R = constant_curvature(3, 2.0)
     path = tmp_path / "good.json"

@@ -133,6 +133,13 @@ def test_antisymmetry_violation_reported():
 def test_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         CurvatureTensor(3, np.zeros(80))
+    for bad in (np.nan, np.inf, -np.inf):
+        R = np.zeros(81)
+        R[5] = bad
+        with pytest.raises(ShapeMismatch):
+            CurvatureTensor(3, R)
+        with pytest.raises(ShapeMismatch):
+            PForm(4, 2, [0.0, 1.0, bad, 0.0, 0.0, 0.0])
 
 
 def test_kulkarni_nomizu_metric_gives_constant_curvature():
