@@ -8,7 +8,8 @@ orthonormal basis {S_a} of trace-free symmetric tensors yields the weights
 weight is at most (p(n-p)/n) * |S|^2 |w|^2.
 
 Every action of a 2-tensor on p-forms here, symmetric or not, reads one
-index table over the sorted basis, _slot_table(n, p).
+index table over the sorted basis, _slot_table(n, p); the Hodge star reads
+_hodge_table(n, p).
 
 The quadratic curvature term is
 
@@ -31,6 +32,7 @@ from .errors import DimensionMismatch, POutOfRange
 from .operators import (
     act_sym_dense,
     first_kind_matrix,
+    require_symmetric,
     ricci_scalar,
     second_kind_matrix,
     spectrum,
@@ -167,8 +169,14 @@ def ric_l_matrix(R, p):
 
       Ric_L = -sum_{a,b} F_ab D_a D_b.
 
-    Each D_a has at most one nonzero per row, so the sum is accumulated one
-    a at a time.  Entrywise, with I, J increasing p-tuples,
+    Each D_b has p(n-p) nonzeros per row, (D_b w)_I = coef * w[col], so
+    row I of the sum collects the two-step terms
+
+      -coef[I,k] * coef[mid,k'] * F[b[I,k], b[mid,k']]   at column col[mid,k'],
+
+    with mid = col[I,k].  They are gathered for a block of rows at a time,
+    about 2^16 terms, and summed into the block's rows with one bincount.
+    Entrywise, with I, J increasing p-tuples,
 
       M[I,I] = sum_{i in I} Ric_ii - 2 sum_{a<b in I} R_{abab}
       M[I,J] = s * (Ric_ab - 2 sum_{c in I cap J} R_{acbc})   (|I^J| = p-1)
@@ -183,22 +191,49 @@ def ric_l_matrix(R, p):
     if not 1 <= p <= n:
         raise POutOfRange(f"need 1 <= p <= n, got p={p}")
     F = first_kind_matrix(R)
-    M = np.zeros((math.comb(n, p),) * 2)
+    count = math.comb(n, p)
+    M = np.zeros((count, count))
+    width = p * (n - p)
+    if width == 0:
+        return M
     _, a, j, source, sign = _slot_table(n, p)
     moves = a != j
     pair = np.zeros((n, n), dtype=np.int64)
     pair[np.triu_indices(n, 1)] = np.arange(len(F))
     pair += pair.T
     # row I of every D_b: p(n-p) entries, one per pair b = {a in I, j not in I}
-    shape = (len(M), p * (n - p))
-    b = pair[a[moves], j[moves]].reshape(shape)
-    col = source[moves].reshape(shape)
-    coef = (sign * np.where(a < j, 1.0, -1.0))[moves].reshape(shape)
-    for q in range(len(F)):  # M -= D_q sum_b F_qb D_b
-        rows, k = np.nonzero(b == q)
-        mid = col[rows, k]
-        M[rows[:, None], col[mid]] -= coef[rows, k][:, None] * coef[mid] * F[q, b[mid]]
+    b = pair[a[moves], j[moves]].reshape(count, width)
+    col = source[moves].reshape(count, width)
+    coef = (sign * np.where(a < j, 1.0, -1.0))[moves].reshape(count, width)
+    rows = max(1, 2**16 // width**2)
+    for start in range(0, count, rows):
+        block = slice(start, start + rows)
+        mid = col[block]
+        # negate the terms, not the sum, so entries with no term stay +0.0
+        terms = -coef[block, :, None] * coef[mid] * F[b[block, :, None], b[mid]]
+        target = np.arange(len(mid))[:, None, None] * count + col[mid]
+        M[block] = np.bincount(
+            target.ravel(), terms.ravel(), minlength=len(mid) * count
+        ).reshape(len(mid), count)
     return M
+
+
+def _hodge_table(n, p):
+    """The Hodge star on the sorted wedge basis of p-forms.
+
+    Returns integer arrays (row, sign), one entry per p-tuple I: row is the
+    row of the complement I^c in the sorted basis of (n-p)-forms, and sign
+    is the parity of the permutation (I, I^c), so *e_I = sign * e_{I^c}.
+    """
+    count = math.comb(n, p)
+    idx = np.array(multi_indices(n, p), dtype=np.int64).reshape(count, p)
+    # I < J lexicographically iff the least element of their symmetric
+    # difference lies in I; complements have the same symmetric difference,
+    # so complementing reverses the sorted order
+    row = np.arange(count)[::-1]
+    # (I, I^c) has sum_m (I_m - m) inversions
+    sign = 1 - 2 * ((idx.sum(axis=1) - p * (p - 1) // 2) % 2)
+    return row, sign
 
 
 @dataclass(frozen=True)
@@ -366,5 +401,26 @@ def bochner_ricci_diagonal_residual(R, w):
 
 
 def ric_l_spectrum(R, p):
-    """Ascending eigenvalues of the assembled Ric_L matrix."""
-    return spectrum(ric_l_matrix(R, p))
+    """Ascending eigenvalues of the assembled Ric_L matrix.
+
+    Ric_L commutes with the Hodge star, so degrees p and n-p share this
+    spectrum.  In the middle degree 2p = n with n = 0 (mod 4), ** = +1 and
+    Ric_L preserves the self-dual and anti-self-dual forms; there the
+    spectrum is that of the two blocks A + B and A - B, each half the size,
+
+      A = M[H, H],   B[I, J] = sign_J * M[I, J^c]   (I, J in H),
+
+    where H holds one row of each pair {I, I^c} and (J^c, sign_J) comes from
+    _hodge_table.  The full matrix passes the same symmetry gate either way.
+    For n = 2 (mod 4), ** = -1 in the middle degree and M is solved whole.
+    """
+    n = R.n
+    M = ric_l_matrix(R, p)
+    if 2 * p != n or n % 4:
+        return spectrum(M)
+    require_symmetric(M)
+    dual, sign = _hodge_table(n, p)
+    half = np.flatnonzero(np.arange(len(M)) < dual)
+    A = M[np.ix_(half, half)]
+    B = M[np.ix_(half, dual[half])] * sign[half]
+    return np.sort(np.concatenate([np.linalg.eigvalsh(A + B), np.linalg.eigvalsh(A - B)]))

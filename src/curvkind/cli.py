@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bochner import ric_l_matrix
+from .bochner import ric_l_spectrum
 from .errors import CurvatureSymmetryError, CurvkindError
 from .model_spaces import curvature_from_spec
 from .operators import (
@@ -69,8 +69,7 @@ def _load_curvature(args):
     return R, descriptor
 
 
-def _spectrum_block(matrix):
-    eigs = spectrum(matrix)
+def _spectrum_block(eigs):
     return {
         "eigenvalues": [float(v) for v in eigs],
         "clusters": [[value, mult] for value, mult in cluster_eigenvalues(eigs)],
@@ -92,13 +91,19 @@ def _certificate_dicts(certs):
     return out
 
 
-def _per_p_rows(R, p_values):
+def _per_p_rows(R, p_values, summary, eigs):
     n = R.n
-    summary = ricci_scalar(R)
-    eigs = spectrum(second_kind_matrix(R))
+    # Ric_L commutes with the Hodge star, so p and n-p share one spectrum
+    # (test_ric_l_poincare_duality): solve each class {p, n-p} once.  Degrees
+    # outside 1 <= p < n keep their own key, so p = n solves the zero matrix
+    # and an out-of-range p is reported as requested.
+    minima = {}
     rows = []
     for p in p_values:
-        row = {"p": p, "ric_l_min_eigenvalue": float(spectrum(ric_l_matrix(R, p))[0])}
+        key = min(p, n - p) if 0 < p < n else p
+        if key not in minima:
+            minima[key] = float(ric_l_spectrum(R, key)[0])
+        row = {"p": p, "ric_l_min_eigenvalue": minima[key]}
         if 2 * p <= n:
             row["c_p"] = constants(n, p).c_p
             bounds = {
@@ -132,10 +137,10 @@ def _analysis_report(R, descriptor, kappa=None, p_mode="half"):
             "scalar": summary.scalar,
             "einstein_defect": summary.einstein_defect,
         },
-        "second_kind": _spectrum_block(second_kind_matrix(R)),
-        "first_kind": _spectrum_block(first_kind_matrix(R)),
+        "second_kind": _spectrum_block(eigs),
+        "first_kind": _spectrum_block(spectrum(first_kind_matrix(R))),
         "k_profile": k_positivity_profile(eigs),
-        "per_p": _per_p_rows(R, p_values),
+        "per_p": _per_p_rows(R, p_values, summary, eigs),
         "certificates": _certificate_dicts(certify(R, kappa=kappa)),
     }
 
@@ -215,13 +220,13 @@ def _cmd_certify(args):
 def _cmd_spectrum(args):
     R, descriptor = _load_curvature(args)
     if args.operator == "second":
-        matrix = second_kind_matrix(R)
+        eigs = spectrum(second_kind_matrix(R))
     elif args.operator == "first":
-        matrix = first_kind_matrix(R)
+        eigs = spectrum(first_kind_matrix(R))
     else:
-        matrix = ric_l_matrix(R, args.ric_l_p)
+        eigs = ric_l_spectrum(R, args.ric_l_p)
     payload = {"input": descriptor, "n": R.n, "operator": args.operator}
-    payload.update(_spectrum_block(matrix))
+    payload.update(_spectrum_block(eigs))
     if args.table:
         clus = ", ".join(f"{_fmt(v)} (x{m})" for v, m in payload["clusters"])
         print(f"{args.operator} spectrum: {clus}")

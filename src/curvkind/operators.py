@@ -7,8 +7,8 @@
   over the canonical orthonormal basis of S^2_0 (dimension (n-1)(n+2)/2).
 * first_kind_matrix: the operator on 2-forms over the unit-norm wedge
   basis {e_i ^ e_j}_{i<j}, entries R_{ijkl}.
-* spectrum / cluster_eigenvalues: deterministic symmetric eigensolve and
-  multiplicity grouping.
+* require_symmetric / spectrum / cluster_eigenvalues: the symmetry gate,
+  deterministic symmetric eigensolve and multiplicity grouping.
 
 Trace normalizations (checked in tests): tr over the wedge basis is
 scal/2, and the second-kind trace is (n+2)/(2n) * scal.
@@ -87,8 +87,8 @@ def first_kind_matrix(R):
     return R.components[i[:, None], j[:, None], i[None, :], j[None, :]]
 
 
-def spectrum(M, symmetry_tol=None):
-    """Ascending eigenvalues of a symmetric matrix.
+def require_symmetric(M, symmetry_tol=None):
+    """M as a float array, after checking that it is square and symmetric.
 
     Raises NotSymmetric when the asymmetry exceeds 1e-12 * max|entry|.
     """
@@ -100,13 +100,17 @@ def spectrum(M, symmetry_tol=None):
         symmetry_tol = 1e-12 * max(scale, 1e-300)
     if float(np.abs(M - M.T).max(initial=0.0)) > symmetry_tol:
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    return np.linalg.eigvalsh(M)
+    return M
+
+
+def spectrum(M, symmetry_tol=None):
+    """Ascending eigenvalues of a symmetric matrix (gated by require_symmetric)."""
+    return np.linalg.eigvalsh(require_symmetric(M, symmetry_tol))
 
 
 def spectral_decomposition(M, symmetry_tol=None):
     """Eigenvalues and orthonormal eigenvectors (columns), ascending."""
-    spectrum(M, symmetry_tol=symmetry_tol)  # symmetry gate
-    return np.linalg.eigh(np.asarray(M, dtype=float))
+    return np.linalg.eigh(require_symmetric(M, symmetry_tol))
 
 
 def cluster_eigenvalues(values, tol=None):

@@ -8,11 +8,13 @@ from curvkind import (
     act_sym_on_form,
     bochner_decomposition,
     bochner_ricci_diagonal_residual,
+    cluster_eigenvalues,
     constant_curvature,
     form_s02_expansion,
     form_two_point,
     general_tensor_bochner_check,
     ogiue_tachibana_term,
+    product_sphere,
     random_curvature,
     random_trace_free,
     ric_l_apply_dense,
@@ -25,6 +27,7 @@ from curvkind import (
     spectrum,
     su3_so3,
 )
+from curvkind.bochner import _hodge_table
 from helpers import make_einstein
 
 
@@ -182,7 +185,8 @@ def test_ric_l_matrix_matches_quadratic_form():
 
 def test_ric_l_matrix_against_slotwise_oracle():
     rng = np.random.default_rng(10)
-    for n, p in [(4, 2), (5, 3), (6, 3), (5, 4), (7, 5), (4, 4)]:
+    # (10, 5): 252 rows span several row blocks, the last one partial
+    for n, p in [(4, 2), (5, 3), (6, 3), (5, 4), (7, 5), (4, 4), (10, 5)]:
         R = random_curvature(n, rng)
         M = ric_l_matrix(R, p)
         if p == n:
@@ -198,12 +202,48 @@ def test_ric_l_matrix_against_slotwise_oracle():
 
 def test_ric_l_poincare_duality():
     rng = np.random.default_rng(11)
-    for n in (4, 5, 6):
+    for n in (4, 5, 6, 7, 8):
         R = random_curvature(n, rng)
         for p in range(1, n // 2 + 1):
             a = ric_l_spectrum(R, p)
             b = ric_l_spectrum(R, n - p)
             assert np.abs(a - b).max() <= 1e-9 * (1 + np.abs(a).max())
+        # the Hodge star carries M_p onto M_{n-p}: *e_I = sign_I e_{I^c}
+        for p in range(1, n):
+            M = ric_l_matrix(R, p)
+            row, sign = _hodge_table(n, p)
+            dual = ric_l_matrix(R, n - p)[np.ix_(row, row)] * np.outer(sign, sign)
+            assert np.abs(dual - M).max() <= 1e-12 * (1 + np.abs(M).max())
+
+
+def test_hodge_table_squares_to_sign():
+    from curvkind.tensor_core import multi_indices, sort_with_sign
+
+    for n in range(1, 9):
+        for p in range(n + 1):
+            row, sign = _hodge_table(n, p)
+            dual = multi_indices(n, n - p)
+            for I, r, s in zip(multi_indices(n, p), row, sign):
+                assert set(I).isdisjoint(dual[r])
+                assert sort_with_sign(I + dual[r])[0] == s
+            back, back_sign = _hodge_table(n, n - p)
+            assert np.array_equal(back[row], np.arange(math.comb(n, p)))
+            assert np.all(sign * back_sign[row] == (-1) ** (p * (n - p)))
+
+
+def test_ric_l_spectrum_middle_degree_split():
+    rng = np.random.default_rng(14)
+    # n = 6 has ** = -1 in the middle degree and keeps the single solve
+    for n in (4, 6, 8, 12):
+        p = n // 2
+        cases = [random_curvature(n, rng), constant_curvature(n, 1.0), product_sphere(n)]
+        for R in cases:
+            whole = spectrum(ric_l_matrix(R, p))
+            split = ric_l_spectrum(R, p)
+            assert np.abs(split - whole).max() <= 1e-12 * (1 + np.abs(whole).max())
+        sphere = cluster_eigenvalues(ric_l_spectrum(cases[1], p))
+        assert [m for _, m in sphere] == [math.comb(n, p)]
+        assert sphere[0][0] == pytest.approx(p * (n - p), rel=1e-12)
 
 
 # --- the decomposition -------------------------------------------------------

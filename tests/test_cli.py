@@ -146,6 +146,22 @@ def test_spectrum_operators(capsys):
     )
     payload = json.loads(out)
     assert payload["clusters"] == [[6.0, 10]]
+    # the middle degree at n = 0 (mod 4) is solved in self-dual blocks
+    code, out, _ = run_cli(
+        capsys,
+        [
+            "spectrum",
+            "--model",
+            '{"kind":"constant_curvature","n":4,"kappa":1}',
+            "--operator",
+            "ric_l",
+            "--ric-l-p",
+            "2",
+        ],
+    )
+    payload = json.loads(out)
+    assert [m for _, m in payload["clusters"]] == [6]
+    assert payload["clusters"][0][0] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_per_p_table_bounds_present(capsys):
@@ -170,14 +186,27 @@ def test_analyze_p_all(capsys):
     report = json.loads(out)
     assert [row["p"] for row in report["per_p"]] == [1, 2, 3]
     assert "bounds" not in report["per_p"][2]  # p > n/2 carries no variant bounds
+    low = [row["ric_l_min_eigenvalue"] for row in report["per_p"]]
+    assert low[2] == low[0]  # Hodge dual degrees share one solve
+
+
+def test_analyze_p_equal_n(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["analyze", "--model", '{"kind":"constant_curvature","n":4,"kappa":1}', "--p", "4"],
+    )
+    assert code == 0
+    assert json.loads(out)["per_p"] == [{"p": 4, "ric_l_min_eigenvalue": 0.0}]
 
 
 def test_analyze_p_out_of_range_exit_2(capsys):
-    code, _, err = run_cli(
-        capsys,
-        ["analyze", "--model", '{"kind":"constant_curvature","n":4,"kappa":1}', "--p", "9"],
-    )
-    assert code == 2
+    for p in ("9", "0", "5"):
+        code, _, err = run_cli(
+            capsys,
+            ["analyze", "--model", '{"kind":"constant_curvature","n":4,"kappa":1}', "--p", p],
+        )
+        assert code == 2
+        assert f"got p={p}" in err
 
 
 def test_selftest_quick(capsys):

@@ -126,8 +126,9 @@ def test_ricci_scalar_models():
 def test_spectrum_basics():
     assert np.allclose(spectrum(np.eye(5)), np.ones(5))
     assert np.allclose(spectrum(np.diag([3.0, -1.0, 2.0])), [-1.0, 2.0, 3.0])
-    with pytest.raises(NotSymmetric):
-        spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for solve in (spectrum, spectral_decomposition):
+        with pytest.raises(NotSymmetric):
+            solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_spectrum_reconstruction_and_determinism():
