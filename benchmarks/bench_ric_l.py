@@ -1,4 +1,5 @@
-"""Timings of the Ric_L assembly and of its spectrum at the CLI cap.
+"""Timings of the Ric_L assembly, its symmetry gate and its spectrum at the
+CLI cap.
 
 Run from the repository root:
 
@@ -6,15 +7,19 @@ Run from the repository root:
 
 This directory lies outside the pytest test paths, so the tier-1 suite does
 not run it.  (12, 6) is the middle degree, where ric_l_spectrum solves two
-self-dual blocks of half the size.
+self-dual blocks of half the size.  The assembly reads index tables cached
+per (n, p); the cold case clears every cache of the modules it reads before
+each round, and times the degrees 1..6 that `analyze --p half` assembles at
+n = 12.
 """
 
 import numpy as np
 import pytest
 
-from curvkind import random_curvature, ric_l_matrix, ric_l_spectrum
+from curvkind import bochner, random_curvature, ric_l_matrix, ric_l_spectrum, tensor_core
+from curvkind.operators import require_symmetric
 
-CASES = [(11, 5), (12, 5), (12, 6)]
+CASES = [(11, 5), (12, 4), (12, 5), (12, 6)]
 
 
 @pytest.fixture(scope="module")
@@ -23,9 +28,28 @@ def tensors():
     return {n: random_curvature(n, rng) for n in (11, 12)}
 
 
+def _clear_caches():
+    for module in (bochner, tensor_core):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
 @pytest.mark.parametrize("n, p", CASES)
 def test_ric_l_matrix(benchmark, tensors, n, p):
     benchmark(ric_l_matrix, tensors[n], p)
+
+
+def test_ric_l_matrix_cold_half(benchmark, tensors):
+    def half():
+        for p in range(1, 7):
+            ric_l_matrix(tensors[12], p)
+
+    benchmark.pedantic(half, setup=_clear_caches, rounds=10)
+
+
+def test_require_symmetric(benchmark, tensors):
+    benchmark(require_symmetric, ric_l_matrix(tensors[12], 6))
 
 
 @pytest.mark.parametrize("n, p", CASES)

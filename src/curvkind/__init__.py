@@ -76,6 +76,7 @@ from .weights import (
     WeightBound,
     brute_force_min_weighted_sum,
     certify,
+    certify_spectrum,
     constants,
     k_partial_sum,
     k_positivity_profile,

@@ -7,9 +7,15 @@ orthonormal basis {S_a} of trace-free symmetric tensors yields the weights
 |S_a w|^2, whose total is (p(n-p)/n) * ((n+2)/2) * |w|^2 while each single
 weight is at most (p(n-p)/n) * |S|^2 |w|^2.
 
-Every action of a 2-tensor on p-forms here, symmetric or not, reads one
-index table over the sorted basis, _slot_table(n, p); the Hodge star reads
-_hodge_table(n, p).
+Every action on p-forms here reads one cached table over the sorted basis,
+_wedge_table(n, q): the row and sign of e_i ^ e_K for each q-tuple K.  A
+2-tensor acts through (p-1)-forms, as sum S_aj e_a ^ i_j (_slot_table), and
+Ric_L, in the Weitzenboeck form
+
+    Ric_L = sum_{i,j} Ric_ij e_i ^ i_j - 2 sum_{a<b, c<d} R_abcd e_a ^ e_b ^ i_d i_c,
+
+through (p-1)- and (p-2)-forms: p(n-p+1) + C(p,2) C(n-p+2,2) terms per row
+of its matrix.  The Hodge star reads _hodge_table(n, p).
 
 The quadratic curvature term is
 
@@ -24,6 +30,7 @@ and it decomposes as
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -47,32 +54,112 @@ from .tensor_core import (
 )
 
 
+def _frozen(x, dtype):
+    """A read-only copy of x in the given compact integer dtype."""
+    x = np.asarray(x).astype(dtype)
+    x.flags.writeable = False
+    return x
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(n, q):
+    """Left wedge with e_i from q-forms to (q+1)-forms, 0 <= q < n.
+
+    Returns read-only arrays (row, sign) of shape (C(n,q), n), int32 and
+    int8: for the q-tuple K in row k of the sorted basis,
+
+        e_i ^ e_K = sign[k, i] * e_{row[k, i]},
+
+    with row taken in the sorted basis of (q+1)-forms.  When i lies in K the
+    wedge vanishes: sign is 0 and row is 0.
+    """
+    count = math.comb(n, q)
+    idx = np.array(multi_indices(n, q), dtype=np.int64).reshape(count, q)
+    member = np.zeros((count, n), dtype=bool)
+    member[np.arange(count)[:, None], idx] = True
+    # e_i moves past the members of K below it to reach its sorted place
+    below = np.cumsum(member, axis=1) - member
+    sign = np.where(member, 0, 1 - 2 * (below % 2))
+    upper = np.array(multi_indices(n, q + 1), dtype=np.int64).reshape(-1, q + 1)
+    upper_bits = (1 << upper).sum(axis=1)
+    order = np.argsort(upper_bits)
+    wanted = (1 << idx).sum(axis=1)[:, None] | (1 << np.arange(n))
+    found = np.minimum(np.searchsorted(upper_bits[order], wanted), len(order) - 1)
+    row = np.where(member, 0, order[found])
+    return _frozen(row, np.int32), _frozen(sign, np.int8)
+
+
+def _through(n, q, k):
+    """The k-fold wedges e_G ^ e_K with the q-forms e_K, k in {1, 2}.
+
+    Returns arrays (row, sign, g) of shape (C(n,q), C(n-q,k)): for the
+    q-tuple K in row k of the sorted basis, one entry per k-tuple G disjoint
+    from K, in sorted order, with e_G ^ e_K = sign * e_row.  g indexes G: it
+    is G's element for k = 1, and G's row in the sorted basis of 2-forms
+    (the order of first_kind_matrix) for k = 2.
+    """
+    row, sign = _wedge_table(n, q)
+    if k == 2:
+        # e_c ^ e_d ^ e_K = e_c ^ (sign[K, d] e_{row[K, d]})
+        c, d = np.triu_indices(n, 1)
+        up_row, up_sign = _wedge_table(n, q + 1)
+        sign = sign[:, d] * up_sign[row[:, d], c]
+        row = up_row[row[:, d], c]
+    hub, g = np.nonzero(sign)
+    width = math.comb(n - q, k)
+    return (
+        row[hub, g].reshape(-1, width),
+        sign[hub, g].reshape(-1, width),
+        g.reshape(-1, width),
+    )
+
+
 def _slot_table(n, p):
     """How a 2-tensor acts slot by slot on p-forms over the sorted basis.
 
     Returns integer arrays (target, a, j, source, sign), one entry per
     (I, slot m, j) for which I[m->j] repeats no index: C(n,p) * p * (n-p+1)
-    entries, grouped by target row I and then by slot.  Replacing a = I_m
-    by j and sorting gives multi-index row `source` with parity `sign`, so
+    entries.  S acts as sum_{a,j} S[a, j] e_a ^ i_j, through the
+    (p-1)-forms K = I \\ {a}: with e_a ^ e_K = s_a e_I, e_j ^ e_K =
+    s_j e_source and sign = s_a * s_j,
 
         (S w)_I = sum over the entries of I of S[a, j] * sign * w[source].
     """
+    if p == 0:
+        return (np.zeros(0, dtype=np.intp),) * 5
+    row, sign, g = _through(n, p - 1, 1)
+    table = np.broadcast_arrays(
+        row[:, :, None],
+        g[:, :, None],
+        g[:, None, :],
+        row[:, None, :],
+        sign[:, :, None] * sign[:, None, :],
+    )
+    return tuple(x.ravel() for x in table)
+
+
+@lru_cache(maxsize=None)
+def _ric_l_plan(n, p):
+    """The index plan of ric_l_matrix(R, p) for 1 <= p < n; it reads no R.
+
+    One part per k in {1, 2} with k <= p, the wedges through the
+    (p-k)-forms, as read-only arrays (hub, left_sign, left, row, sign, g).
+    (row, sign, g) is _through(n, p-k, k), one row per K.  Row I of the
+    p-forms is the row of C(p,k) of those entries; hub[I] and left_sign[I]
+    give their K and sign, and left[I] their G times C(n,k), the offset of
+    G's row in the flattened k-th factor (Ric or -2F).  K, rows and left
+    are int32, g is int16 and signs are int8.
+    """
     count = math.comb(n, p)
-    idx = np.array(multi_indices(n, p), dtype=np.int64).reshape(count, p)
-    member = np.zeros((count, n), dtype=bool)
-    member[np.arange(count)[:, None], idx] = True
-    # entry (I, m, j) is kept when j is I_m or lies outside I
-    target, slot, j = np.nonzero(~member[:, None, :] | (idx[:, :, None] == np.arange(n)))
-    a = idx[target, slot]
-    # sorting I[m->j] moves j from slot m to just after the other members
-    # of I below it
-    below = np.cumsum(member, axis=1) - member
-    moved = below[target, j] - (a < j)
-    sign = 1 - 2 * (np.abs(slot - moved) % 2)
-    bits = (1 << idx).sum(axis=1)
-    order = np.argsort(bits)
-    source = order[np.searchsorted(bits[order], bits[target] ^ (1 << a) ^ (1 << j))]
-    return target, a, j, source, sign
+    parts = []
+    for k in (1, 2)[:p]:
+        row, sign, g = _through(n, p - k, k)
+        entry = np.argsort(row, axis=None, kind="stable").reshape(count, -1)
+        left = g.ravel()[entry] * math.comb(n, k)
+        part = (entry // row.shape[1], sign.ravel()[entry], left, row, sign, g)
+        dtypes = (np.int32, np.int8, np.int32, np.int32, np.int8, np.int16)
+        parts.append(tuple(_frozen(x, dtype) for x, dtype in zip(part, dtypes)))
+    return tuple(parts)
 
 
 def _act_stack_coeffs(stack, w):
@@ -164,19 +251,23 @@ def ric_l_quadratic(R, w):
 def ric_l_matrix(R, p):
     """Matrix of Ric_L over the unit-norm sorted wedge basis of p-forms.
 
-    With D_a the action on p-forms of the 2-form e_i ^ e_j, a = (i < j),
-    through the slot table, and F = first_kind_matrix(R),
+    In the Weitzenboeck form
 
-      Ric_L = -sum_{a,b} F_ab D_a D_b.
+      Ric_L = sum_{i,j} Ric_ij e_i ^ i_j
+              - 2 sum_{a<b, c<d} R_abcd e_a ^ e_b ^ i_d i_c
 
-    Each D_b has p(n-p) nonzeros per row, (D_b w)_I = coef * w[col], so
-    row I of the sum collects the two-step terms
+    both sums pass through lower degrees: M = E1 Ric E1^T - 2 E2 F E2^T,
+    with F = first_kind_matrix(R) and E_k sending e_G (x) e_K, G a k-tuple
+    and K a (p-k)-tuple, to e_G ^ e_K (_through).  So row I collects
 
-      -coef[I,k] * coef[mid,k'] * F[b[I,k], b[mid,k']]   at column col[mid,k'],
+      Ric[a, j]            at the row of e_j ^ e_K,     K = I \\ {a}, j not in K,
+      -2 F[alpha, beta]    at the row of e_beta ^ e_K,  K = I \\ alpha,
 
-    with mid = col[I,k].  They are gathered for a block of rows at a time,
-    about 2^16 terms, and summed into the block's rows with one bincount.
-    Entrywise, with I, J increasing p-tuples,
+    each times the two wedge signs: p(n-p+1) + C(p,2) C(n-p+2,2) terms per
+    row, 462 at (12, 6).  They are gathered for a block of rows at a time,
+    about 2^16 terms, and summed into the block's rows with one bincount;
+    the index plan, _ric_l_plan(n, p), is cached.  Entrywise, with I, J
+    increasing p-tuples,
 
       M[I,I] = sum_{i in I} Ric_ii - 2 sum_{a<b in I} R_{abab}
       M[I,J] = s * (Ric_ab - 2 sum_{c in I cap J} R_{acbc})   (|I^J| = p-1)
@@ -190,31 +281,27 @@ def ric_l_matrix(R, p):
     n = R.n
     if not 1 <= p <= n:
         raise POutOfRange(f"need 1 <= p <= n, got p={p}")
-    F = first_kind_matrix(R)
     count = math.comb(n, p)
     M = np.zeros((count, count))
-    width = p * (n - p)
-    if width == 0:
+    # at p = n the two sums are scal and -scal: return the exact zero
+    if p == n:
         return M
-    _, a, j, source, sign = _slot_table(n, p)
-    moves = a != j
-    pair = np.zeros((n, n), dtype=np.int64)
-    pair[np.triu_indices(n, 1)] = np.arange(len(F))
-    pair += pair.T
-    # row I of every D_b: p(n-p) entries, one per pair b = {a in I, j not in I}
-    b = pair[a[moves], j[moves]].reshape(count, width)
-    col = source[moves].reshape(count, width)
-    coef = (sign * np.where(a < j, 1.0, -1.0))[moves].reshape(count, width)
-    rows = max(1, 2**16 // width**2)
+    plan = _ric_l_plan(n, p)
+    factors = (ricci_scalar(R).ricci.ravel(), -2.0 * first_kind_matrix(R).ravel())
+    per_row = sum(hub.shape[1] * row.shape[1] for hub, _, _, row, _, _ in plan)
+    rows = max(1, 2**16 // per_row)
     for start in range(0, count, rows):
-        block = slice(start, start + rows)
-        mid = col[block]
-        # negate the terms, not the sum, so entries with no term stay +0.0
-        terms = -coef[block, :, None] * coef[mid] * F[b[block, :, None], b[mid]]
-        target = np.arange(len(mid))[:, None, None] * count + col[mid]
-        M[block] = np.bincount(
-            target.ravel(), terms.ravel(), minlength=len(mid) * count
-        ).reshape(len(mid), count)
+        stop = min(start + rows, count)
+        offset = np.arange(stop - start)[:, None, None] * count
+        targets, terms = [], []
+        for (hub, left_sign, left, row, sign, g), X in zip(plan, factors):
+            K = hub[start:stop]
+            targets.append((offset + row[K]).ravel())
+            pair_sign = left_sign[start:stop, :, None] * sign[K]
+            terms.append((pair_sign * X.take(left[start:stop, :, None] + g[K])).ravel())
+        M[start:stop] = np.bincount(
+            np.concatenate(targets), np.concatenate(terms), minlength=(stop - start) * count
+        ).reshape(stop - start, count)
     return M
 
 
@@ -419,8 +506,11 @@ def ric_l_spectrum(R, p):
     if 2 * p != n or n % 4:
         return spectrum(M)
     require_symmetric(M)
-    dual, sign = _hodge_table(n, p)
-    half = np.flatnonzero(np.arange(len(M)) < dual)
-    A = M[np.ix_(half, half)]
-    B = M[np.ix_(half, dual[half])] * sign[half]
+    _, sign = _hodge_table(n, p)
+    # H is the first half of the sorted basis, the p-tuples containing 0,
+    # and complementing reverses the sorted order, so J^c runs backwards
+    # through the second half: both blocks are views of M
+    half = len(M) // 2
+    A = M[:half, :half]
+    B = M[:half, half:][:, ::-1] * sign[:half]
     return np.sort(np.concatenate([np.linalg.eigvalsh(A + B), np.linalg.eigvalsh(A - B)]))

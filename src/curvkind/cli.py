@@ -27,7 +27,7 @@ from .operators import (
 )
 from .tensor_core import dimension_cap, validate_curvature
 from .weights import (
-    certify,
+    certify_spectrum,
     constants,
     k_positivity_profile,
     ric_l_lower_bound,
@@ -141,7 +141,7 @@ def _analysis_report(R, descriptor, kappa=None, p_mode="half"):
         "first_kind": _spectrum_block(spectrum(first_kind_matrix(R))),
         "k_profile": k_positivity_profile(eigs),
         "per_p": _per_p_rows(R, p_values, summary, eigs),
-        "certificates": _certificate_dicts(certify(R, kappa=kappa)),
+        "certificates": _certificate_dicts(certify_spectrum(eigs, summary, n, kappa)),
     }
 
 
@@ -199,11 +199,12 @@ def _cmd_analyze(args):
 def _cmd_certify(args):
     R, descriptor = _load_curvature(args)
     eigs = spectrum(second_kind_matrix(R))
+    certs = certify_spectrum(eigs, ricci_scalar(R), R.n, args.kappa)
     payload = {
         "input": descriptor,
         "n": R.n,
         "k_profile": k_positivity_profile(eigs),
-        "certificates": _certificate_dicts(certify(R, kappa=args.kappa)),
+        "certificates": _certificate_dicts(certs),
     }
     if args.table:
         prof = payload["k_profile"]

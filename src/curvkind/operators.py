@@ -87,19 +87,27 @@ def first_kind_matrix(R):
     return R.components[i[:, None], j[:, None], i[None, :], j[None, :]]
 
 
+# rows per stripe of the symmetry gate
+_STRIPE = 64
+
+
 def require_symmetric(M, symmetry_tol=None):
     """M as a float array, after checking that it is square and symmetric.
 
-    Raises NotSymmetric when the asymmetry exceeds 1e-12 * max|entry|.
+    Raises NotSymmetric when the asymmetry exceeds 1e-12 * max|entry|.  The
+    upper triangle is compared with the lower one stripe of rows at a time,
+    so no temporary is as large as M.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {M.shape}")
-    scale = float(np.abs(M).max(initial=0.0))
     if symmetry_tol is None:
+        scale = max(float(M.max(initial=0.0)), -float(M.min(initial=0.0)))
         symmetry_tol = 1e-12 * max(scale, 1e-300)
-    if float(np.abs(M - M.T).max(initial=0.0)) > symmetry_tol:
-        raise NotSymmetric("matrix is not symmetric within tolerance")
+    for s in range(0, len(M), _STRIPE):
+        e = s + _STRIPE
+        if float(np.abs(M[s:e, s:] - M[s:, s:e].T).max()) > symmetry_tol:
+            raise NotSymmetric("matrix is not symmetric within tolerance")
     return M
 
 

@@ -279,9 +279,17 @@ def certify(R, kappa=None, einstein_tol=None):
     when the input is Einstein, the per-degree checks C(a-c) for every
     p <= n/2, and (when kappa is supplied) the estimate hypothesis D.
     """
-    n = R.n
-    summary = ricci_scalar(R)
     eigs = spectrum(second_kind_matrix(R))
+    return certify_spectrum(eigs, ricci_scalar(R), R.n, kappa, einstein_tol)
+
+
+def certify_spectrum(eigenvalues, summary, n, kappa=None, einstein_tol=None):
+    """certify from a second-kind spectrum and the CurvatureSummary of R.
+
+    For callers that already hold both; certify(R) computes them and
+    delegates here.
+    """
+    eigs = np.sort(np.asarray(eigenvalues, dtype=float))
     radius = float(np.abs(eigs).max(initial=0.0))
     flat = radius <= 1e-12
     out = []

@@ -1,8 +1,11 @@
 """Shared test utilities."""
 
+import math
+
 import numpy as np
 
-from curvkind import kulkarni_nomizu, ricci_scalar
+from curvkind import first_kind_matrix, kulkarni_nomizu, ricci_scalar
+from curvkind.bochner import _slot_table
 
 
 def make_einstein(R):
@@ -19,3 +22,35 @@ def make_einstein(R):
 def random_symmetric(n, rng):
     A = rng.standard_normal((n, n))
     return A + A.T
+
+
+def ric_l_by_derivations(R, p):
+    """Ric_L = -sum_ab F_ab D_a D_b over the sorted basis of p-forms.
+
+    F = first_kind_matrix(R) and D_a is the action of the 2-form e_i ^ e_j,
+    a = (i < j), through the slot table: p(n-p) nonzeros per row,
+    (D_b w)_I = coef * w[col].  An oracle for ric_l_matrix, which sums the
+    Weitzenboeck form through (p-1)- and (p-2)-forms instead.
+    """
+    n = R.n
+    F = first_kind_matrix(R)
+    count = math.comb(n, p)
+    width = p * (n - p)
+    if width == 0:
+        return np.zeros((count, count))
+    target, a, j, source, sign = (np.asarray(x, dtype=np.int64) for x in _slot_table(n, p))
+    # row I of every D_b: one entry per pair b = {a in I, j not in I}
+    keep = np.argsort(target, kind="stable")
+    keep = keep[a[keep] != j[keep]]
+    pair = np.zeros((n, n), dtype=np.int64)
+    pair[np.triu_indices(n, 1)] = np.arange(len(F))
+    pair += pair.T
+    b = pair[a[keep], j[keep]].reshape(count, width)
+    col = source[keep].reshape(count, width)
+    coef = (sign * np.where(a < j, 1.0, -1.0))[keep].reshape(count, width)
+    # two steps, I -> mid = col[I, k] -> col[mid, k']
+    terms = -coef[:, :, None] * coef[col] * F[b[:, :, None], b[col]]
+    target = np.arange(count)[:, None, None] * count + col[col]
+    return np.bincount(target.ravel(), terms.ravel(), minlength=count * count).reshape(
+        count, count
+    )

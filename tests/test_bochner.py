@@ -27,8 +27,8 @@ from curvkind import (
     spectrum,
     su3_so3,
 )
-from curvkind.bochner import _hodge_table
-from helpers import make_einstein
+from curvkind.bochner import _hodge_table, _ric_l_plan, _wedge_table
+from helpers import make_einstein, ric_l_by_derivations
 
 
 # --- the action of symmetric tensors on forms -------------------------------
@@ -200,6 +200,62 @@ def test_ric_l_matrix_against_slotwise_oracle():
             assert abs(oracle - via_matrix) <= 1e-10 * (1 + abs(oracle))
 
 
+def _wedge_matrices(n, q):
+    """Dense e_i ^ (.) from q-forms to (q+1)-forms, stacked over i."""
+    row, sign = _wedge_table(n, q)
+    out = np.zeros((n, math.comb(n, q + 1), math.comb(n, q)))
+    k, i = np.nonzero(sign)
+    out[i, row[k, i], k] = sign[k, i]
+    return out
+
+
+def test_wedge_table_signs_and_anticommutation():
+    from curvkind.tensor_core import multi_index_positions, multi_indices, sort_with_sign
+
+    for n, q in [(4, 0), (5, 2), (6, 3), (7, 6)]:
+        row, sign = _wedge_table(n, q)
+        for k, K in enumerate(multi_indices(n, q)):
+            for i in range(n):
+                s, I = sort_with_sign((i,) + K)
+                assert sign[k, i] == s
+                if s:
+                    assert row[k, i] == multi_index_positions(n, q + 1)[I]
+        up = _wedge_matrices(n, q)
+        down = _wedge_matrices(n, q - 1) if q else None
+        # e_i e_j = -e_j e_i, from (q-1)-forms (q-forms when q = 0)
+        lo, hi = (down, up) if q else (up, _wedge_matrices(n, q + 1))
+        eye = np.eye(math.comb(n, q))
+        for i in range(n):
+            for j in range(n):
+                assert not (hi[i] @ lo[j] + hi[j] @ lo[i]).any()
+                # e_i i_j + i_j e_i = delta_ij on q-forms, i_j = e_j^T
+                anti = up[j].T @ up[i]
+                if q:
+                    anti += down[i] @ down[j].T
+                assert np.array_equal(anti, (i == j) * eye)
+
+
+def test_cached_tables_are_read_only():
+    row, sign = _wedge_table(5, 2)
+    assert row.dtype == np.int32 and sign.dtype == np.int8
+    arrays = [row, sign] + [x for part in _ric_l_plan(6, 3) for x in part]
+    for x in arrays:
+        with pytest.raises(ValueError):
+            x.flat[0] = 0
+
+
+def test_ric_l_matrix_two_oracles():
+    rng = np.random.default_rng(17)
+    # (11, 5) has 5 * 7 + 10 * 21 = 245 terms per row, so its 462 rows fill
+    # one block of 2^16 // 245 = 267 rows and part of a second
+    for n in range(2, 12):
+        R = random_curvature(n, rng)
+        for p in range(1, n + 1):
+            M = ric_l_matrix(R, p)
+            oracle = ric_l_by_derivations(R, p)
+            assert np.abs(M - oracle).max() <= 1e-13 * np.abs(M).max()
+
+
 def test_ric_l_poincare_duality():
     rng = np.random.default_rng(11)
     for n in (4, 5, 6, 7, 8):
@@ -229,6 +285,13 @@ def test_hodge_table_squares_to_sign():
             back, back_sign = _hodge_table(n, n - p)
             assert np.array_equal(back[row], np.arange(math.comb(n, p)))
             assert np.all(sign * back_sign[row] == (-1) ** (p * (n - p)))
+            if 2 * p == n:
+                # ric_l_spectrum's split: the first half of the rows are the
+                # p-tuples containing 0, and the star sends them to the
+                # reversed second half
+                half = math.comb(n, p) // 2
+                assert [0 in I for I in multi_indices(n, p)] == [True] * half + [False] * half
+                assert np.array_equal(row[:half], np.arange(2 * half - 1, half - 1, -1))
 
 
 def test_ric_l_spectrum_middle_degree_split():

@@ -131,6 +131,33 @@ def test_spectrum_basics():
             solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_symmetry_gate_stripes():
+    from curvkind.operators import _STRIPE, require_symmetric
+
+    rng = np.random.default_rng(18)
+    # three stripes, the last one half full
+    N = 2 * _STRIPE + _STRIPE // 2
+    base = rng.uniform(-1.0, 1.0, (N, N))
+    base = base + base.T
+    tol = 1e-12 * 2.5
+    spots = [(5, 1), (1, 5), (_STRIPE + 40, _STRIPE + 3), (N - 1, 2 * _STRIPE + 1), (3, N - 2)]
+    # the largest entry sets the scale, whatever its sign
+    for peak in (2.5, -2.5):
+        base[0, 0] = peak
+        for i, j in spots:
+            for factor, caught in ((1.01, True), (0.99, False)):
+                M = base.copy()
+                M[i, j] += factor * tol
+                if caught:
+                    with pytest.raises(NotSymmetric):
+                        require_symmetric(M)
+                else:
+                    assert require_symmetric(M) is not None
+    assert require_symmetric(np.zeros((0, 0))).shape == (0, 0)
+    with pytest.raises(NotSymmetric):
+        require_symmetric(np.zeros((2, 3)))
+
+
 def test_spectrum_reconstruction_and_determinism():
     rng = np.random.default_rng(6)
     M = random_symmetric(30, rng)

@@ -10,6 +10,7 @@ from curvkind import (
     WeightBound,
     brute_force_min_weighted_sum,
     certify,
+    certify_spectrum,
     constant_curvature,
     constants,
     k_partial_sum,
@@ -344,6 +345,16 @@ def test_certify_verdicts_reproducible_from_sums():
         for c in certify(R):
             if "partial_sum" in c.sums and c.theorem in ("A", "A-corollary", "C(c)", "B(c)"):
                 assert c.holds == (c.sums["partial_sum"] >= -1e-9)
+
+
+def test_certify_spectrum_matches_certify():
+    rng = np.random.default_rng(19)
+    for R in (constant_curvature(6, 1.0), product_sphere(5), su3_so3(), random_curvature(7, rng)):
+        for kappa in (None, -1.0):
+            eigs = spectrum(second_kind_matrix(R))
+            want = certify(R, kappa=kappa)
+            assert certify_spectrum(eigs, ricci_scalar(R), R.n, kappa) == want
+            assert certify_spectrum(eigs[::-1], ricci_scalar(R), R.n, kappa) == want
 
 
 def test_theorem_d_hypothesis():
