@@ -17,6 +17,9 @@ Ric_L, in the Weitzenboeck form
 through (p-1)- and (p-2)-forms: p(n-p+1) + C(p,2) C(n-p+2,2) terms per row
 of its matrix.  The Hodge star reads _hodge_table(n, p).
 
+bochner_decomposition and form_two_point read w through the same wedges
+(_opened); the n^p dense form, with ric_l_quadratic, is their oracle.
+
 The quadratic curvature term is
 
     g(Ric_L w, w) = p sum R_ij w_{i...} w_{j...}
@@ -47,7 +50,7 @@ from .operators import (
 from .tensor_core import (
     PForm,
     canonical_s02_basis,
-    multi_indices,
+    multi_index_array,
     require_square,
     rotate_curvature,
     rotate_form,
@@ -74,13 +77,13 @@ def _wedge_table(n, q):
     wedge vanishes: sign is 0 and row is 0.
     """
     count = math.comb(n, q)
-    idx = np.array(multi_indices(n, q), dtype=np.int64).reshape(count, q)
+    idx = multi_index_array(n, q)
     member = np.zeros((count, n), dtype=bool)
     member[np.arange(count)[:, None], idx] = True
     # e_i moves past the members of K below it to reach its sorted place
     below = np.cumsum(member, axis=1) - member
     sign = np.where(member, 0, 1 - 2 * (below % 2))
-    upper = np.array(multi_indices(n, q + 1), dtype=np.int64).reshape(-1, q + 1)
+    upper = multi_index_array(n, q + 1)
     upper_bits = (1 << upper).sum(axis=1)
     order = np.argsort(upper_bits)
     wanted = (1 << idx).sum(axis=1)[:, None] | (1 << np.arange(n))
@@ -179,12 +182,22 @@ def act_sym_on_form(S, w):
     return PForm(w.n, w.p, coeffs)
 
 
+def _opened(w, k):
+    """X[K, G] = w_{G K} over sorted (p-k)-tuples K and k-tuples G (the rows
+    of first_kind_matrix for k = 2): E_k^T c in ric_l_matrix's notation."""
+    row, sign, g = _through(w.n, w.p - k, k)
+    X = np.zeros((len(row), math.comb(w.n, k)))
+    X[np.arange(len(row))[:, None], g] = sign * w.coeffs[row]
+    return X
+
+
 def form_two_point(w):
-    """Matrix W_jk = sum over i_2..i_p of w_{j i_2..} w_{k i_2..} (all indices)."""
+    """Matrix W_jk = sum over i_2..i_p of w_{j i_2..} w_{k i_2..} (all indices),
+    as (p-1)! U^T U over the sorted tuples, U = _opened(w, 1)."""
     if w.p == 0:
         return np.zeros((w.n, w.n))
-    flat = w.to_dense().reshape(w.n, -1)
-    return flat @ flat.T
+    U = _opened(w, 1)
+    return math.factorial(w.p - 1) * (U.T @ U)
 
 
 @dataclass(frozen=True)
@@ -229,7 +242,8 @@ def second_kind_form_term(R, w, expansion=None):
 
 
 def ric_l_quadratic(R, w):
-    """The curvature term g(Ric_L w, w) by direct contraction."""
+    """The curvature term g(Ric_L w, w), contracted on the dense n^p form: the
+    oracle for bochner_decomposition and ric_l_matrix, sharing no table."""
     n, p = R.n, w.p
     if w.n != n:
         raise DimensionMismatch("form and curvature live on different dimensions")
@@ -312,12 +326,11 @@ def _hodge_table(n, p):
     row of the complement I^c in the sorted basis of (n-p)-forms, and sign
     is the parity of the permutation (I, I^c), so *e_I = sign * e_{I^c}.
     """
-    count = math.comb(n, p)
-    idx = np.array(multi_indices(n, p), dtype=np.int64).reshape(count, p)
+    idx = multi_index_array(n, p)
     # I < J lexicographically iff the least element of their symmetric
     # difference lies in I; complements have the same symmetric difference,
     # so complementing reverses the sorted order
-    row = np.arange(count)[::-1]
+    row = np.arange(len(idx))[::-1]
     # (I, I^c) has sum_m (I_m - m) inversions
     sign = 1 - 2 * ((idx.sum(axis=1) - p * (p - 1) // 2) % 2)
     return row, sign
@@ -341,7 +354,12 @@ class BochnerReport:
 
 
 def bochner_decomposition(R, w):
-    """Evaluate both sides of the decomposition and report the residual."""
+    """Evaluate both sides of the decomposition and report the residual.
+
+    The left side is ric_l_matrix's Weitzenboeck form on w, with no matrix
+    and no dense form: g(Ric_L w, w) = p! (<Ric, U^T U> - 2 <F, V^T V>), with
+    U, V = _opened(w, 1), _opened(w, 2) and F = first_kind_matrix(R).
+    """
     n, p = R.n, w.p
     if w.n != n:
         raise DimensionMismatch("form and curvature live on different dimensions")
@@ -349,11 +367,17 @@ def bochner_decomposition(R, w):
     norm_sq = w.norm_sq
     if p == 0:
         return BochnerReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    lhs = 1.5 * ric_l_quadratic(R, w)
+    ricci_w = float(np.einsum("ij,ij->", summary.ricci, form_two_point(w)))
+    quadratic = p * ricci_w
+    if p >= 2:
+        V = _opened(w, 2)
+        quadratic -= 2 * math.factorial(p) * float(
+            np.einsum("ab,ab->", first_kind_matrix(R), V.T @ V)
+        )
+    # at p = n the two sums are scal and -scal: keep ric_l_matrix's exact zero
+    lhs = 1.5 * quadratic if p < n else 0.0
     term_op = second_kind_form_term(R, w)
-    term_ricci = (p * (n - 2 * p) / n) * float(
-        np.einsum("ij,ij->", summary.ricci, form_two_point(w))
-    )
+    term_ricci = (p * (n - 2 * p) / n) * ricci_w
     term_scal = (p**2 / n**2) * summary.scalar * norm_sq
     residual = abs(lhs - term_op - term_ricci - term_scal) / (1.0 + abs(lhs))
     einstein_residual = None
@@ -361,6 +385,15 @@ def bochner_decomposition(R, w):
         short = term_op + (p * (n - p) / n**2) * summary.scalar * norm_sq
         einstein_residual = abs(lhs - short) / (1.0 + abs(lhs))
     return BochnerReport(lhs, term_op, term_ricci, term_scal, residual, einstein_residual)
+
+
+def _ogiue_tachibana_family(n):
+    """The n^2 tensors e^i (.) e^j, stacked at i * n + j: shape (n^2, n, n)."""
+    eye = np.eye(n)
+    # [i, j, a, b] = d_ia d_jb + d_ja d_ib - (2/n) d_ij d_ab
+    pair = eye[:, None, :, None] * eye[None, :, None, :]
+    stack = pair + pair.transpose(1, 0, 2, 3) - (2.0 / n) * eye[:, :, None, None] * eye
+    return stack.reshape(n * n, n, n)
 
 
 def ogiue_tachibana_term(R, w):
@@ -372,15 +405,7 @@ def ogiue_tachibana_term(R, w):
     n = w.n
     if R.n != n:
         raise DimensionMismatch("form and curvature live on different dimensions")
-    stack = np.zeros((n * n, n, n))
-    eye = np.eye(n)
-    for i in range(n):
-        for j in range(n):
-            S = np.zeros((n, n))
-            S[i, j] += 1.0
-            S[j, i] += 1.0
-            stack[i * n + j] = S - (2.0 / n) * eye[i, j] * eye
-    coeff = _act_stack_coeffs(stack, w)
+    coeff = _act_stack_coeffs(_ogiue_tachibana_family(n), w)
     gram = (math.factorial(w.p) * (coeff @ coeff.T)).reshape(n, n, n, n)
     return 0.25 * float(np.einsum("ijkl,iljk->", R.components, gram))
 
@@ -473,11 +498,8 @@ def bochner_ricci_diagonal_residual(R, w):
         return 0.0
     rsum = ricci_scalar(Rr)
     ric_diag = np.diag(rsum.ricci)
-    fact = math.factorial(p)
-    weighted = fact * sum(
-        sum(ric_diag[i] for i in I) * wr.coeffs[pos] ** 2
-        for pos, I in enumerate(multi_indices(n, p))
-    )
+    ric_sums = ric_diag[multi_index_array(n, p)].sum(axis=1)
+    weighted = math.factorial(p) * float(ric_sums @ wr.coeffs**2)
     lhs = 1.5 * ric_l_quadratic(Rr, wr)
     rhs = (
         second_kind_form_term(Rr, wr)

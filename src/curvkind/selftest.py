@@ -5,8 +5,6 @@ check passed.  All draws come from a single seeded generator, so a given
 (seed, seeds, n_max) triple is fully reproducible.
 """
 
-import math
-
 import numpy as np
 
 from .bochner import (
@@ -15,7 +13,6 @@ from .bochner import (
     form_s02_expansion,
     ogiue_tachibana_term,
     ric_l_matrix,
-    ric_l_quadratic,
     second_kind_form_term,
 )
 from .model_spaces import (

@@ -48,6 +48,14 @@ def multi_indices(n, p):
 
 
 @lru_cache(maxsize=None)
+def multi_index_array(n, p):
+    """multi_indices(n, p) as a read-only integer array of shape (C(n,p), p)."""
+    idx = np.array(multi_indices(n, p), dtype=np.intp).reshape(math.comb(n, p), p)
+    idx.flags.writeable = False
+    return idx
+
+
+@lru_cache(maxsize=None)
 def multi_index_positions(n, p):
     return {idx: pos for pos, idx in enumerate(multi_indices(n, p))}
 
@@ -73,12 +81,13 @@ def sort_with_sign(idx):
 
 @lru_cache(maxsize=None)
 def _signed_permutations(p):
-    """Permutations of range(p) with their parities."""
-    out = []
-    for perm in permutations(range(p)):
-        sign, _ = sort_with_sign(perm)
-        out.append((perm, sign))
-    return tuple(out)
+    """The permutations of range(p) with their parities, as read-only int8
+    arrays (perms, signs) of shapes (p!, p) and (p!,)."""
+    perms = np.array(list(permutations(range(p))), dtype=np.int8).reshape(math.factorial(p), p)
+    a, b = np.triu_indices(p, 1)
+    signs = (1 - 2 * ((perms[:, a] > perms[:, b]).sum(axis=1) % 2)).astype(np.int8)
+    perms.flags.writeable = signs.flags.writeable = False
+    return perms, signs
 
 
 @dataclass(frozen=True)
@@ -117,15 +126,20 @@ class PForm:
         return math.factorial(self.p) * float(np.dot(self.coeffs, other.coeffs))
 
     def to_dense(self):
-        """Full n^p component array of the antisymmetric extension."""
-        dense = np.zeros((self.n,) * self.p)
-        for pos, idx in enumerate(multi_indices(self.n, self.p)):
-            c = self.coeffs[pos]
-            if c == 0.0:
-                continue
-            for perm, sign in _signed_permutations(self.p):
-                dense[tuple(idx[q] for q in perm)] = sign * c
-        return dense
+        """Full n^p component array of the antisymmetric extension, scattered
+        a block of signed slot permutations at a time (about 2^16 entries);
+        entries with a repeated index or a zero coefficient are +0.0."""
+        n, p = self.n, self.p
+        idx = multi_index_array(n, p)
+        perms, signs = _signed_permutations(p)
+        place = n ** np.arange(p - 1, -1, -1)
+        dense = np.zeros(n**p)
+        step = max(1, 2**16 // len(idx))
+        for s in range(0, len(perms), step):
+            at = idx[:, perms[s : s + step]] @ place
+            # adding 0.0 turns the -0.0 of a negated zero into +0.0
+            dense[at] = self.coeffs[:, None] * signs[s : s + step] + 0.0
+        return dense.reshape((n,) * p)
 
     @classmethod
     def from_dense(cls, dense):
@@ -136,9 +150,7 @@ class PForm:
             raise ShapeMismatch(f"dense form must be cubical, got {dense.shape}")
         if p == 0:
             raise ShapeMismatch("from_dense needs p >= 1; use zero/basis constructors")
-        idxs = multi_indices(n, p)
-        coeffs = np.array([dense[idx] for idx in idxs])
-        return cls(n, p, coeffs)
+        return cls(n, p, dense[tuple(multi_index_array(n, p).T)])
 
     @classmethod
     def zero(cls, n, p):
@@ -203,18 +215,15 @@ def canonical_s02_basis(n):
     """
     n = check_dimension(n)
     out = np.zeros((s02_dimension(n), n, n))
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[pos, i, j] = out[pos, j, i] = 1.0 / math.sqrt(2.0)
-            pos += 1
-    for k in range(n - 1):
-        m = n - (k + 1)  # number of trailing +1 entries
-        norm = math.sqrt((m + 1) * m)
-        out[pos, k, k] = -m / norm
-        for l in range(k + 1, n):
-            out[pos, l, l] = 1.0 / norm
-        pos += 1
+    i, j = multi_index_array(n, 2).T
+    pair = np.arange(len(i))
+    out[pair, i, j] = out[pair, j, i] = 1.0 / math.sqrt(2.0)
+    k, l = np.arange(n - 1), np.arange(n)
+    m = n - (k + 1)  # number of trailing +1 entries
+    norm = np.sqrt((m + 1) * m)
+    diag = np.where(l > k[:, None], 1.0 / norm[:, None], 0.0)
+    diag[k, k] = -m / norm
+    out[len(i) :, l, l] = diag
     return out
 
 
@@ -223,14 +232,11 @@ def canonical_s2_basis(n):
     off-diagonal (e^i x e^j + e^j x e^i)/sqrt(2); shape (n(n+1)/2, n, n)."""
     n = check_dimension(n)
     out = np.zeros((n * (n + 1) // 2, n, n))
-    pos = 0
-    for i in range(n):
-        out[pos, i, i] = 1.0
-        pos += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[pos, i, j] = out[pos, j, i] = 1.0 / math.sqrt(2.0)
-            pos += 1
+    l = np.arange(n)
+    out[l, l, l] = 1.0
+    i, j = multi_index_array(n, 2).T
+    pair = n + np.arange(len(i))
+    out[pair, i, j] = out[pair, j, i] = 1.0 / math.sqrt(2.0)
     return out
 
 

@@ -1,10 +1,11 @@
 """Shared test utilities."""
 
+from itertools import permutations
 import math
 
 import numpy as np
 
-from curvkind import first_kind_matrix, kulkarni_nomizu, ricci_scalar
+from curvkind import first_kind_matrix, kulkarni_nomizu, multi_indices, ricci_scalar, sort_with_sign
 from curvkind.bochner import _slot_table
 
 
@@ -22,6 +23,30 @@ def make_einstein(R):
 def random_symmetric(n, rng):
     A = rng.standard_normal((n, n))
     return A + A.T
+
+
+def to_dense_by_permutations(w):
+    """The n^p dense form of w, one assignment per signed permutation of
+    each sorted tuple with a nonzero coefficient: an oracle for
+    PForm.to_dense, which scatters blocks of permutations."""
+    dense = np.zeros((w.n,) * w.p)
+    for pos, idx in enumerate(multi_indices(w.n, w.p)):
+        c = w.coeffs[pos]
+        if c == 0.0:
+            continue
+        for perm in permutations(range(w.p)):
+            sign, _ = sort_with_sign(perm)
+            dense[tuple(idx[q] for q in perm)] = sign * c
+    return dense
+
+
+def form_two_point_dense(w):
+    """W_jk = sum over i_2..i_p of w_{j i_2..} w_{k i_2..}, contracted on the
+    dense form: an oracle for form_two_point, which reads the wedge tables."""
+    if w.p == 0:
+        return np.zeros((w.n, w.n))
+    flat = to_dense_by_permutations(w).reshape(w.n, -1)
+    return flat @ flat.T
 
 
 def ric_l_by_derivations(R, p):

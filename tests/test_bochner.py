@@ -27,8 +27,9 @@ from curvkind import (
     spectrum,
     su3_so3,
 )
-from curvkind.bochner import _hodge_table, _ric_l_plan, _wedge_table
-from helpers import make_einstein, ric_l_by_derivations
+from curvkind.bochner import _hodge_table, _ogiue_tachibana_family, _ric_l_plan, _wedge_table
+from curvkind.operators import first_kind_matrix, ricci_scalar
+from helpers import form_two_point_dense, make_einstein, ric_l_by_derivations
 
 
 # --- the action of symmetric tensors on forms -------------------------------
@@ -352,6 +353,50 @@ def test_bochner_einstein_short_form():
             assert rep.einstein_residual <= 1e-9
 
 
+def test_bochner_lhs_against_both_oracles():
+    rng = np.random.default_rng(24)
+    for n in range(2, 10):
+        generic = random_curvature(n, rng)
+        for R in (generic, make_einstein(generic)) if n >= 3 else (generic,):
+            ricci = ricci_scalar(R).ricci
+            F = first_kind_matrix(R)
+            for p in range(1, n + 1):
+                w = PForm.random(n, p, rng)
+                rep = bochner_decomposition(R, w)
+                M = ric_l_matrix(R, p)
+                assembled = 1.5 * math.factorial(p) * float(w.coeffs @ M @ w.coeffs)
+                # above the middle degree the two Weitzenboeck sums, each up
+                # to `sums`, cancel to a far smaller lhs (about 1e6 against 7
+                # at (9, 8)); every evaluation, the oracles too, rounds
+                # relative to the sums there
+                sums = 1.5 * w.norm_sq * (
+                    p * np.linalg.norm(ricci, 2) + p * (p - 1) * np.linalg.norm(F, 2)
+                )
+                tol = 1e-12 * (1 + (abs(rep.lhs) if 2 * p <= n else sums))
+                assert abs(rep.lhs - assembled) <= tol
+                # the dense oracle holds n^p floats: 3.1 GB at (9, 9)
+                if n**p <= 2**23:
+                    assert abs(rep.lhs - 1.5 * ric_l_quadratic(R, w)) <= tol
+                if p == n:
+                    assert rep.lhs == 0.0
+                # every curvature tensor on R^2 is Einstein
+                if R is generic and n >= 3:
+                    assert rep.einstein_residual is None
+                else:
+                    assert rep.einstein_residual <= 1e-9
+
+
+def test_bochner_lhs_constant_curvature():
+    rng = np.random.default_rng(25)
+    for n in range(2, 10):
+        for kappa in (1.0, -0.75):
+            R = constant_curvature(n, kappa)
+            for p in range(1, n + 1):
+                w = PForm.random(n, p, rng)
+                want = 1.5 * kappa * p * (n - p) * w.norm_sq
+                assert abs(bochner_decomposition(R, w).lhs - want) <= 1e-12 * (1 + abs(want))
+
+
 def test_bochner_ricci_diagonal_form():
     rng = np.random.default_rng(16)
     worst = 0.0
@@ -371,6 +416,17 @@ def test_form_two_point_traces_norm():
     assert np.trace(W) == pytest.approx(w.norm_sq, rel=1e-12)
 
 
+def test_form_two_point_matches_dense_oracle():
+    rng = np.random.default_rng(26)
+    for n in range(2, 9):
+        # (8, 8) would need a 134 MB dense form
+        for p in range(min(n, 7) + 1):
+            w = PForm.random(n, p, rng)
+            W, oracle = form_two_point(w), form_two_point_dense(w)
+            assert W.shape == (n, n)
+            assert np.abs(W - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
 # --- the non-orthogonal family and general tensors --------------------------
 
 
@@ -382,6 +438,19 @@ def test_ogiue_tachibana_flat_and_sphere():
         w = PForm.random(n, p, rng)
         val = ogiue_tachibana_term(constant_curvature(n, 1.0), w)
         assert val == pytest.approx(form_s02_expansion(w).total, rel=1e-11)
+
+
+def test_ogiue_tachibana_family_matches_loop_bitwise():
+    for n in range(2, 13):
+        stack = np.zeros((n * n, n, n))
+        eye = np.eye(n)
+        for i in range(n):
+            for j in range(n):
+                S = np.zeros((n, n))
+                S[i, j] += 1.0
+                S[j, i] += 1.0
+                stack[i * n + j] = S - (2.0 / n) * eye[i, j] * eye
+        assert _ogiue_tachibana_family(n).tobytes() == stack.tobytes()
 
 
 def test_ogiue_tachibana_matches_expansion_path():

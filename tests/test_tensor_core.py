@@ -23,7 +23,8 @@ from curvkind import (
     trace_free_project,
     validate_curvature,
 )
-from helpers import random_symmetric
+from curvkind.tensor_core import multi_index_array
+from helpers import random_symmetric, to_dense_by_permutations
 
 
 def test_sort_with_sign():
@@ -54,6 +55,42 @@ def test_pform_norm_matches_dense_extension():
         assert abs(float(np.sum(dense**2)) - w.norm_sq) <= 1e-12 * (1 + w.norm_sq)
         back = PForm.from_dense(dense)
         assert np.allclose(back.coeffs, w.coeffs)
+
+
+def test_to_dense_matches_permutation_loop_bitwise():
+    rng = np.random.default_rng(2)
+    # (12, 5) has 792 * 120 entries: two blocks of permutations, one partial
+    cases = [(2, 0), (4, 0), (3, 1), (6, 1), (3, 3), (5, 5), (6, 3), (7, 3), (8, 4), (12, 5)]
+    for n, p in cases:
+        w = PForm.random(n, p, rng)
+        sparse = w.coeffs.copy()
+        sparse[rng.random(len(sparse)) < 0.4] = 0.0
+        sparse[::3] = -0.0
+        for coeffs in (w.coeffs, sparse, np.zeros_like(sparse)):
+            form = PForm(n, p, coeffs)
+            dense, oracle = form.to_dense(), to_dense_by_permutations(form)
+            assert dense.shape == oracle.shape == (n,) * p
+            # bytes, so a -0.0 where the loop leaves +0.0 also fails
+            assert dense.tobytes() == oracle.tobytes()
+
+
+def test_from_dense_gathers_sorted_coefficients_bitwise():
+    rng = np.random.default_rng(3)
+    for n, p in [(3, 1), (4, 2), (5, 3), (6, 6), (7, 4)]:
+        dense = rng.standard_normal((n,) * p)
+        coeffs = np.array([dense[idx] for idx in multi_indices(n, p)])
+        assert PForm.from_dense(dense).coeffs.tobytes() == coeffs.tobytes()
+    with pytest.raises(ShapeMismatch):
+        PForm.from_dense(np.float64(1.0))
+
+
+def test_multi_index_array_is_read_only():
+    idx = multi_index_array(6, 3)
+    assert idx.shape == (20, 3)
+    assert [tuple(row) for row in idx.tolist()] == list(multi_indices(6, 3))
+    assert multi_index_array(4, 0).shape == (1, 0)
+    with pytest.raises(ValueError):
+        idx[0, 0] = 1
 
 
 def test_wedge_and_unit_wedge():
