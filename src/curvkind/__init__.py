@@ -44,9 +44,7 @@ from .operators import (
     act_sym_dense,
     cluster_eigenvalues,
     first_kind_matrix,
-    quadratic_form_identity_check,
     rbar_apply,
-    rbar_full_matrix,
     ricci_scalar,
     second_kind_matrix,
     spectral_decomposition,
@@ -56,7 +54,6 @@ from .tensor_core import (
     CurvatureTensor,
     PForm,
     canonical_s02_basis,
-    canonical_s2_basis,
     curvature_symmetry_report,
     dimension_cap,
     kulkarni_nomizu,
@@ -74,7 +71,6 @@ from .weights import (
     Certificate,
     Constants,
     WeightBound,
-    brute_force_min_weighted_sum,
     certify,
     certify_spectrum,
     constants,

@@ -239,6 +239,11 @@ def _cmd_spectrum(args):
 def _cmd_selftest(args):
     from .selftest import run_selftest
 
+    if args.seeds < 1:
+        _fail(PARSE_ERROR, f"--seeds must be at least 1, got {args.seeds}")
+    if args.n_max < 4:
+        # estimate soundness sweeps n = 4..n_max
+        _fail(PARSE_ERROR, f"--n-max must be at least 4, got {args.n_max}")
     ok = run_selftest(seed=args.seed, seeds=args.seeds, n_max=args.n_max)
     return 0 if ok else 1
 

@@ -21,6 +21,8 @@ from .tensor_core import CurvatureTensor, check_dimension, kulkarni_nomizu
 def constant_curvature(n, kappa=1.0):
     """Constant sectional curvature kappa; equals kappa/2 * (g o g)."""
     n = check_dimension(n)
+    if not np.isfinite(kappa):
+        raise ShapeMismatch(f"non-finite kappa {kappa}")
     eye = np.eye(n)
     R = kappa * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
     return CurvatureTensor(n, R)

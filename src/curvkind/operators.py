@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSymmetric
-from .tensor_core import (
-    canonical_s02_basis,
-    canonical_s2_basis,
-    multi_indices,
-    require_square,
-    sym_inner,
-)
+from .errors import NotSymmetric
+from .tensor_core import canonical_s02_basis, multi_indices, require_square
 
 
 @dataclass(frozen=True)
@@ -73,11 +67,6 @@ def second_kind_matrix(R):
     trace-free elements only.
     """
     return _gram_against(R, canonical_s02_basis(R.n))
-
-
-def rbar_full_matrix(R):
-    """Matrix of R-bar over canonical_s2_basis(R.n) (the full S^2 operator)."""
-    return _gram_against(R, canonical_s2_basis(R.n))
 
 
 def first_kind_matrix(R):
@@ -138,35 +127,6 @@ def cluster_eigenvalues(values, tol=None):
             clusters.append((float(block.mean()), len(block)))
             start = i
     return clusters
-
-
-def quadratic_form_identity_check(R, T):
-    """Relative gap between two evaluations of the trace-free quadratic form.
-
-    The expansion T^{S^2_0} = sum_a S_a T (x) S_a does not depend on the
-    orthonormal basis of S^2_0; here the left side pairs R-bar against the
-    expansion through the *full* S^2 basis (subtracting the metric part,
-    T^{S^2_0} = T^{S^2} - (k/n) T (x) g), while the right side uses the
-    canonical trace-free basis and the second-kind matrix directly.
-    Returns |lhs - rhs| / (1 + |lhs|).
-    """
-    T = np.asarray(T, dtype=float)
-    n = R.n
-    if T.ndim == 0 or T.shape != (n,) * T.ndim:
-        raise DimensionMismatch(f"tensor of shape {T.shape} does not live on n={n}")
-    k = T.ndim
-
-    full = canonical_s2_basis(n)
-    rbar_gram = _gram_against(R, full)
-    comps = [act_sym_dense(C, T) - (k / n) * sym_inner(C, np.eye(n)) * T for C in full]
-    inner = np.array([[float(np.sum(a * b)) for b in comps] for a in comps])
-    lhs = float(np.einsum("ab,ab->", inner, rbar_gram))
-
-    tf = canonical_s02_basis(n)
-    acts = [act_sym_dense(B, T) for B in tf]
-    gram = np.array([[float(np.sum(a * b)) for b in acts] for a in acts])
-    rhs = float(np.einsum("ab,ab->", gram, second_kind_matrix(R)))
-    return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
 def act_sym_dense(S, T):

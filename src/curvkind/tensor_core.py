@@ -55,11 +55,6 @@ def multi_index_array(n, p):
     return idx
 
 
-@lru_cache(maxsize=None)
-def multi_index_positions(n, p):
-    return {idx: pos for pos, idx in enumerate(multi_indices(n, p))}
-
-
 def sort_with_sign(idx):
     """Sort an index tuple, tracking permutation parity.
 
@@ -164,7 +159,7 @@ class PForm:
         if sign == 0:
             raise ShapeMismatch(f"repeated index in wedge {idx}")
         coeffs = np.zeros(math.comb(n, p))
-        coeffs[multi_index_positions(n, p)[sidx]] = sign
+        coeffs[multi_indices(n, p).index(sidx)] = sign
         return cls(n, p, coeffs)
 
     @classmethod
@@ -224,19 +219,6 @@ def canonical_s02_basis(n):
     diag = np.where(l > k[:, None], 1.0 / norm[:, None], 0.0)
     diag[k, k] = -m / norm
     out[len(i) :, l, l] = diag
-    return out
-
-
-def canonical_s2_basis(n):
-    """Orthonormal basis of all symmetric 2-tensors: e^i x e^i, then the
-    off-diagonal (e^i x e^j + e^j x e^i)/sqrt(2); shape (n(n+1)/2, n, n)."""
-    n = check_dimension(n)
-    out = np.zeros((n * (n + 1) // 2, n, n))
-    l = np.arange(n)
-    out[l, l, l] = 1.0
-    i, j = multi_index_array(n, 2).T
-    pair = n + np.arange(len(i))
-    out[pair, i, j] = out[pair, j, i] = 1.0 / math.sqrt(2.0)
     return out
 
 

@@ -82,26 +82,6 @@ def min_weighted_sum(eigenvalues, omega, total):
     return value
 
 
-def brute_force_min_weighted_sum(eigenvalues, omega, total):
-    """Reference minimizer by greedy exchange over the sorted eigenvalues.
-
-    Independent of the closed form above only in spirit; the genuinely
-    independent check in the test suite is a linear-program solve.
-    """
-    eigs = np.sort(np.asarray(eigenvalues, dtype=float))
-    budget = total
-    value = 0.0
-    for lam in eigs:
-        w = min(omega, budget)
-        value += w * lam
-        budget -= w
-        if budget <= 0:
-            break
-    if budget > 1e-12 * max(1.0, total):
-        raise InfeasibleWeights("weights do not fit")
-    return value
-
-
 @dataclass(frozen=True)
 class Constants:
     """Per-(n, p) thresholds of the eigenvalue-sum conditions."""

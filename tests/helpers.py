@@ -5,8 +5,19 @@ import math
 
 import numpy as np
 
-from curvkind import first_kind_matrix, kulkarni_nomizu, multi_indices, ricci_scalar, sort_with_sign
+from curvkind import (
+    act_sym_dense,
+    canonical_s02_basis,
+    first_kind_matrix,
+    kulkarni_nomizu,
+    multi_indices,
+    ricci_scalar,
+    second_kind_matrix,
+    sort_with_sign,
+    sym_inner,
+)
 from curvkind.bochner import _slot_table
+from curvkind.operators import _gram_against
 
 
 def make_einstein(R):
@@ -79,3 +90,51 @@ def ric_l_by_derivations(R, p):
     return np.bincount(target.ravel(), terms.ravel(), minlength=count * count).reshape(
         count, count
     )
+
+
+def multi_index_positions(n, p):
+    """Position of each sorted p-tuple in multi_indices(n, p)."""
+    return {idx: pos for pos, idx in enumerate(multi_indices(n, p))}
+
+
+def canonical_s2_basis(n):
+    """Orthonormal basis of all symmetric 2-tensors: e^i x e^i, then the
+    off-diagonal (e^i x e^j + e^j x e^i)/sqrt(2); shape (n(n+1)/2, n, n)."""
+    out = np.zeros((n * (n + 1) // 2, n, n))
+    l = np.arange(n)
+    out[l, l, l] = 1.0
+    for pair, (i, j) in enumerate(multi_indices(n, 2), start=n):
+        out[pair, i, j] = out[pair, j, i] = 1.0 / math.sqrt(2.0)
+    return out
+
+
+def rbar_full_matrix(R):
+    """Matrix of R-bar over canonical_s2_basis(R.n) (the full S^2 operator)."""
+    return _gram_against(R, canonical_s2_basis(R.n))
+
+
+def quadratic_form_identity_check(R, T):
+    """Relative gap between two evaluations of the trace-free quadratic form.
+
+    The expansion T^{S^2_0} = sum_a S_a T (x) S_a does not depend on the
+    orthonormal basis of S^2_0; here the left side pairs R-bar against the
+    expansion through the *full* S^2 basis (subtracting the metric part,
+    T^{S^2_0} = T^{S^2} - (k/n) T (x) g), while the right side uses the
+    canonical trace-free basis and the second-kind matrix directly.
+    Returns |lhs - rhs| / (1 + |lhs|).
+    """
+    T = np.asarray(T, dtype=float)
+    n = R.n
+    k = T.ndim
+
+    full = canonical_s2_basis(n)
+    rbar_gram = _gram_against(R, full)
+    comps = [act_sym_dense(C, T) - (k / n) * sym_inner(C, np.eye(n)) * T for C in full]
+    inner = np.array([[float(np.sum(a * b)) for b in comps] for a in comps])
+    lhs = float(np.einsum("ab,ab->", inner, rbar_gram))
+
+    tf = canonical_s02_basis(n)
+    acts = [act_sym_dense(B, T) for B in tf]
+    gram = np.array([[float(np.sum(a * b)) for b in acts] for a in acts])
+    rhs = float(np.einsum("ab,ab->", gram, second_kind_matrix(R)))
+    return abs(lhs - rhs) / (1.0 + abs(lhs))

@@ -1,9 +1,15 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line with
-the measured worst-case numbers (run with -s to see them).
+"""Acceptance suite.
 
-Criteria 3 and 4 share one randomized sweep (module-scoped fixture); every
-other criterion draws its own seeded generator, so the whole suite is
-reproducible run to run.
+test_registry runs every entry of curvkind.selftest.CHECKS, the identity
+checks that `curvkind selftest` runs too, at this suite's sizes: DRAWS cases
+per n = 3..N_MAX in the random sweeps (per (n, p) for the form identities).
+The criterion tests cover what the registry does not: the Einstein short
+form of the decomposition (3), the profile and certificate of SU(3)/SO(3)
+(6), the LP oracle (7), the sharp witness (8), Einstein inputs to the
+estimates (10), and criteria 11-14.
+
+Every test prints its measured worst case (run with -s to see them) and
+draws its own seeded generator, so the suite is reproducible run to run.
 """
 
 import math
@@ -19,220 +25,100 @@ from curvkind import (
     certify,
     constant_curvature,
     constants,
-    first_kind_matrix,
-    form_s02_expansion,
     k_partial_sum,
     k_positivity_profile,
     min_weighted_sum,
-    ogiue_tachibana_term,
     perturb_constant,
     product_sphere,
     random_curvature,
-    random_trace_free,
-    ric_l_lower_bound,
     ric_l_matrix,
     ricci_scalar,
-    second_kind_form_term,
     second_kind_matrix,
     spectrum,
     su3_so3,
 )
+from curvkind.selftest import CHECKS, estimate_slacks, run_check
 from helpers import make_einstein
 
-SWEEP_DIMS = (3, 4, 5, 6)
 DRAWS = 200
+N_MAX = 6
+TOLS = {name: tol for name, _, tol in CHECKS}
 
 
 def report(line):
     print(f"PASS {line}")
 
 
-def test_criterion_01_sphere_identity():
-    worst = 0.0
-    for n in range(3, 9):
-        M = second_kind_matrix(constant_curvature(n, 1.0))
-        worst = max(worst, float(np.abs(M - np.eye(len(M))).max()))
-    assert worst <= 1e-12
-    report(f"criterion 1: sphere second-kind operator is the identity, n=3..8 (worst {worst:.2e})")
+@pytest.mark.parametrize(
+    "seed, check", enumerate(CHECKS), ids=[residuals.__name__[1:] for _, residuals, _ in CHECKS]
+)
+def test_registry(seed, check):
+    passed, line = run_check(check, np.random.default_rng(100 + seed), DRAWS, N_MAX)
+    assert passed, line
+    print(line)
 
 
-def test_criterion_02_trace_identities():
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for n in SWEEP_DIMS:
-        for _ in range(DRAWS):
-            R = random_curvature(n, rng)
-            s = ricci_scalar(R)
-            denom = 1.0 + abs(s.scalar)
-            worst = max(
-                worst,
-                abs(np.trace(second_kind_matrix(R)) - (n + 2) / (2 * n) * s.scalar) / denom,
-                abs(np.trace(first_kind_matrix(R)) - s.scalar / 2) / denom,
-            )
-    assert worst <= 1e-10
-    report(f"criterion 2: trace identities on {DRAWS} draws per n in 3..6 (worst {worst:.2e})")
-
-
-@pytest.fixture(scope="module")
-def bochner_sweep():
-    rng = np.random.default_rng(102)
-    worst_dec = worst_ot = 0.0
-    for n in SWEEP_DIMS:
-        for p in range(1, n):
-            for _ in range(DRAWS):
-                R = random_curvature(n, rng)
-                w = PForm.random(n, p, rng)
-                rep = bochner_decomposition(R, w)
-                worst_dec = max(worst_dec, rep.residual)
-                ot = ogiue_tachibana_term(R, w)
-                base = second_kind_form_term(R, w)
-                worst_ot = max(worst_ot, abs(ot - base) / (1.0 + abs(base)))
-    return worst_dec, worst_ot
-
-
-def test_criterion_03_bochner_decomposition(bochner_sweep):
-    worst_dec, _ = bochner_sweep
-    assert worst_dec <= 1e-9
+def test_criterion_03_bochner_decomposition():
     rng = np.random.default_rng(103)
-    worst_einstein = 0.0
+    worst = 0.0
     for R in (constant_curvature(5, 1.0), constant_curvature(4, -0.6), su3_so3()):
         for p in range(1, R.n):
             rep = bochner_decomposition(R, PForm.random(R.n, p, rng))
             assert rep.einstein_residual is not None
-            worst_einstein = max(worst_einstein, rep.einstein_residual)
-    assert worst_einstein <= 1e-9
-    report(
-        "criterion 3: three-term decomposition residual on the full sweep "
-        f"(worst {worst_dec:.2e}), Einstein short form (worst {worst_einstein:.2e})"
-    )
-
-
-def test_criterion_04_ogiue_tachibana_agreement(bochner_sweep):
-    _, worst_ot = bochner_sweep
-    assert worst_ot <= 1e-10
-    report(f"criterion 4: non-orthogonal family agrees with the expansion (worst {worst_ot:.2e})")
-
-
-def test_criterion_05_product_sphere_spectra():
-    worst = 0.0
-    for n in range(4, 9):
-        eigs = spectrum(second_kind_matrix(product_sphere(n)))
-        expected = np.sort(
-            [-(n - 2) / n] + [0.0] * (n - 1) + [1.0] * ((n - 2) * (n + 1) // 2)
-        )
-        worst = max(worst, float(np.abs(eigs - expected).max()))
-    assert worst <= 1e-8
-    report(f"criterion 5: product-sphere spectra multiplicity pattern, n=4..8 (worst {worst:.2e})")
+            worst = max(worst, rep.einstein_residual)
+    assert worst <= 1e-9
+    report(f"criterion 3: Einstein short form of the decomposition (worst {worst:.2e})")
 
 
 def test_criterion_06_su3_so3():
     R = su3_so3()
-    second = spectrum(second_kind_matrix(R))
-    first = spectrum(first_kind_matrix(R))
-    s = ricci_scalar(R)
-    err = max(
-        float(np.abs(second - np.sort([-1.5] * 5 + [2.0] * 9)).max()),
-        float(np.abs(first - np.sort([0.0] * 7 + [2.5] * 3)).max()),
-        float(np.abs(s.ricci - 3.0 * np.eye(5)).max()),
-    )
-    assert err <= 1e-8
-    profile = k_positivity_profile(second)
+    profile = k_positivity_profile(spectrum(second_kind_matrix(R)))
     assert profile == {"positive": 9, "nonnegative": 9}
-    assert k_partial_sum(second, 9.0) > 0 and k_partial_sum(second, 8.0) < 0
     certs = certify(R)
     assert not next(c for c in certs if c.theorem == "A").holds
-    report(f"criterion 6: SU(3)/SO(3) spectra, Ric = 3g, 9-positive not 8-nonnegative (worst {err:.2e})")
+    report("criterion 6: SU(3)/SO(3) is 9-positive, not 8-nonnegative; Theorem A does not hold")
 
 
 def test_criterion_07_weight_calculus_oracle():
     rng = np.random.default_rng(107)
-    worst_lp = worst_bracket = 0.0
+    worst = 0.0
     for _ in range(500):
         N = int(rng.integers(2, 11))
         eigs = np.sort(rng.standard_normal(N))
         omega = float(rng.uniform(0.1, 2.0))
         total = float(rng.uniform(0.0, omega * N * 0.999))
-        closed = min_weighted_sum(eigs, omega, total)
         lp = linprog(
             eigs, A_eq=np.ones((1, N)), b_eq=[total], bounds=[(0.0, omega)] * N, method="highs"
         )
         assert lp.status == 0
-        worst_lp = max(worst_lp, abs(closed - lp.fun))
-        if total >= omega:
-            worst_bracket = max(
-                worst_bracket, abs(closed - omega * k_partial_sum(eigs, total / omega))
-            )
-    assert worst_lp <= 1e-10
-    assert worst_bracket <= 1e-12
-    report(
-        "criterion 7: bracket minimum matches the LP oracle on 500 instances "
-        f"(worst {worst_lp:.2e}); partial-sum equivalence (worst {worst_bracket:.2e})"
-    )
+        worst = max(worst, abs(min_weighted_sum(eigs, omega, total) - lp.fun))
+    assert worst <= 1e-10
+    report(f"criterion 7: bracket minimum matches the LP oracle, 500 instances (worst {worst:.2e})")
 
 
 def test_criterion_08_sharpness_witness():
-    worst_sharp = 0.0
+    worst = 0.0
     for n, p in [(4, 2), (6, 3), (8, 3)]:
         mu = [math.sqrt((n - p) / (n * p))] * p + [-math.sqrt(p / ((n - p) * n))] * (n - p)
         S = np.diag(mu)
         w = PForm.wedge(n, tuple(range(p)))
         target = p * (n - p) / n * float(np.sum(S * S)) * w.norm_sq
-        worst_sharp = max(worst_sharp, abs(act_sym_on_form(S, w).norm_sq - target) / target)
-    assert worst_sharp <= 1e-12
-    rng = np.random.default_rng(108)
-    worst_excess = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(3, 7))
-        p = int(rng.integers(1, n))
-        S = random_trace_free(n, rng)
-        w = PForm.random(n, p, rng)
-        excess = act_sym_on_form(S, w).norm_sq - p * (n - p) / n * w.norm_sq
-        worst_excess = max(worst_excess, excess / w.norm_sq)
-    assert worst_excess <= 1e-10
-    report(
-        f"criterion 8: sharp witness attains the weight bound (worst {worst_sharp:.2e}); "
-        f"1000 random draws never exceed it (worst excess {worst_excess:.2e})"
-    )
-
-
-def test_criterion_09_total_weight_identity():
-    rng = np.random.default_rng(109)
-    worst = 0.0
-    for n in SWEEP_DIMS:
-        for p in range(0, n + 1):
-            for _ in range(DRAWS if 0 < p < n else 5):
-                w = PForm.random(n, p, rng)
-                total = form_s02_expansion(w).total
-                target = p * (n - p) / n * (n + 2) / 2 * w.norm_sq
-                worst = max(worst, abs(total - target) / (1.0 + target))
-    assert worst <= 1e-10
-    report(f"criterion 9: total-weight identity across the (n, p) sweep (worst {worst:.2e})")
+        worst = max(worst, abs(act_sym_on_form(S, w).norm_sq - target) / target)
+    assert worst <= 1e-12
+    report(f"criterion 8: sharp witness attains the weight bound (worst {worst:.2e})")
 
 
 def test_criterion_10_estimate_soundness():
     rng = np.random.default_rng(110)
     worst = -np.inf
-    for n in (4, 5, 6):
-        for draw in range(DRAWS):
-            R = random_curvature(n, rng)
-            einstein = make_einstein(R)
-            for source, is_einstein in ((R, False), (einstein, True)):
-                eigs = spectrum(second_kind_matrix(source))
-                s = ricci_scalar(source)
-                for p in range(1, n // 2 + 1):
-                    low = float(spectrum(ric_l_matrix(source, p))[0])
-                    variants = ["weak", "improved"]
-                    if p == 1:
-                        variants.append("one_form")
-                    if is_einstein:
-                        variants.append("einstein")
-                    for variant in variants:
-                        bound = ric_l_lower_bound(eigs, s, n, p, variant)
-                        assert low >= bound - 1e-9, (n, p, variant, low, bound)
-                        worst = max(worst, bound - low)
+    for n in range(4, N_MAX + 1):
+        for _ in range(DRAWS):
+            einstein = make_einstein(random_curvature(n, rng))
+            worst = max(worst, *estimate_slacks(einstein, ("weak", "improved", "einstein")))
+    assert worst <= TOLS["estimate soundness on random curvature"]
     report(
-        "criterion 10: all four curvature-term bounds are sound on "
-        f"{DRAWS} draws per n in 4..6 (worst slack {worst:.2e})"
+        "criterion 10: all four curvature-term bounds are sound on Einstein inputs, "
+        f"{DRAWS} draws per n in 4..{N_MAX} (worst slack {worst:.2e})"
     )
 
 

@@ -29,7 +29,7 @@ from curvkind import (
 )
 from curvkind.bochner import _hodge_table, _ogiue_tachibana_family, _ric_l_plan, _wedge_table
 from curvkind.operators import first_kind_matrix, ricci_scalar
-from helpers import form_two_point_dense, make_einstein, ric_l_by_derivations
+from helpers import form_two_point_dense, make_einstein, multi_index_positions, ric_l_by_derivations
 
 
 # --- the action of symmetric tensors on forms -------------------------------
@@ -54,7 +54,7 @@ def test_diagonal_action_scales_wedges():
 
 
 def test_action_against_slow_reference():
-    from curvkind.tensor_core import multi_indices, multi_index_positions, sort_with_sign
+    from curvkind.tensor_core import multi_indices, sort_with_sign
 
     rng = np.random.default_rng(1)
     for n, p in [(5, 3), (6, 2), (6, 4)]:
@@ -211,7 +211,7 @@ def _wedge_matrices(n, q):
 
 
 def test_wedge_table_signs_and_anticommutation():
-    from curvkind.tensor_core import multi_index_positions, multi_indices, sort_with_sign
+    from curvkind.tensor_core import multi_indices, sort_with_sign
 
     for n, q in [(4, 0), (5, 2), (6, 3), (7, 6)]:
         row, sign = _wedge_table(n, q)

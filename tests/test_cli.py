@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from curvkind import constant_curvature
+from curvkind import constant_curvature, selftest
 from curvkind.cli import main
 
 
@@ -213,3 +213,33 @@ def test_selftest_quick(capsys):
     code, out, _ = run_cli(capsys, ["selftest", "--seeds", "4", "--n-max", "4"])
     assert code == 0
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("flag", [["--seeds", "0"], ["--n-max", "3"]], ids=["seeds", "n-max"])
+def test_selftest_too_small_exit_2(capsys, flag):
+    code, out, err = run_cli(capsys, ["selftest", *flag])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"got {flag[1]}" in err
+
+
+def test_selftest_failure_path(capsys, monkeypatch):
+    checks = (("passes", lambda *_: iter([0.0]), 1e-10), ("exceeds", lambda *_: iter([1e-3]), 1e-10))
+    monkeypatch.setattr(selftest, "CHECKS", checks)
+    code, out, _ = run_cli(capsys, ["selftest"])
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0].startswith("ok   passes:")
+    assert lines[1] == "FAIL exceeds: worst 1.000e-03 (tol 1.0e-10)"
+    assert lines[-1] == "selftest: 1 FAILURES"
+
+
+def test_selftest_check_without_cases_fails(capsys, monkeypatch):
+    checks = (("empty", lambda *_: iter(()), 1.0), ("nan", lambda *_: iter([0.0, np.nan]), 1.0))
+    monkeypatch.setattr(selftest, "CHECKS", checks)
+    code, out, _ = run_cli(capsys, ["selftest"])
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL empty: no case evaluated (tol 1.0e+00)",
+        "FAIL nan: worst nan (tol 1.0e+00)",
+        "selftest: 2 FAILURES",
+    ]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,16 @@ def test_constant_curvature_values():
     assert np.abs(constant_curvature(3, 0.0).components).max() == 0.0
     eigs = spectrum(second_kind_matrix(constant_curvature(4, -1.0)))
     assert np.allclose(eigs, -np.ones(9))
+
+
+def test_constant_curvature_rejects_non_finite_kappa():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kappa in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ShapeMismatch, match="non-finite"):
+                constant_curvature(5, kappa)
+            with pytest.raises(ShapeMismatch, match="non-finite"):
+                perturb_constant(product_sphere(5), kappa)
 
 
 def test_constant_curvature_is_half_kn_metric():

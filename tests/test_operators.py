@@ -10,11 +10,9 @@ from curvkind import (
     constant_curvature,
     first_kind_matrix,
     product_sphere,
-    quadratic_form_identity_check,
     random_curvature,
     random_trace_free,
     rbar_apply,
-    rbar_full_matrix,
     ricci_scalar,
     s02_dimension,
     second_kind_matrix,
@@ -22,7 +20,7 @@ from curvkind import (
     spectrum,
     su3_so3,
 )
-from helpers import make_einstein, random_symmetric
+from helpers import make_einstein, quadratic_form_identity_check, random_symmetric, rbar_full_matrix
 
 
 def test_rbar_sphere_formula():
