@@ -11,6 +11,7 @@ import curvkind as ck
 n = 5
 R = ck.constant_curvature(n, 1.0)
 ck.validate_curvature(R)
+analysis = ck.Analysis(R)  # what the certificates and Ric_L read about R
 
 print(f"--- unit sphere, n = {n} ---")
 summary = ck.ricci_scalar(R)
@@ -31,9 +32,9 @@ print("  tr(first kind)  =", np.trace(F), " vs scal/2 =", summary.scalar / 2)
 
 print("\nRic_L on p-forms is p(n-p) times the identity:")
 for p in range(1, n):
-    eigs = ck.ric_l_spectrum(R, p)
+    eigs = ck.ric_l_spectrum(analysis, p)
     print(f"  p={p}: eigenvalues {eigs.min():.12f} .. {eigs.max():.12f}  (p(n-p) = {p*(n-p)})")
 
 print("\nevery certificate holds on the sphere:")
-for c in ck.certify(R):
+for c in ck.certify(analysis):
     print(f"  {c.theorem:<12} {c.verdict:<6} {c.conclusion}")

@@ -26,7 +26,7 @@ print("\nRicci tensor (flat circle direction first):")
 print(np.round(ck.ricci_scalar(R).ricci, 12))
 
 print("\ncertificates (none of the vanishing hypotheses hold):")
-for c in ck.certify(R):
+for c in ck.certify(ck.Analysis(R)):
     marker = "*" if c.holds else " "
     print(f" {marker} {c.theorem:<12} p={c.p}  {c.verdict}")
 

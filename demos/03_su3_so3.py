@@ -39,4 +39,4 @@ print(f"\nEinstein threshold N = {N:.4f}; partial sum there:",
 print("\nyet the curvature term on forms is nonnegative (it is Einstein")
 print("with positive scalar curvature, consistent with b_1 = b_2 = 0):")
 for p in (1, 2):
-    print(f"  p={p}: min eig Ric_L =", ck.ric_l_spectrum(R, p)[0])
+    print(f"  p={p}: min eig Ric_L =", ck.ric_l_spectrum(ck.Analysis(R), p)[0])

@@ -37,12 +37,10 @@ for n in (14, 20, 30):
 
 print("\n--- certified curvature-term bounds vs the exact minimum ---")
 n = 6
-R = ck.random_curvature(n, np.random.default_rng(1))
-eigs = ck.spectrum(ck.second_kind_matrix(R))
-summary = ck.ricci_scalar(R)
+analysis = ck.Analysis(ck.random_curvature(n, np.random.default_rng(1)))
 for p in (1, 2, 3):
-    exact = ck.ric_l_spectrum(R, p)[0]
-    weak = ck.ric_l_lower_bound(eigs, summary, n, p, "weak")
-    improved = ck.ric_l_lower_bound(eigs, summary, n, p, "improved")
+    exact = ck.ric_l_spectrum(analysis, p)[0]
+    weak = ck.ric_l_lower_bound(analysis, p, "weak")
+    improved = ck.ric_l_lower_bound(analysis, p, "improved")
     print(f"  p={p}: exact min eig {exact:+.4f}   weak bound {weak:+.4f}   "
           f"improved bound {improved:+.4f}")

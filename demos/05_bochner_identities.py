@@ -36,8 +36,9 @@ print("  total          :", exp.total)
 print("  closed form    :", p * (n - p) / n * (n + 2) / 2 * w.norm_sq)
 
 print("\nPoincare duality at the algebraic level: Ric_L spectra at p and n-p")
-a = ck.ric_l_spectrum(R, p)
-b = ck.ric_l_spectrum(R, n - p)
+analysis = ck.Analysis(R)
+a = ck.ric_l_spectrum(analysis, p)
+b = ck.ric_l_spectrum(analysis, n - p)
 print("  max |spectrum(p) - spectrum(n-p)| =", np.abs(a - b).max())
 
 print("\ngeneral (0,2)- and (0,3)-tensors satisfy the identity with one extra")

@@ -40,6 +40,7 @@ from .model_spaces import (
     su3_so3,
 )
 from .operators import (
+    Analysis,
     CurvatureSummary,
     act_sym_dense,
     cluster_eigenvalues,
@@ -70,9 +71,7 @@ from .tensor_core import (
 from .weights import (
     Certificate,
     Constants,
-    WeightBound,
     certify,
-    certify_spectrum,
     constants,
     k_partial_sum,
     k_positivity_profile,

@@ -143,7 +143,7 @@ def _slot_table(n, p):
 
 @lru_cache(maxsize=None)
 def _ric_l_plan(n, p):
-    """The index plan of ric_l_matrix(R, p) for 1 <= p < n; it reads no R.
+    """The index plan of ric_l_matrix for degree p, 1 <= p < n; it reads no curvature.
 
     One part per k in {1, 2} with k <= p, the wedges through the
     (p-k)-forms, as read-only arrays (hub, left_sign, left, row, sign, g).
@@ -234,11 +234,9 @@ def form_s02_expansion(w):
     )
 
 
-def second_kind_form_term(R, w, expansion=None):
+def second_kind_form_term(R, w):
     """g(second-kind(w^{S^2_0}), w^{S^2_0}) via the canonical-basis matrix."""
-    if expansion is None:
-        expansion = form_s02_expansion(w)
-    return float(np.einsum("ab,ab->", second_kind_matrix(R), expansion.gram()))
+    return float(np.einsum("ab,ab->", second_kind_matrix(R), form_s02_expansion(w).gram()))
 
 
 def ric_l_quadratic(R, w):
@@ -262,8 +260,9 @@ def ric_l_quadratic(R, w):
     return total
 
 
-def ric_l_matrix(R, p):
-    """Matrix of Ric_L over the unit-norm sorted wedge basis of p-forms.
+def ric_l_matrix(analysis, p):
+    """Matrix of Ric_L over the unit-norm sorted wedge basis of p-forms, for
+    the tensor of an operators.Analysis.
 
     In the Weitzenboeck form
 
@@ -271,7 +270,7 @@ def ric_l_matrix(R, p):
               - 2 sum_{a<b, c<d} R_abcd e_a ^ e_b ^ i_d i_c
 
     both sums pass through lower degrees: M = E1 Ric E1^T - 2 E2 F E2^T,
-    with F = first_kind_matrix(R) and E_k sending e_G (x) e_K, G a k-tuple
+    with F = analysis.first_kind and E_k sending e_G (x) e_K, G a k-tuple
     and K a (p-k)-tuple, to e_G ^ e_K (_through).  So row I collects
 
       Ric[a, j]            at the row of e_j ^ e_K,     K = I \\ {a}, j not in K,
@@ -292,7 +291,7 @@ def ric_l_matrix(R, p):
     matrix; for the unit sphere it is p(n-p) times the identity; for p = n
     it is 0.
     """
-    n = R.n
+    n = analysis.n
     if not 1 <= p <= n:
         raise POutOfRange(f"need 1 <= p <= n, got p={p}")
     count = math.comb(n, p)
@@ -301,7 +300,7 @@ def ric_l_matrix(R, p):
     if p == n:
         return M
     plan = _ric_l_plan(n, p)
-    factors = (ricci_scalar(R).ricci.ravel(), -2.0 * first_kind_matrix(R).ravel())
+    factors = (analysis.summary.ricci.ravel(), -2.0 * analysis.first_kind.ravel())
     per_row = sum(hub.shape[1] * row.shape[1] for hub, _, _, row, _, _ in plan)
     rows = max(1, 2**16 // per_row)
     for start in range(0, count, rows):
@@ -509,8 +508,8 @@ def bochner_ricci_diagonal_residual(R, w):
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
-def ric_l_spectrum(R, p):
-    """Ascending eigenvalues of the assembled Ric_L matrix.
+def ric_l_spectrum(analysis, p):
+    """Ascending eigenvalues of ric_l_matrix(analysis, p).
 
     Ric_L commutes with the Hodge star, so degrees p and n-p share this
     spectrum.  In the middle degree 2p = n with n = 0 (mod 4), ** = +1 and
@@ -523,8 +522,8 @@ def ric_l_spectrum(R, p):
     _hodge_table.  The full matrix passes the same symmetry gate either way.
     For n = 2 (mod 4), ** = -1 in the middle degree and M is solved whole.
     """
-    n = R.n
-    M = ric_l_matrix(R, p)
+    n = analysis.n
+    M = ric_l_matrix(analysis, p)
     if 2 * p != n or n % 4:
         return spectrum(M)
     require_symmetric(M)

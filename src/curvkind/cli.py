@@ -16,22 +16,11 @@ import numpy as np
 
 from . import __version__
 from .bochner import ric_l_spectrum
-from .errors import CurvatureSymmetryError, CurvkindError
+from .errors import CurvatureSymmetryError, CurvkindError, ShapeMismatch
 from .model_spaces import curvature_from_spec
-from .operators import (
-    cluster_eigenvalues,
-    first_kind_matrix,
-    ricci_scalar,
-    second_kind_matrix,
-    spectrum,
-)
-from .tensor_core import dimension_cap, validate_curvature
-from .weights import (
-    certify_spectrum,
-    constants,
-    k_positivity_profile,
-    ric_l_lower_bound,
-)
+from .operators import Analysis, cluster_eigenvalues, spectrum
+from .tensor_core import validate_curvature
+from .weights import certify, constants, k_positivity_profile, ric_l_lower_bound
 
 PARSE_ERROR, VALIDATION_ERROR = 2, 3
 
@@ -42,6 +31,7 @@ def _fail(code, message):
 
 
 def _load_curvature(args):
+    """The validated input as an Analysis, and the descriptor the report echoes."""
     if bool(args.model) == bool(args.dense):
         _fail(PARSE_ERROR, "provide exactly one of --model or --dense")
     try:
@@ -51,22 +41,19 @@ def _load_curvature(args):
         else:
             with open(args.dense) as handle:
                 spec = json.load(handle)
+            if not isinstance(spec, dict):
+                raise ShapeMismatch(f"expected a JSON object, got {type(spec).__name__}")
             spec.setdefault("kind", "dense")
             descriptor = {"kind": "dense", "path": args.dense, "n": spec.get("n")}
         R = curvature_from_spec(spec)
-    except (OSError, json.JSONDecodeError, CurvkindError, KeyError, TypeError) as exc:
+    # ValueError covers bad JSON, CurvkindError and unconvertible numbers
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         _fail(PARSE_ERROR, f"cannot build curvature tensor: {exc}")
-    if R.n > dimension_cap():
-        _fail(
-            PARSE_ERROR,
-            f"n={R.n} exceeds the soft cap {dimension_cap()} "
-            "(set CURVKIND_NMAX to raise it)",
-        )
     try:
         validate_curvature(R)
     except CurvatureSymmetryError as exc:
         _fail(VALIDATION_ERROR, f"invalid curvature tensor: {exc}")
-    return R, descriptor
+    return Analysis(R), descriptor
 
 
 def _spectrum_block(eigs):
@@ -91,8 +78,8 @@ def _certificate_dicts(certs):
     return out
 
 
-def _per_p_rows(R, p_values, summary, eigs):
-    n = R.n
+def _per_p_rows(a, p_values):
+    n = a.n
     # Ric_L commutes with the Hodge star, so p and n-p share one spectrum
     # (test_ric_l_poincare_duality): solve each class {p, n-p} once.  Degrees
     # outside 1 <= p < n keep their own key, so p = n solves the zero matrix
@@ -102,46 +89,46 @@ def _per_p_rows(R, p_values, summary, eigs):
     for p in p_values:
         key = min(p, n - p) if 0 < p < n else p
         if key not in minima:
-            minima[key] = float(ric_l_spectrum(R, key)[0])
+            minima[key] = float(ric_l_spectrum(a, key)[0])
         row = {"p": p, "ric_l_min_eigenvalue": minima[key]}
         if 2 * p <= n:
             row["c_p"] = constants(n, p).c_p
-            bounds = {
-                "weak": ric_l_lower_bound(eigs, summary, n, p, "weak"),
-                "improved": ric_l_lower_bound(eigs, summary, n, p, "improved"),
-            }
-            if p == 1:
-                bounds["one_form"] = ric_l_lower_bound(eigs, summary, n, p, "one_form")
-            if summary.is_einstein():
-                bounds["einstein"] = ric_l_lower_bound(eigs, summary, n, p, "einstein")
-            row["bounds"] = {k: float(v) for k, v in sorted(bounds.items())}
+            variants = ["weak", "improved"] + (["one_form"] if p == 1 else [])
+            if a.summary.is_einstein():
+                variants.append("einstein")
+            row["bounds"] = {v: float(ric_l_lower_bound(a, p, v)) for v in sorted(variants)}
         rows.append(row)
     return rows
 
 
-def _analysis_report(R, descriptor, kappa=None, p_mode="half"):
-    n = R.n
-    summary = ricci_scalar(R)
+def _certify_payload(a, descriptor, kappa):
+    """The certify report, which the analyze report extends."""
+    return {
+        "input": descriptor,
+        "n": a.n,
+        "k_profile": k_positivity_profile(a.second_kind),
+        "certificates": _certificate_dicts(certify(a, kappa)),
+    }
+
+
+def _analysis_report(a, descriptor, kappa=None, p_mode="half"):
+    n = a.n
     if p_mode == "all":
         p_values = list(range(1, n))
     elif p_mode == "half":
         p_values = list(range(1, n // 2 + 1))
     else:
         p_values = [int(p_mode)]
-    eigs = spectrum(second_kind_matrix(R))
     return {
-        "input": descriptor,
-        "n": n,
+        **_certify_payload(a, descriptor, kappa),
         "summary": {
-            "ricci_eigenvalues": [float(v) for v in np.linalg.eigvalsh(summary.ricci)],
-            "scalar": summary.scalar,
-            "einstein_defect": summary.einstein_defect,
+            "ricci_eigenvalues": [float(v) for v in np.linalg.eigvalsh(a.summary.ricci)],
+            "scalar": a.summary.scalar,
+            "einstein_defect": a.summary.einstein_defect,
         },
-        "second_kind": _spectrum_block(eigs),
-        "first_kind": _spectrum_block(spectrum(first_kind_matrix(R))),
-        "k_profile": k_positivity_profile(eigs),
-        "per_p": _per_p_rows(R, p_values, summary, eigs),
-        "certificates": _certificate_dicts(certify_spectrum(eigs, summary, n, kappa)),
+        "second_kind": _spectrum_block(a.second_kind),
+        "first_kind": _spectrum_block(spectrum(a.first_kind)),
+        "per_p": _per_p_rows(a, p_values),
     }
 
 
@@ -163,11 +150,7 @@ def _emit_analysis_table(report):
     for name in ("second_kind", "first_kind"):
         clus = ", ".join(f"{_fmt(v)} (x{m})" for v, m in report[name]["clusters"])
         print(f"{name.replace('_', ' ')} spectrum: {clus}")
-    prof = report["k_profile"]
-    print(
-        f"k-positivity: positive from k = {prof['positive']}, "
-        f"nonnegative from k = {prof['nonnegative']}"
-    )
+    _emit_k_profile(report["k_profile"])
     print("per-degree table:")
     print("  p   C_p        min eig Ric_L   bounds")
     for row in report["per_p"]:
@@ -176,6 +159,13 @@ def _emit_analysis_table(report):
         btxt = "  ".join(f"{k}={_fmt(v)}" for k, v in bounds.items())
         print(f"  {row['p']:<3} {cp:<10} {_fmt(row['ric_l_min_eigenvalue']):<15} {btxt}")
     _emit_certificate_table(report["certificates"])
+
+
+def _emit_k_profile(prof):
+    print(
+        f"k-positivity: positive from k = {prof['positive']}, "
+        f"nonnegative from k = {prof['nonnegative']}"
+    )
 
 
 def _emit_certificate_table(cert_dicts):
@@ -187,8 +177,8 @@ def _emit_certificate_table(cert_dicts):
 
 
 def _cmd_analyze(args):
-    R, descriptor = _load_curvature(args)
-    report = _analysis_report(R, descriptor, kappa=args.kappa, p_mode=args.p)
+    a, descriptor = _load_curvature(args)
+    report = _analysis_report(a, descriptor, kappa=args.kappa, p_mode=args.p)
     if args.table:
         _emit_analysis_table(report)
     else:
@@ -197,21 +187,10 @@ def _cmd_analyze(args):
 
 
 def _cmd_certify(args):
-    R, descriptor = _load_curvature(args)
-    eigs = spectrum(second_kind_matrix(R))
-    certs = certify_spectrum(eigs, ricci_scalar(R), R.n, args.kappa)
-    payload = {
-        "input": descriptor,
-        "n": R.n,
-        "k_profile": k_positivity_profile(eigs),
-        "certificates": _certificate_dicts(certs),
-    }
+    a, descriptor = _load_curvature(args)
+    payload = _certify_payload(a, descriptor, args.kappa)
     if args.table:
-        prof = payload["k_profile"]
-        print(
-            f"k-positivity: positive from k = {prof['positive']}, "
-            f"nonnegative from k = {prof['nonnegative']}"
-        )
+        _emit_k_profile(payload["k_profile"])
         _emit_certificate_table(payload["certificates"])
     else:
         _emit_json(payload)
@@ -219,14 +198,14 @@ def _cmd_certify(args):
 
 
 def _cmd_spectrum(args):
-    R, descriptor = _load_curvature(args)
+    a, descriptor = _load_curvature(args)
     if args.operator == "second":
-        eigs = spectrum(second_kind_matrix(R))
+        eigs = a.second_kind
     elif args.operator == "first":
-        eigs = spectrum(first_kind_matrix(R))
+        eigs = spectrum(a.first_kind)
     else:
-        eigs = ric_l_spectrum(R, args.ric_l_p)
-    payload = {"input": descriptor, "n": R.n, "operator": args.operator}
+        eigs = ric_l_spectrum(a, args.ric_l_p)
+    payload = {"input": descriptor, "n": a.n, "operator": args.operator}
     payload.update(_spectrum_block(eigs))
     if args.table:
         clus = ", ".join(f"{_fmt(v)} (x{m})" for v, m in payload["clusters"])

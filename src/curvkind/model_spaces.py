@@ -15,7 +15,7 @@ These are the ground-truth inputs of the test suite:
 import numpy as np
 
 from .errors import ShapeMismatch
-from .tensor_core import CurvatureTensor, check_dimension, kulkarni_nomizu
+from .tensor_core import CurvatureTensor, check_dimension, dimension_cap, kulkarni_nomizu
 
 
 def constant_curvature(n, kappa=1.0):
@@ -102,6 +102,17 @@ MODEL_KINDS = (
 )
 
 
+def _capped(n):
+    """check_dimension(n), refused above dimension_cap() before any n^4
+    array is built."""
+    n = check_dimension(n)
+    if n > dimension_cap():
+        raise ShapeMismatch(
+            f"n={n} exceeds the soft cap {dimension_cap()} (set CURVKIND_NMAX to raise it)"
+        )
+    return n
+
+
 def curvature_from_spec(spec):
     """Build a CurvatureTensor from a model-spec dictionary.
 
@@ -111,26 +122,28 @@ def curvature_from_spec(spec):
     {"kind": "perturbed", "base": <spec>, "kappa": float},
     {"kind": "dense", "n": int, "components": flat row-major list of n^4
     reals in index order (i, j, k, l), 1-based in prose, 0-based in the
-    array}.  Raises ShapeMismatch / ValueError on malformed input; the
-    result is *not* validated here (see validate_curvature).
+    array}.  n must be an integer no larger than dimension_cap(), which is
+    checked before the tensor is built.  Raises ShapeMismatch / ValueError
+    on malformed input; the result is *not* validated here (see
+    validate_curvature).
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ShapeMismatch("model spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "constant_curvature":
-        return constant_curvature(int(spec["n"]), float(spec.get("kappa", 1.0)))
+        return constant_curvature(_capped(spec["n"]), float(spec.get("kappa", 1.0)))
     if kind == "product_sphere":
-        return product_sphere(int(spec["n"]))
+        return product_sphere(_capped(spec["n"]))
     if kind == "su3_so3":
+        _capped(5)  # SU(3)/SO(3) is 5-dimensional
         return su3_so3()
     if kind == "kn_product":
         h = np.asarray(spec["h"], dtype=float)
-        k = np.asarray(spec["k"], dtype=float)
-        return kulkarni_nomizu(h, k)
+        _capped(len(h))
+        return kulkarni_nomizu(h, np.asarray(spec["k"], dtype=float))
     if kind == "perturbed":
         base = curvature_from_spec(spec["base"])
         return perturb_constant(base, float(spec["kappa"]))
     if kind == "dense":
-        n = int(spec["n"])
-        return CurvatureTensor(n, np.asarray(spec["components"], dtype=float))
+        return CurvatureTensor(_capped(spec["n"]), np.asarray(spec["components"], dtype=float))
     raise ShapeMismatch(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")

@@ -9,17 +9,21 @@
   basis {e_i ^ e_j}_{i<j}, entries R_{ijkl}.
 * require_symmetric / spectrum / cluster_eigenvalues: the symmetry gate,
   deterministic symmetric eigensolve and multiplicity grouping.
+* Analysis: the three facts about R that the certificates and the Ric_L
+  bounds read (summary, first-kind matrix, second-kind spectrum), each
+  computed once, when first read.
 
 Trace normalizations (checked in tests): tr over the wedge basis is
 scal/2, and the second-kind trace is (n+2)/(2n) * scal.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotSymmetric
-from .tensor_core import canonical_s02_basis, multi_indices, require_square
+from .tensor_core import CurvatureTensor, canonical_s02_basis, multi_indices, require_square
 
 
 @dataclass(frozen=True)
@@ -127,6 +131,40 @@ def cluster_eigenvalues(values, tol=None):
             clusters.append((float(block.mean()), len(block)))
             start = i
     return clusters
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One curvature tensor R and what the analysis layer reads about it.
+
+    summary (ricci_scalar), first_kind (first_kind_matrix) and second_kind
+    (the ascending spectrum of second_kind_matrix) are each computed at
+    most once, when first read.  Every caller gets the same arrays, so they
+    are read-only.
+    """
+
+    R: CurvatureTensor
+
+    @property
+    def n(self):
+        return self.R.n
+
+    @cached_property
+    def summary(self):
+        return ricci_scalar(self.R)
+
+    @cached_property
+    def first_kind(self):
+        return _read_only(first_kind_matrix(self.R))
+
+    @cached_property
+    def second_kind(self):
+        return _read_only(spectrum(second_kind_matrix(self.R)))
+
+
+def _read_only(x):
+    x.flags.writeable = False
+    return x
 
 
 def act_sym_dense(S, T):

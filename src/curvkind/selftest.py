@@ -31,7 +31,7 @@ from .model_spaces import (
     random_curvature,
     su3_so3,
 )
-from .operators import first_kind_matrix, ricci_scalar, second_kind_matrix, spectrum
+from .operators import Analysis, first_kind_matrix, ricci_scalar, second_kind_matrix, spectrum
 from .tensor_core import PForm, canonical_s02_basis, random_trace_free, validate_curvature
 from .weights import k_partial_sum, min_weighted_sum, ric_l_lower_bound
 
@@ -46,16 +46,13 @@ def _random_pairs(rng, draws, n_max):
                 yield random_curvature(n, rng), PForm.random(n, p, rng)
 
 
-def estimate_slacks(R, variants=("weak", "improved")):
-    """bound - lambda_min(Ric_L) for every p <= n/2 and variant, with
-    "one_form" added at p = 1; a sound bound gives values <= 0."""
-    n = R.n
-    eigs = spectrum(second_kind_matrix(R))
-    summary = ricci_scalar(R)
-    for p in range(1, n // 2 + 1):
-        low = float(spectrum(ric_l_matrix(R, p))[0])
+def estimate_slacks(a, variants=("weak", "improved")):
+    """bound - lambda_min(Ric_L) for the Analysis a, every p <= n/2 and
+    variant, with "one_form" added at p = 1; a sound bound gives values <= 0."""
+    for p in range(1, a.n // 2 + 1):
+        low = float(spectrum(ric_l_matrix(a, p))[0])
         for variant in variants + (("one_form",) if p == 1 else ()):
-            yield ric_l_lower_bound(eigs, summary, n, p, variant) - low
+            yield ric_l_lower_bound(a, p, variant) - low
 
 
 def _canonical_basis(rng, draws, n_max):
@@ -123,17 +120,15 @@ def _bracket(rng, draws, n_max):
 def _estimate_soundness(rng, draws, n_max):
     for n in range(4, n_max + 1):
         for _ in range(draws):
-            yield from estimate_slacks(random_curvature(n, rng))
+            yield from estimate_slacks(Analysis(random_curvature(n, rng)))
 
 
 def _einstein_sphere(rng, draws, n_max):
     for n in MODEL_DIMS:
-        sphere = constant_curvature(n, 1.0)
-        eigs = spectrum(second_kind_matrix(sphere))
-        summary = ricci_scalar(sphere)
+        sphere = Analysis(constant_curvature(n, 1.0))
         for p in range(1, n // 2 + 1):
             low = float(spectrum(ric_l_matrix(sphere, p))[0])
-            bound = ric_l_lower_bound(eigs, summary, n, p, "einstein")
+            bound = ric_l_lower_bound(sphere, p, "einstein")
             yield bound - low
             yield abs(bound - p * (n - p))
 

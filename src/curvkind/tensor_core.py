@@ -25,7 +25,11 @@ DEFAULT_DIMENSION_CAP = 12
 
 def dimension_cap():
     """Soft upper bound on n, overridable via CURVKIND_NMAX."""
-    return int(os.environ.get("CURVKIND_NMAX", DEFAULT_DIMENSION_CAP))
+    value = os.environ.get("CURVKIND_NMAX", DEFAULT_DIMENSION_CAP)
+    try:
+        return int(value)
+    except ValueError:
+        raise ShapeMismatch(f"CURVKIND_NMAX must be an integer, got {value!r}") from None
 
 
 def check_dimension(n):

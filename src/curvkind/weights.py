@@ -30,7 +30,6 @@ from .errors import (
     POutOfRange,
     VariantPreconditionFailed,
 )
-from .operators import ricci_scalar, second_kind_matrix, spectrum
 
 
 def k_partial_sum(eigenvalues, k):
@@ -45,30 +44,16 @@ def k_partial_sum(eigenvalues, k):
     return float(eigs[:m].sum() + (k - m) * eigs[m])
 
 
-@dataclass(frozen=True)
-class WeightBound:
-    """Highest weight and total weight of a family of eigenvalue sums."""
-
-    omega: float
-    total: float
-
-    def __post_init__(self):
-        if self.omega <= 0:
-            raise InfeasibleWeights(f"highest weight must be positive, got {self.omega}")
-        if self.total < 0:
-            raise InfeasibleWeights(f"total weight must be nonnegative, got {self.total}")
-
-    def minimum(self, eigenvalues):
-        return min_weighted_sum(eigenvalues, self.omega, self.total)
-
-
 def min_weighted_sum(eigenvalues, omega, total):
     """Exact minimum of sum w_i l_i over {0 <= w_i <= omega, sum w_i = total}.
 
     Closed form: put weight omega on the m = floor(total/omega) smallest
     eigenvalues and the remainder on the next one.
     """
-    WeightBound(omega, total)  # argument validation
+    if omega <= 0:
+        raise InfeasibleWeights(f"highest weight must be positive, got {omega}")
+    if total < 0:
+        raise InfeasibleWeights(f"total weight must be nonnegative, got {total}")
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
     N = len(eigs)
     if total > omega * N * (1.0 + 1e-12):
@@ -93,7 +78,6 @@ class Constants:
     omega_improved: float
     omega_weak: float
     n_einstein: float
-    threshold_full: float
 
     @property
     def omega_gap(self):
@@ -108,8 +92,7 @@ def constants(n, p):
     """Thresholds for degree p on dimension n (1 <= p <= n/2).
 
     c_p = 3/2 * n(n+2) p(n-p) / (n^2 p - n p^2 - 2np + 2n^2 + 2n - 4p); the
-    Einstein threshold is 3n/2 * (n+2)/(n+4) and the all-degrees threshold
-    is (n+2)/2.
+    Einstein threshold is 3n/2 * (n+2)/(n+4).
     """
     if not (isinstance(p, (int, np.integer)) and 1 <= p and 2 * p <= n):
         raise POutOfRange(f"need integer 1 <= p <= n/2, got p={p}, n={n}")
@@ -125,7 +108,6 @@ def constants(n, p):
         omega_improved=denom_improved / (n * (n + 2)),
         omega_weak=denom_weak / (n * (n + 2)),
         n_einstein=1.5 * n * (n + 2) / (n + 4),
-        threshold_full=(n + 2) / 2,
     )
 
 
@@ -157,8 +139,10 @@ def ricci_lower_bound_improved(eigenvalues, scal, n, p):
 RIC_L_VARIANTS = ("weak", "improved", "one_form", "einstein")
 
 
-def ric_l_lower_bound(eigenvalues, summary, n, p, variant):
-    """Certified L with g(Ric_L w, w) >= L |w|^2 for every p-form, p <= n/2."""
+def ric_l_lower_bound(analysis, p, variant):
+    """Certified L with g(Ric_L w, w) >= L |w|^2 for every p-form, p <= n/2,
+    from the second-kind spectrum of an operators.Analysis."""
+    n, eigenvalues = analysis.n, analysis.second_kind
     if not 1 <= p <= n / 2:
         raise POutOfRange(f"bounds require 1 <= p <= n/2, got p={p}, n={n}")
     if variant == "weak" or variant == "improved":
@@ -172,9 +156,10 @@ def ric_l_lower_bound(eigenvalues, summary, n, p, variant):
             eigenvalues, (2.0 * n - 1.0) / (n + 2.0), 1.5 * (n - 1.0)
         )
     if variant == "einstein":
-        if not summary.is_einstein():
+        if not analysis.summary.is_einstein():
             raise VariantPreconditionFailed(
-                f"einstein variant needs Einstein input, defect {summary.einstein_defect:.3e}"
+                "einstein variant needs Einstein input, "
+                f"defect {analysis.summary.einstein_defect:.3e}"
             )
         return (
             (2.0 / 3.0)
@@ -251,25 +236,16 @@ def _exists_below(eigs, threshold, radius):
     return any(_nonnegative(k_partial_sum(eigs, k), radius) for k in grid)
 
 
-def certify(R, kappa=None, einstein_tol=None):
-    """Run every hypothesis check on the second-kind spectrum of R.
+def certify(analysis, kappa=None, einstein_tol=None):
+    """Run every hypothesis check on the second-kind spectrum of an
+    operators.Analysis.
 
     Returns a list of Certificates: the full vanishing check A at order
     (n+2)/2, its 3-nonnegativity corollary, the Einstein refinements B(a-c)
     when the input is Einstein, the per-degree checks C(a-c) for every
     p <= n/2, and (when kappa is supplied) the estimate hypothesis D.
     """
-    eigs = spectrum(second_kind_matrix(R))
-    return certify_spectrum(eigs, ricci_scalar(R), R.n, kappa, einstein_tol)
-
-
-def certify_spectrum(eigenvalues, summary, n, kappa=None, einstein_tol=None):
-    """certify from a second-kind spectrum and the CurvatureSummary of R.
-
-    For callers that already hold both; certify(R) computes them and
-    delegates here.
-    """
-    eigs = np.sort(np.asarray(eigenvalues, dtype=float))
+    n, eigs = analysis.n, analysis.second_kind
     radius = float(np.abs(eigs).max(initial=0.0))
     flat = radius <= 1e-12
     out = []
@@ -300,7 +276,7 @@ def certify_spectrum(eigenvalues, summary, n, kappa=None, einstein_tol=None):
             )
         )
 
-    if summary.is_einstein(einstein_tol):
+    if analysis.summary.is_einstein(einstein_tol):
         N_e = constants(n, 1).n_einstein
         sum_b = k_partial_sum(eigs, N_e)
         out.append(
@@ -361,7 +337,6 @@ def certify_spectrum(eigenvalues, summary, n, kappa=None, einstein_tol=None):
 
     if kappa is not None:
         holds = theorem_d_hypothesis(eigs, n, kappa)
-        sum_d = k_partial_sum(eigs, (n + 2) / 2)
         out.append(
             Certificate(
                 theorem="D-hypothesis",
@@ -371,9 +346,9 @@ def certify_spectrum(eigenvalues, summary, n, kappa=None, einstein_tol=None):
                     "unspecified diameter-dependent factor"
                 ),
                 sums={
-                    "order": (n + 2) / 2,
-                    "partial_sum": sum_d,
-                    "required": (n + 2) / 2 * kappa,
+                    "order": threshold_a,
+                    "partial_sum": sum_a,
+                    "required": threshold_a * kappa,
                     "kappa": kappa,
                 },
             )

@@ -19,6 +19,7 @@ import pytest
 from scipy.optimize import linprog
 
 from curvkind import (
+    Analysis,
     PForm,
     act_sym_on_form,
     bochner_decomposition,
@@ -74,7 +75,7 @@ def test_criterion_06_su3_so3():
     R = su3_so3()
     profile = k_positivity_profile(spectrum(second_kind_matrix(R)))
     assert profile == {"positive": 9, "nonnegative": 9}
-    certs = certify(R)
+    certs = certify(Analysis(R))
     assert not next(c for c in certs if c.theorem == "A").holds
     report("criterion 6: SU(3)/SO(3) is 9-positive, not 8-nonnegative; Theorem A does not hold")
 
@@ -113,7 +114,7 @@ def test_criterion_10_estimate_soundness():
     worst = -np.inf
     for n in range(4, N_MAX + 1):
         for _ in range(DRAWS):
-            einstein = make_einstein(random_curvature(n, rng))
+            einstein = Analysis(make_einstein(random_curvature(n, rng)))
             worst = max(worst, *estimate_slacks(einstein, ("weak", "improved", "einstein")))
     assert worst <= TOLS["estimate soundness on random curvature"]
     report(
@@ -198,15 +199,14 @@ def test_criterion_13_theorem_a_consistency():
                 inputs.append(perturb_constant(R, shift))
     checked = 0
     worst = 0.0
-    for R in inputs:
-        n = R.n
-        eigs = spectrum(second_kind_matrix(R))
+    for a in map(Analysis, inputs):
+        n, eigs = a.n, a.second_kind
         radius = float(np.abs(eigs).max(initial=0.0))
         if k_partial_sum(eigs, (n + 2) / 2) < -1e-10 * radius:
             continue
         checked += 1
         for p in range(1, n):
-            low = float(spectrum(ric_l_matrix(R, p))[0])
+            low = float(spectrum(ric_l_matrix(a, p))[0])
             assert low >= -1e-9, (n, p, low)
             worst = min(worst, low)
     assert checked >= len(inputs) - 2
@@ -219,7 +219,7 @@ def test_criterion_13_theorem_a_consistency():
 def test_criterion_14_manifold_conclusions_stay_symbolic():
     # Theorem-level conclusions are text only: the estimate hypothesis
     # certificate carries no computed Betti bound, merely the checked sums.
-    certs = certify(product_sphere(5), kappa=-1.0)
+    certs = certify(Analysis(product_sphere(5)), kappa=-1.0)
     d = next(c for c in certs if c.theorem == "D-hypothesis")
     assert set(d.sums) == {"order", "partial_sum", "required", "kappa"}
     assert "binomial" in d.conclusion

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curvkind import (
+    Analysis,
     PForm,
     act_sym_on_form,
     bochner_decomposition,
@@ -132,7 +133,7 @@ def test_operator_term_two_paths_agree():
         R = random_curvature(n, rng)
         w = PForm.random(n, p, rng)
         exp = form_s02_expansion(w)
-        canonical = second_kind_form_term(R, w, exp)
+        canonical = second_kind_form_term(R, w)
         lam, Q = spectral_decomposition(second_kind_matrix(R))
         eigen = float(np.sum(lam * np.diag(Q.T @ exp.gram() @ Q)))
         assert abs(canonical - eigen) <= 1e-10 * (1 + abs(canonical))
@@ -163,10 +164,10 @@ def test_ric_l_matrix_small_cases():
     rng = np.random.default_rng(8)
     R = random_curvature(5, rng)
     s_ric = np.einsum("ikjk->ij", R.components)
-    assert np.allclose(ric_l_matrix(R, 1), s_ric, atol=1e-13)
-    assert np.abs(ric_l_matrix(constant_curvature(4, 0.0), 2)).max() == 0.0
+    assert np.allclose(ric_l_matrix(Analysis(R), 1), s_ric, atol=1e-13)
+    assert np.abs(ric_l_matrix(Analysis(constant_curvature(4, 0.0)), 2)).max() == 0.0
     for n, p in [(4, 2), (5, 2), (5, 4)]:
-        M = ric_l_matrix(constant_curvature(n, 1.0), p)
+        M = ric_l_matrix(Analysis(constant_curvature(n, 1.0)), p)
         assert np.abs(M - p * (n - p) * np.eye(len(M))).max() < 1e-12
 
 
@@ -174,7 +175,7 @@ def test_ric_l_matrix_matches_quadratic_form():
     rng = np.random.default_rng(9)
     for n, p in [(4, 2), (5, 2), (5, 3), (6, 3), (6, 5)]:
         R = random_curvature(n, rng)
-        M = ric_l_matrix(R, p)
+        M = ric_l_matrix(Analysis(R), p)
         assert np.abs(M - M.T).max() < 1e-13
         fact = math.factorial(p)
         for _ in range(50):
@@ -189,7 +190,7 @@ def test_ric_l_matrix_against_slotwise_oracle():
     # (10, 5): 252 rows span several row blocks, the last one partial
     for n, p in [(4, 2), (5, 3), (6, 3), (5, 4), (7, 5), (4, 4), (10, 5)]:
         R = random_curvature(n, rng)
-        M = ric_l_matrix(R, p)
+        M = ric_l_matrix(Analysis(R), p)
         if p == n:
             assert not M.any()
         fact = math.factorial(p)
@@ -252,7 +253,7 @@ def test_ric_l_matrix_two_oracles():
     for n in range(2, 12):
         R = random_curvature(n, rng)
         for p in range(1, n + 1):
-            M = ric_l_matrix(R, p)
+            M = ric_l_matrix(Analysis(R), p)
             oracle = ric_l_by_derivations(R, p)
             assert np.abs(M - oracle).max() <= 1e-13 * np.abs(M).max()
 
@@ -260,7 +261,7 @@ def test_ric_l_matrix_two_oracles():
 def test_ric_l_poincare_duality():
     rng = np.random.default_rng(11)
     for n in (4, 5, 6, 7, 8):
-        R = random_curvature(n, rng)
+        R = Analysis(random_curvature(n, rng))
         for p in range(1, n // 2 + 1):
             a = ric_l_spectrum(R, p)
             b = ric_l_spectrum(R, n - p)
@@ -301,11 +302,11 @@ def test_ric_l_spectrum_middle_degree_split():
     for n in (4, 6, 8, 12):
         p = n // 2
         cases = [random_curvature(n, rng), constant_curvature(n, 1.0), product_sphere(n)]
-        for R in cases:
+        for R in map(Analysis, cases):
             whole = spectrum(ric_l_matrix(R, p))
             split = ric_l_spectrum(R, p)
             assert np.abs(split - whole).max() <= 1e-12 * (1 + np.abs(whole).max())
-        sphere = cluster_eigenvalues(ric_l_spectrum(cases[1], p))
+        sphere = cluster_eigenvalues(ric_l_spectrum(Analysis(cases[1]), p))
         assert [m for _, m in sphere] == [math.comb(n, p)]
         assert sphere[0][0] == pytest.approx(p * (n - p), rel=1e-12)
 
@@ -363,7 +364,7 @@ def test_bochner_lhs_against_both_oracles():
             for p in range(1, n + 1):
                 w = PForm.random(n, p, rng)
                 rep = bochner_decomposition(R, w)
-                M = ric_l_matrix(R, p)
+                M = ric_l_matrix(Analysis(R), p)
                 assembled = 1.5 * math.factorial(p) * float(w.coeffs @ M @ w.coeffs)
                 # above the middle degree the two Weitzenboeck sums, each up
                 # to `sums`, cancel to a far smaller lhs (about 1e6 against 7
@@ -519,5 +520,5 @@ def test_spectrum_of_ric_l_on_su3():
     # Einstein input: curvature term bounded below by the einstein estimate
     su = su3_so3()
     for p in (1, 2):
-        eigs = spectrum(ric_l_matrix(su, p))
+        eigs = spectrum(ric_l_matrix(Analysis(su), p))
         assert eigs[0] >= -1e-10

@@ -1,9 +1,12 @@
+from collections import Counter
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from curvkind import constant_curvature, selftest
+from curvkind import constant_curvature, random_curvature
+from curvkind import model_spaces, operators, selftest, weights
 from curvkind.cli import main
 
 
@@ -103,6 +106,98 @@ def test_dimension_cap_env(tmp_path, capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out)
     assert payload["clusters"][0][0] == pytest.approx(-11 / 13)
+
+
+MALFORMED = {
+    "n-not-a-number": ("--model", '{"kind":"constant_curvature","n":"abc"}', None),
+    "kappa-not-a-number": ("--model", '{"kind":"constant_curvature","n":4,"kappa":"x"}', None),
+    "components-string": ("--model", '{"kind":"dense","n":3,"components":"abc"}', None),
+    "h-string-entry": ("--model", '{"kind":"kn_product","h":[[1,"a"],[0,1]],"k":[[1,0],[0,1]]}',
+                       None),
+    "dense-file-list": ("--dense", "[1, 2, 3]", None),
+    "dense-file-string": ("--dense", '"abc"', None),
+    "nmax-not-a-number": ("--model", '{"kind":"product_sphere","n":4}', "abc"),
+    "n-fractional": ("--model", '{"kind":"product_sphere","n":5.7}', None),
+}
+
+
+@pytest.mark.parametrize("flag, text, nmax", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_exit_2(tmp_path, capsys, monkeypatch, flag, text, nmax):
+    if nmax is not None:
+        monkeypatch.setenv("CURVKIND_NMAX", nmax)
+    if flag == "--dense":
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        text = str(path)
+    code, out, err = run_cli(capsys, ["analyze", flag, text])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "constant_curvature", "n": 5},
+        {"kind": "product_sphere", "n": 5},
+        {"kind": "su3_so3"},
+        {"kind": "kn_product", "h": np.eye(5).tolist(), "k": np.eye(5).tolist()},
+        {"kind": "dense", "n": 5, "components": [0.0] * 5**4},
+        {"kind": "perturbed", "base": {"kind": "constant_curvature", "n": 5}, "kappa": 1.0},
+    ],
+    ids=lambda spec: spec["kind"],
+)
+def test_dimension_cap_checked_before_building(capsys, monkeypatch, spec):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tensor was built above the cap")
+
+    for name in ("constant_curvature", "product_sphere", "su3_so3", "kulkarni_nomizu"):
+        monkeypatch.setattr(model_spaces, name, refuse)
+    monkeypatch.setattr(model_spaces, "CurvatureTensor", refuse)
+    monkeypatch.setenv("CURVKIND_NMAX", "4")
+    code, out, err = run_cli(capsys, ["certify", "--model", json.dumps(spec)])
+    assert code == 2 and out == ""
+    assert err == (
+        "error: cannot build curvature tensor: "
+        "n=5 exceeds the soft cap 4 (set CURVKIND_NMAX to raise it)\n"
+    )
+
+
+def count_calls(monkeypatch, functions):
+    """Count calls of each (module, name), patched in every curvkind module
+    that imported the function."""
+    counts = Counter()
+    package = [m for key, m in sys.modules.items() if key.split(".")[0] == "curvkind"]
+    for owner, name in functions:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in package:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_analysis_built_once_per_command(tmp_path, capsys, monkeypatch):
+    R = random_curvature(8, np.random.default_rng(31))
+    path = tmp_path / "r8.json"
+    path.write_text(json.dumps({"n": 8, "components": R.components.ravel().tolist()}))
+    functions = [
+        (operators, "ricci_scalar"),
+        (operators, "first_kind_matrix"),
+        (operators, "second_kind_matrix"),
+        (weights, "certify"),
+    ]
+    counts = count_calls(monkeypatch, functions)
+    code, _, _ = run_cli(capsys, ["analyze", "--dense", str(path), "--p", "all"])
+    assert code == 0
+    assert counts == Counter({name: 1 for _, name in functions})
+    counts.clear()
+    code, _, _ = run_cli(capsys, ["spectrum", "--dense", str(path), "--operator", "first"])
+    assert code == 0
+    assert counts == Counter({"first_kind_matrix": 1})
 
 
 def test_certify_kappa(capsys):

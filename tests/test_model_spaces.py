@@ -8,7 +8,6 @@ from curvkind import (
     ShapeMismatch,
     constant_curvature,
     curvature_from_spec,
-    k_partial_sum,
     kulkarni_nomizu,
     perturb_constant,
     product_sphere,
@@ -16,7 +15,6 @@ from curvkind import (
     ricci_scalar,
     second_kind_matrix,
     spectrum,
-    su3_so3,
     validate_curvature,
 )
 
@@ -57,27 +55,6 @@ def test_product_sphere_structure():
         assert np.abs(R.components[0]).max() == 0.0
         s = ricci_scalar(R)
         assert np.allclose(s.ricci, np.diag([0.0] + [n - 2.0] * (n - 1)))
-
-
-def test_product_sphere_spectrum_pattern():
-    for n in (4, 5, 6, 7, 8):
-        eigs = spectrum(second_kind_matrix(product_sphere(n)))
-        expected = np.sort(
-            [-(n - 2) / n] + [0.0] * (n - 1) + [1.0] * ((n - 2) * (n + 1) // 2)
-        )
-        assert np.abs(eigs - expected).max() < 1e-10
-        assert k_partial_sum(eigs, n + 1.0) > 0
-        assert k_partial_sum(eigs, float(n)) < 0
-
-
-def test_su3_so3_all_reported_values():
-    R = su3_so3()
-    validate_curvature(R)
-    s = ricci_scalar(R)
-    assert np.abs(s.ricci - 3.0 * np.eye(5)).max() < 1e-10
-    assert s.einstein_defect <= 1e-10
-    second = spectrum(second_kind_matrix(R))
-    assert np.abs(second - np.sort([-1.5] * 5 + [2.0] * 9)).max() < 1e-10
 
 
 def test_perturb_constant_shifts():

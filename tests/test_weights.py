@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from curvkind import (
+    Analysis,
     Certificate,
     InfeasibleWeights,
     KOutOfRange,
     POutOfRange,
     VariantPreconditionFailed,
-    WeightBound,
     certify,
-    certify_spectrum,
     constant_curvature,
     constants,
     k_partial_sum,
@@ -103,7 +102,7 @@ def test_min_weighted_sum_infeasible():
     with pytest.raises(InfeasibleWeights):
         min_weighted_sum([1.0, 2.0], 1.0, 2.5)
     with pytest.raises(InfeasibleWeights):
-        WeightBound(-1.0, 2.0)
+        min_weighted_sum([1.0, 2.0], -1.0, 2.0)
 
 
 def test_bracket_equivalence():
@@ -245,57 +244,48 @@ def test_ricci_bounds_sound_against_eigenvalue_sums():
 
 def test_ric_l_bound_sphere_einstein_exact():
     for n in (4, 5, 6):
-        R = constant_curvature(n, 1.0)
-        eigs = spectrum(second_kind_matrix(R))
-        s = ricci_scalar(R)
+        a = Analysis(constant_curvature(n, 1.0))
         for p in range(1, n // 2 + 1):
-            bound = ric_l_lower_bound(eigs, s, n, p, "einstein")
+            bound = ric_l_lower_bound(a, p, "einstein")
             assert bound == pytest.approx(p * (n - p), rel=1e-12)
 
 
 def test_ric_l_bound_flat_zero():
-    R = constant_curvature(5, 0.0)
-    eigs = spectrum(second_kind_matrix(R))
-    s = ricci_scalar(R)
+    a = Analysis(constant_curvature(5, 0.0))
     for variant in ("weak", "improved", "one_form"):
-        assert ric_l_lower_bound(eigs, s, 5, 1, variant) == 0.0
+        assert ric_l_lower_bound(a, 1, variant) == 0.0
 
 
 def test_ric_l_bound_soundness_random():
     rng = np.random.default_rng(7)
     for n in (4, 5, 6):
         for _ in range(20):
-            R = random_curvature(n, rng)
-            eigs = spectrum(second_kind_matrix(R))
-            s = ricci_scalar(R)
+            a = Analysis(random_curvature(n, rng))
             for p in range(1, n // 2 + 1):
-                low = float(spectrum(ric_l_matrix(R, p))[0])
+                low = float(spectrum(ric_l_matrix(a, p))[0])
                 variants = ["weak", "improved"] + (["one_form"] if p == 1 else [])
                 for variant in variants:
-                    assert ric_l_lower_bound(eigs, s, n, p, variant) <= low + 1e-9
+                    assert ric_l_lower_bound(a, p, variant) <= low + 1e-9
 
 
 def test_ric_l_bound_soundness_einstein():
     rng = np.random.default_rng(8)
     models = [constant_curvature(5, -0.7), su3_so3(), make_einstein(random_curvature(5, rng))]
     for R in models:
-        eigs = spectrum(second_kind_matrix(R))
-        s = ricci_scalar(R)
+        a = Analysis(R)
         for p in (1, 2):
-            low = float(spectrum(ric_l_matrix(R, p))[0])
-            assert ric_l_lower_bound(eigs, s, 5, p, "einstein") <= low + 1e-9
+            low = float(spectrum(ric_l_matrix(a, p))[0])
+            assert ric_l_lower_bound(a, p, "einstein") <= low + 1e-9
 
 
 def test_ric_l_bound_preconditions():
-    R = product_sphere(5)  # not Einstein
-    eigs = spectrum(second_kind_matrix(R))
-    s = ricci_scalar(R)
+    a = Analysis(product_sphere(5))  # not Einstein
     with pytest.raises(VariantPreconditionFailed):
-        ric_l_lower_bound(eigs, s, 5, 1, "einstein")
+        ric_l_lower_bound(a, 1, "einstein")
     with pytest.raises(VariantPreconditionFailed):
-        ric_l_lower_bound(eigs, s, 5, 2, "one_form")
+        ric_l_lower_bound(a, 2, "one_form")
     with pytest.raises(POutOfRange):
-        ric_l_lower_bound(eigs, s, 5, 3, "weak")
+        ric_l_lower_bound(a, 3, "weak")
 
 
 # --- certificates ------------------------------------------------------------
@@ -306,7 +296,7 @@ def _by_theorem(certs, tag, p=None):
 
 
 def test_certify_sphere():
-    certs = certify(constant_curvature(6, 1.0))
+    certs = certify(Analysis(constant_curvature(6, 1.0)))
     assert _by_theorem(certs, "A").holds
     assert _by_theorem(certs, "B(a)").holds
     for p in (1, 2, 3):
@@ -315,7 +305,7 @@ def test_certify_sphere():
 
 
 def test_certify_product_sphere():
-    certs = certify(product_sphere(5))
+    certs = certify(Analysis(product_sphere(5)))
     a = _by_theorem(certs, "A")
     assert not a.holds
     assert a.sums["partial_sum"] == pytest.approx(-0.6)
@@ -331,7 +321,7 @@ def test_certify_su3_so3():
     assert k_partial_sum(eigs, 8.0) == pytest.approx(-1.5, abs=1e-10)
     profile = k_positivity_profile(eigs)
     assert profile == {"positive": 9, "nonnegative": 9}
-    certs = certify(su)
+    certs = certify(Analysis(su))
     b = _by_theorem(certs, "B(a)")
     assert not b.holds
     assert b.sums["order"] == pytest.approx(35 / 6)
@@ -339,19 +329,9 @@ def test_certify_su3_so3():
 
 def test_certify_verdicts_reproducible_from_sums():
     for R in (constant_curvature(5, 1.0), product_sphere(5), su3_so3()):
-        for c in certify(R):
+        for c in certify(Analysis(R)):
             if "partial_sum" in c.sums and c.theorem in ("A", "A-corollary", "C(c)", "B(c)"):
                 assert c.holds == (c.sums["partial_sum"] >= -1e-9)
-
-
-def test_certify_spectrum_matches_certify():
-    rng = np.random.default_rng(19)
-    for R in (constant_curvature(6, 1.0), product_sphere(5), su3_so3(), random_curvature(7, rng)):
-        for kappa in (None, -1.0):
-            eigs = spectrum(second_kind_matrix(R))
-            want = certify(R, kappa=kappa)
-            assert certify_spectrum(eigs, ricci_scalar(R), R.n, kappa) == want
-            assert certify_spectrum(eigs[::-1], ricci_scalar(R), R.n, kappa) == want
 
 
 def test_theorem_d_hypothesis():
@@ -367,13 +347,13 @@ def test_theorem_d_hypothesis():
 
 
 def test_certify_flags_flat():
-    certs = certify(constant_curvature(4, 0.0))
+    certs = certify(Analysis(constant_curvature(4, 0.0)))
     a = _by_theorem(certs, "A")
     assert a.holds and "flat" in a.conclusion
 
 
 def test_certify_with_kappa_certificate():
-    certs = certify(product_sphere(5), kappa=-1.0)
+    certs = certify(Analysis(product_sphere(5)), kappa=-1.0)
     d = _by_theorem(certs, "D-hypothesis")
     assert d.holds
     assert d.sums["required"] == pytest.approx(-3.5)
@@ -382,5 +362,5 @@ def test_certify_with_kappa_certificate():
 def test_perturbed_einstein_still_einstein():
     R = perturb_constant(su3_so3(), -0.25)
     assert ricci_scalar(R).is_einstein()
-    tags = {c.theorem for c in certify(R)}
+    tags = {c.theorem for c in certify(Analysis(R))}
     assert {"B(a)", "B(b)", "B(c)"} <= tags
