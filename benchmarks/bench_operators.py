@@ -1,0 +1,49 @@
+"""Timings of the operators layer: the second-kind matrix and the eigensolve.
+
+Run from the repository root:
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_operators.py --benchmark-only
+
+This directory lies outside the pytest test paths, so the tier-1 suite does
+not run it.  second_kind_matrix is timed on random tensors for
+n in {5, 8, 10, 12}.  The eigensolve is timed on the Ric_L of a random n = 12
+tensor, which is irreducible: at (12, 5) the whole matrix, at (12, 6) the
+self-dual block A + B that ric_l_spectrum solves.  There block_eigvalsh finds
+one component and solves it whole, so its time less that of a plain
+np.linalg.eigvalsh is the cost of looking for blocks.
+"""
+
+import numpy as np
+import pytest
+
+from curvkind import Analysis, random_curvature, ric_l_matrix, second_kind_matrix
+from curvkind.bochner import _hodge_table
+from curvkind.operators import block_eigvalsh
+
+
+@pytest.fixture(scope="module")
+def rng():
+    return np.random.default_rng(0)
+
+
+@pytest.mark.parametrize("n", [5, 8, 10, 12])
+def test_second_kind_matrix(benchmark, rng, n):
+    benchmark(second_kind_matrix, random_curvature(n, rng))
+
+
+@pytest.fixture(scope="module")
+def irreducible(rng):
+    a = Analysis(random_curvature(12, rng))
+    M = ric_l_matrix(a, 6)
+    _, sign = _hodge_table(12, 6)
+    half = len(M) // 2
+    A = M[:half, :half]
+    B = M[:half, half:][:, ::-1] * sign[:half]
+    return {"12-5": ric_l_matrix(a, 5), "12-6": A + B}
+
+
+@pytest.mark.parametrize("solve", [np.linalg.eigvalsh, block_eigvalsh],
+                         ids=["eigvalsh", "block_eigvalsh"])
+@pytest.mark.parametrize("case", ["12-5", "12-6"])
+def test_eigensolve(benchmark, irreducible, case, solve):
+    benchmark(solve, irreducible[case])

@@ -7,17 +7,27 @@ Run from the repository root:
 
 This directory lies outside the pytest test paths, so the tier-1 suite does
 not run it.  (12, 6) is the middle degree, where ric_l_spectrum solves two
-self-dual blocks of half the size.  The assembly reads index tables cached
-per (n, p); the cold case clears every cache of the modules it reads before
-each round, and times the degrees 1..6 that `analyze --p half` assembles at
-n = 12.  Every round reads a fresh Analysis, so each timing includes the
-Ricci tensor and the first-kind matrix that the assembly reads.
+self-dual blocks of half the size.  The spectrum is timed on the random
+tensor, whose Ric_L is irreducible, and on product_sphere(n), whose Ric_L is
+diagonal, so that block_eigvalsh solves nothing.  The assembly reads index
+tables cached per (n, p); the cold case clears every cache of the modules it
+reads before each round, and times the degrees 1..6 that `analyze --p half`
+assembles at n = 12.  Every round reads a fresh Analysis, so each timing
+includes the Ricci tensor and the first-kind matrix that the assembly reads.
 """
 
 import numpy as np
 import pytest
 
-from curvkind import Analysis, bochner, random_curvature, ric_l_matrix, ric_l_spectrum, tensor_core
+from curvkind import (
+    Analysis,
+    bochner,
+    product_sphere,
+    random_curvature,
+    ric_l_matrix,
+    ric_l_spectrum,
+    tensor_core,
+)
 from curvkind.operators import require_symmetric
 
 CASES = [(11, 5), (12, 4), (12, 5), (12, 6)]
@@ -54,6 +64,8 @@ def test_require_symmetric(benchmark, tensors):
     benchmark(require_symmetric, ric_l_matrix(Analysis(tensors[12]), 6))
 
 
+@pytest.mark.parametrize("kind", ["random", "product_sphere"])
 @pytest.mark.parametrize("n, p", CASES)
-def test_ric_l_spectrum(benchmark, tensors, n, p):
-    benchmark(lambda: ric_l_spectrum(Analysis(tensors[n]), p))
+def test_ric_l_spectrum(benchmark, tensors, kind, n, p):
+    R = tensors[n] if kind == "random" else product_sphere(n)
+    benchmark(lambda: ric_l_spectrum(Analysis(R), p))

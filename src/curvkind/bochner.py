@@ -41,6 +41,7 @@ import numpy as np
 from .errors import DimensionMismatch, POutOfRange
 from .operators import (
     act_sym_dense,
+    block_eigvalsh,
     first_kind_matrix,
     require_symmetric,
     ricci_scalar,
@@ -521,6 +522,11 @@ def ric_l_spectrum(analysis, p):
     where H holds one row of each pair {I, I^c} and (J^c, sign_J) comes from
     _hodge_table.  The full matrix passes the same symmetry gate either way.
     For n = 2 (mod 4), ** = -1 in the middle degree and M is solved whole.
+
+    Every solve, of M or of A + B and A - B, is operators.block_eigvalsh:
+    a reducible matrix is further split over the connected components of
+    its nonzero pattern, and a diagonal one (a constant-curvature tensor,
+    S^1 x S^{n-1}) needs no eigensolve at all.
     """
     n = analysis.n
     M = ric_l_matrix(analysis, p)
@@ -534,4 +540,4 @@ def ric_l_spectrum(analysis, p):
     half = len(M) // 2
     A = M[:half, :half]
     B = M[:half, half:][:, ::-1] * sign[:half]
-    return np.sort(np.concatenate([np.linalg.eigvalsh(A + B), np.linalg.eigvalsh(A - B)]))
+    return np.sort(np.concatenate([block_eigvalsh(A + B), block_eigvalsh(A - B)]))

@@ -43,7 +43,9 @@ def _load_curvature(args):
                 spec = json.load(handle)
             if not isinstance(spec, dict):
                 raise ShapeMismatch(f"expected a JSON object, got {type(spec).__name__}")
-            spec.setdefault("kind", "dense")
+            kind = spec.setdefault("kind", "dense")
+            if kind != "dense":
+                raise ShapeMismatch(f"a --dense file holds kind 'dense', not {kind!r}; use --model")
             descriptor = {"kind": "dense", "path": args.dense, "n": spec.get("n")}
         R = curvature_from_spec(spec)
     # ValueError covers bad JSON, CurvkindError and unconvertible numbers

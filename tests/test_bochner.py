@@ -5,16 +5,18 @@ import pytest
 
 from curvkind import (
     Analysis,
+    CurvatureTensor,
     PForm,
     act_sym_on_form,
     bochner_decomposition,
     bochner_ricci_diagonal_residual,
-    cluster_eigenvalues,
     constant_curvature,
     form_s02_expansion,
     form_two_point,
     general_tensor_bochner_check,
+    kulkarni_nomizu,
     ogiue_tachibana_term,
+    perturb_constant,
     product_sphere,
     random_curvature,
     random_trace_free,
@@ -296,19 +298,45 @@ def test_hodge_table_squares_to_sign():
                 assert np.array_equal(row[:half], np.arange(2 * half - 1, half - 1, -1))
 
 
+def _reducible_models(n, rng):
+    """Tensors whose Ric_L splits into blocks, keyed by a name for failure messages."""
+    half = n // 2
+    R = np.zeros((n, n, n, n))
+    R[:half, :half, :half, :half] = random_curvature(half, rng).components
+    R[half:, half:, half:, half:] = random_curvature(n - half, rng).components
+    return {
+        "product_sphere": product_sphere(n),
+        "constant_curvature": constant_curvature(n, 1.0),
+        "perturbed": perturb_constant(product_sphere(n), -0.25),
+        # diagonal h and k give a diagonal Ric_L
+        "kn_product": kulkarni_nomizu(np.diag(rng.uniform(0.5, 2.0, n)),
+                                      np.diag(rng.uniform(0.5, 2.0, n))),
+        # a direct sum of two random tensors gives blocks larger than 1x1
+        "random_sum": CurvatureTensor(n, R),
+    }
+
+
 def test_ric_l_spectrum_middle_degree_split():
+    # every degree p = 1..n-1, not only the middle one: ric_l_spectrum and
+    # spectrum solve each connected block of M on its own and must match a
+    # whole-matrix eigvalsh; n = 6 has ** = -1 in the middle degree and
+    # keeps the single solve, n = 4, 8, 12 split it into self-dual blocks
     rng = np.random.default_rng(14)
-    # n = 6 has ** = -1 in the middle degree and keeps the single solve
-    for n in (4, 6, 8, 12):
-        p = n // 2
-        cases = [random_curvature(n, rng), constant_curvature(n, 1.0), product_sphere(n)]
-        for R in map(Analysis, cases):
-            whole = spectrum(ric_l_matrix(R, p))
-            split = ric_l_spectrum(R, p)
-            assert np.abs(split - whole).max() <= 1e-12 * (1 + np.abs(whole).max())
-        sphere = cluster_eigenvalues(ric_l_spectrum(Analysis(cases[1]), p))
-        assert [m for _, m in sphere] == [math.comb(n, p)]
-        assert sphere[0][0] == pytest.approx(p * (n - p), rel=1e-12)
+    for n in (4, 5, 6, 8, 12):
+        cases = {**_reducible_models(n, rng), "random": random_curvature(n, rng)}
+        for name, R in cases.items():
+            a = Analysis(R)
+            for p in range(1, n):
+                M = ric_l_matrix(a, p)
+                whole = np.linalg.eigvalsh(M)
+                tol = 1e-12 * (1 + np.abs(whole).max())
+                for got in (ric_l_spectrum(a, p), spectrum(M)):
+                    assert got.shape == whole.shape, (name, n, p)
+                    assert np.abs(got - whole).max() <= tol, (name, n, p)
+                if name == "constant_curvature":
+                    # diagonal, so no eigensolve: exactly p(n-p), C(n, p) times
+                    assert np.array_equal(ric_l_spectrum(a, p),
+                                          np.full(math.comb(n, p), float(p * (n - p))))
 
 
 # --- the decomposition -------------------------------------------------------

@@ -116,6 +116,7 @@ MALFORMED = {
                        None),
     "dense-file-list": ("--dense", "[1, 2, 3]", None),
     "dense-file-string": ("--dense", '"abc"', None),
+    "dense-file-other-kind": ("--dense", '{"kind": "su3_so3"}', None),
     "nmax-not-a-number": ("--model", '{"kind":"product_sphere","n":4}', "abc"),
     "n-fractional": ("--model", '{"kind":"product_sphere","n":5.7}', None),
 }
