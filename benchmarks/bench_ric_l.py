@@ -6,14 +6,19 @@ Run from the repository root:
     PYTHONPATH=src python -m pytest benchmarks/bench_ric_l.py --benchmark-only
 
 This directory lies outside the pytest test paths, so the tier-1 suite does
-not run it.  (12, 6) is the middle degree, where ric_l_spectrum solves two
-self-dual blocks of half the size.  The spectrum is timed on the random
-tensor, whose Ric_L is irreducible, and on product_sphere(n), whose Ric_L is
-diagonal, so that block_eigvalsh solves nothing.  The assembly reads index
-tables cached per (n, p); the cold case clears every cache of the modules it
-reads before each round, and times the degrees 1..6 that `analyze --p half`
-assembles at n = 12.  Every round reads a fresh Analysis, so each timing
-includes the Ricci tensor and the first-kind matrix that the assembly reads.
+not run it.  (10, 5), (12, 6) and (14, 7) are middle degrees, where
+ric_l_spectrum assembles only the rows of the half basis H and solves two
+self-dual blocks of half the size (n = 0 mod 4) or one Hermitian matrix of
+half the size (n = 2 mod 4).  The spectrum is timed on the random tensor,
+whose Ric_L is irreducible, and on product_sphere(n) and a perturbed
+constant-curvature tensor, whose Ric and first-kind matrix are diagonal, so
+that ric_l_spectrum assembles no matrix at all.  (14, 7) lies above the
+CLI's dimension cap, which the library functions do not check.  The
+assembly reads index tables cached per (n, p); the cold case clears every
+cache of the modules it reads before each round, and times the degrees
+1..6 that `analyze --p half` assembles at n = 12.  Every round reads a
+fresh Analysis, so each timing includes the Ricci tensor and the
+first-kind matrix that the assembly reads.
 """
 
 import numpy as np
@@ -22,6 +27,8 @@ import pytest
 from curvkind import (
     Analysis,
     bochner,
+    constant_curvature,
+    perturb_constant,
     product_sphere,
     random_curvature,
     ric_l_matrix,
@@ -31,12 +38,17 @@ from curvkind import (
 from curvkind.operators import require_symmetric
 
 CASES = [(11, 5), (12, 4), (12, 5), (12, 6)]
+SPECTRUM_CASES = [(10, 5), *CASES, (14, 7)]
+MODELS = {
+    "product_sphere": product_sphere,
+    "perturbed": lambda n: perturb_constant(constant_curvature(n, 1.3), -0.4),
+}
 
 
 @pytest.fixture(scope="module")
 def tensors():
     rng = np.random.default_rng(0)
-    return {n: random_curvature(n, rng) for n in (11, 12)}
+    return {n: random_curvature(n, rng) for n in (10, 11, 12, 14)}
 
 
 def _clear_caches():
@@ -64,8 +76,8 @@ def test_require_symmetric(benchmark, tensors):
     benchmark(require_symmetric, ric_l_matrix(Analysis(tensors[12]), 6))
 
 
-@pytest.mark.parametrize("kind", ["random", "product_sphere"])
-@pytest.mark.parametrize("n, p", CASES)
+@pytest.mark.parametrize("kind", ["random", *MODELS])
+@pytest.mark.parametrize("n, p", SPECTRUM_CASES)
 def test_ric_l_spectrum(benchmark, tensors, kind, n, p):
-    R = tensors[n] if kind == "random" else product_sphere(n)
+    R = tensors[n] if kind == "random" else MODELS[kind](n)
     benchmark(lambda: ric_l_spectrum(Analysis(R), p))

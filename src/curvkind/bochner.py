@@ -17,6 +17,14 @@ Ric_L, in the Weitzenboeck form
 through (p-1)- and (p-2)-forms: p(n-p+1) + C(p,2) C(n-p+2,2) terms per row
 of its matrix.  The Hodge star reads _hodge_table(n, p).
 
+ric_l_spectrum assembles only what its solve reads.  When Ric and the
+first-kind matrix are diagonal, so is Ric_L, and its diagonal is summed in
+closed form with no matrix at all.  In the middle degree 2p = n, Ric_L
+commutes with the Hodge star, and only the rows of the half basis H (the
+p-tuples containing 0) are assembled: the spectrum is that of A + B and
+A - B for n = 0 (mod 4), and that of the Hermitian A + iB, each eigenvalue
+taken twice, for n = 2 (mod 4).
+
 bochner_decomposition and form_two_point read w through the same wedges
 (_opened); the n^p dense form, with ric_l_quadratic, is their oracle.
 
@@ -34,6 +42,7 @@ and it decomposes as
 
 from dataclasses import dataclass
 from functools import lru_cache
+import itertools
 import math
 
 import numpy as np
@@ -41,12 +50,11 @@ import numpy as np
 from .errors import DimensionMismatch, POutOfRange
 from .operators import (
     act_sym_dense,
-    block_eigvalsh,
     first_kind_matrix,
-    require_symmetric,
     ricci_scalar,
     second_kind_matrix,
     spectrum,
+    _symmetry_tol,
 )
 from .tensor_core import (
     PForm,
@@ -296,16 +304,23 @@ def ric_l_matrix(analysis, p):
     if not 1 <= p <= n:
         raise POutOfRange(f"need 1 <= p <= n, got p={p}")
     count = math.comb(n, p)
-    M = np.zeros((count, count))
     # at p = n the two sums are scal and -scal: return the exact zero
     if p == n:
-        return M
+        return np.zeros((count, count))
+    return _ric_l_rows(analysis, p, count)
+
+
+def _ric_l_rows(analysis, p, end):
+    """The first `end` rows of ric_l_matrix(analysis, p), 1 <= p < n."""
+    n = analysis.n
+    count = math.comb(n, p)
+    M = np.zeros((end, count))
     plan = _ric_l_plan(n, p)
     factors = (analysis.summary.ricci.ravel(), -2.0 * analysis.first_kind.ravel())
     per_row = sum(hub.shape[1] * row.shape[1] for hub, _, _, row, _, _ in plan)
     rows = max(1, 2**16 // per_row)
-    for start in range(0, count, rows):
-        stop = min(start + rows, count)
+    for start in range(0, end, rows):
+        stop = min(start + rows, end)
         offset = np.arange(stop - start)[:, None, None] * count
         targets, terms = [], []
         for (hub, left_sign, left, row, sign, g), X in zip(plan, factors):
@@ -509,35 +524,78 @@ def bochner_ricci_diagonal_residual(R, w):
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
+def _is_diagonal(X):
+    """True when the square X has no nonzero entry off its diagonal."""
+    return np.count_nonzero(X) == np.count_nonzero(X.diagonal())
+
+
+def _ric_l_diagonal(analysis, p):
+    """The diagonal of ric_l_matrix(analysis, p), 1 <= p < n:
+
+      M[I,I] = sum_{i in I} Ric_ii - 2 sum_{a<b in I} F_{ab,ab}.
+
+    The terms are added in the order in which the assembly adds them to
+    M[I,I], the elements a of I descending and then the pairs {a, b}
+    descending, so each entry equals the assembled one bit for bit.
+    """
+    n = analysis.n
+    idx = multi_index_array(n, p)
+    ricci = analysis.summary.ricci.diagonal()
+    curv = -2.0 * analysis.first_kind.diagonal()
+    pair_row = np.zeros((n, n), dtype=np.intp)
+    pair_row[np.triu_indices(n, 1)] = np.arange(math.comb(n, 2))
+    diag = np.zeros(len(idx))
+    for a in reversed(range(p)):
+        diag += ricci[idx[:, a]]
+    for a, b in reversed(list(itertools.combinations(range(p), 2))):
+        diag += curv[pair_row[idx[:, a], idx[:, b]]]
+    return diag
+
+
 def ric_l_spectrum(analysis, p):
     """Ascending eigenvalues of ric_l_matrix(analysis, p).
 
-    Ric_L commutes with the Hodge star, so degrees p and n-p share this
-    spectrum.  In the middle degree 2p = n with n = 0 (mod 4), ** = +1 and
-    Ric_L preserves the self-dual and anti-self-dual forms; there the
-    spectrum is that of the two blocks A + B and A - B, each half the size,
+    Only what the solve reads is assembled:
 
-      A = M[H, H],   B[I, J] = sign_J * M[I, J^c]   (I, J in H),
+    * When Ric and F = analysis.first_kind have no nonzero entry off their
+      diagonals (a constant-curvature tensor, S^1 x S^{n-1} and their
+      perturbations), M is diagonal and its spectrum is _ric_l_diagonal,
+      sorted: no matrix, no symmetry gate and no eigensolve.
+    * In the middle degree 2p = n, Ric_L commutes with the Hodge star, and
+      in the basis of H followed by the signed complements of H,
 
-    where H holds one row of each pair {I, I^c} and (J^c, sign_J) comes from
-    _hodge_table.  The full matrix passes the same symmetry gate either way.
-    For n = 2 (mod 4), ** = -1 in the middle degree and M is solved whole.
+        M = [[A, B], [** B, A]],   A = M[H, H],   B[I, J] = sign_J * M[I, J^c],
 
-    Every solve, of M or of A + B and A - B, is operators.block_eigvalsh:
-    a reducible matrix is further split over the connected components of
-    its nonzero pattern, and a diagonal one (a constant-curvature tensor,
-    S^1 x S^{n-1}) needs no eigensolve at all.
+      where H is the first half of the sorted basis, the p-tuples that
+      contain 0, and (J^c, sign_J) comes from _hodge_table.  So only the
+      rows of H are assembled.  For n = 0 (mod 4), ** = +1, B is symmetric
+      and the spectrum is that of A + B and A - B.  For n = 2 (mod 4),
+      ** = -1, B is antisymmetric, M is the real form of the Hermitian
+      A + iB, and each of its eigenvalues is taken twice.  Each matrix
+      solved passes the symmetry gate against 1e-12 * max|M[H, :]|, which
+      holds A and B to the same threshold.
+    * Every other degree solves the whole matrix.  Degrees p and n-p share
+      one spectrum.
+
+    Every solve is operators.block_eigvalsh: a reducible matrix is split
+    over the connected components of its nonzero pattern.
     """
     n = analysis.n
-    M = ric_l_matrix(analysis, p)
-    if 2 * p != n or n % 4:
-        return spectrum(M)
-    require_symmetric(M)
+    if not 1 <= p < n:
+        # p = n is ric_l_matrix's exact zero; other p raise POutOfRange there
+        return spectrum(ric_l_matrix(analysis, p))
+    if _is_diagonal(analysis.summary.ricci) and _is_diagonal(analysis.first_kind):
+        return np.sort(_ric_l_diagonal(analysis, p))
+    if 2 * p != n:
+        return spectrum(ric_l_matrix(analysis, p))
+    half = math.comb(n, p) // 2
+    rows = _ric_l_rows(analysis, p, half)
     _, sign = _hodge_table(n, p)
-    # H is the first half of the sorted basis, the p-tuples containing 0,
-    # and complementing reverses the sorted order, so J^c runs backwards
-    # through the second half: both blocks are views of M
-    half = len(M) // 2
-    A = M[:half, :half]
-    B = M[:half, half:][:, ::-1] * sign[:half]
-    return np.sort(np.concatenate([block_eigvalsh(A + B), block_eigvalsh(A - B)]))
+    # complementing reverses the sorted order, so J^c runs backwards
+    # through the second half of the columns
+    A = rows[:, :half]
+    B = rows[:, half:][:, ::-1] * sign[:half]
+    tol = _symmetry_tol(rows)
+    if n % 4:
+        return np.repeat(spectrum(A + 1j * B, tol), 2)
+    return np.sort(np.concatenate([spectrum(A + B, tol), spectrum(A - B, tol)]))

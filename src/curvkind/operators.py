@@ -8,7 +8,8 @@
 * first_kind_matrix: the operator on 2-forms over the unit-norm wedge
   basis {e_i ^ e_j}_{i<j}, entries R_{ijkl}.
 * require_symmetric / spectrum / cluster_eigenvalues: the symmetry gate,
-  deterministic symmetric eigensolve and multiplicity grouping.
+  deterministic symmetric (or Hermitian) eigensolve and multiplicity
+  grouping.
 * block_eigvalsh: the one eigenvalue solve behind spectrum and
   bochner.ric_l_spectrum, block by block over the connected components of
   the nonzero pattern.
@@ -87,28 +88,40 @@ def first_kind_matrix(R):
 _STRIPE = 64
 
 
+def _symmetry_tol(M):
+    """The default threshold of require_symmetric: 1e-12 * max|entry| of M."""
+    if np.iscomplexobj(M):
+        scale = float(np.abs(M).max(initial=0.0))
+    else:
+        scale = max(float(M.max(initial=0.0)), -float(M.min(initial=0.0)))
+    return 1e-12 * max(scale, 1e-300)
+
+
 def require_symmetric(M, symmetry_tol=None):
     """M as a float array, after checking that it is square and symmetric.
 
-    Raises NotSymmetric when the asymmetry exceeds 1e-12 * max|entry|.  The
-    upper triangle is compared with the lower one stripe of rows at a time,
-    so no temporary is as large as M.
+    A complex M is kept complex and checked to be Hermitian.  Raises
+    NotSymmetric when the asymmetry exceeds 1e-12 * max|entry|.  The upper
+    triangle is compared with the lower one stripe of rows at a time, so no
+    temporary is as large as M.
     """
-    M = np.asarray(M, dtype=float)
+    M = np.asarray(M)
+    if not np.iscomplexobj(M):
+        M = M.astype(float, copy=False)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {M.shape}")
     if symmetry_tol is None:
-        scale = max(float(M.max(initial=0.0)), -float(M.min(initial=0.0)))
-        symmetry_tol = 1e-12 * max(scale, 1e-300)
+        symmetry_tol = _symmetry_tol(M)
     for s in range(0, len(M), _STRIPE):
         e = s + _STRIPE
-        if float(np.abs(M[s:e, s:] - M[s:, s:e].T).max()) > symmetry_tol:
+        if float(np.abs(M[s:e, s:] - M[s:, s:e].T.conj()).max()) > symmetry_tol:
             raise NotSymmetric("matrix is not symmetric within tolerance")
     return M
 
 
 def block_eigvalsh(M):
-    """Ascending eigenvalues of a symmetric M that has passed require_symmetric.
+    """Ascending eigenvalues of a symmetric or Hermitian M that has passed
+    require_symmetric.
 
     M is solved block by block over the connected components of its
     off-diagonal nonzero pattern, found by breadth-first search.  The
@@ -124,7 +137,7 @@ def block_eigvalsh(M):
     linked = nonzero | nonzero.T
     np.fill_diagonal(linked, False)
     single = ~linked.any(axis=1)
-    values = [M.diagonal()[single]]
+    values = [M.diagonal().real[single]]
     todo = ~single
     while todo.any():
         member = np.zeros(len(M), dtype=bool)

@@ -6,10 +6,14 @@ import pytest
 from curvkind import (
     Analysis,
     CurvatureTensor,
+    NotSymmetric,
+    POutOfRange,
     PForm,
+    bochner,
     act_sym_on_form,
     bochner_decomposition,
     bochner_ricci_diagonal_residual,
+    cluster_eigenvalues,
     constant_curvature,
     form_s02_expansion,
     form_two_point,
@@ -24,13 +28,20 @@ from curvkind import (
     ric_l_matrix,
     ric_l_quadratic,
     ric_l_spectrum,
+    rotate_curvature,
     second_kind_form_term,
     second_kind_matrix,
     spectral_decomposition,
     spectrum,
     su3_so3,
 )
-from curvkind.bochner import _hodge_table, _ogiue_tachibana_family, _ric_l_plan, _wedge_table
+from curvkind.bochner import (
+    _hodge_table,
+    _ogiue_tachibana_family,
+    _ric_l_diagonal,
+    _ric_l_plan,
+    _wedge_table,
+)
 from curvkind.operators import first_kind_matrix, ricci_scalar
 from helpers import form_two_point_dense, make_einstein, multi_index_positions, ric_l_by_derivations
 
@@ -319,10 +330,10 @@ def _reducible_models(n, rng):
 def test_ric_l_spectrum_middle_degree_split():
     # every degree p = 1..n-1, not only the middle one: ric_l_spectrum and
     # spectrum solve each connected block of M on its own and must match a
-    # whole-matrix eigvalsh; n = 6 has ** = -1 in the middle degree and
-    # keeps the single solve, n = 4, 8, 12 split it into self-dual blocks
+    # whole-matrix eigvalsh; n = 6, 10 have ** = -1 in the middle degree and
+    # solve the Hermitian A + iB, n = 4, 8, 12 split it into self-dual blocks
     rng = np.random.default_rng(14)
-    for n in (4, 5, 6, 8, 12):
+    for n in (4, 5, 6, 8, 10, 12):
         cases = {**_reducible_models(n, rng), "random": random_curvature(n, rng)}
         for name, R in cases.items():
             a = Analysis(R)
@@ -330,13 +341,102 @@ def test_ric_l_spectrum_middle_degree_split():
                 M = ric_l_matrix(a, p)
                 whole = np.linalg.eigvalsh(M)
                 tol = 1e-12 * (1 + np.abs(whole).max())
-                for got in (ric_l_spectrum(a, p), spectrum(M)):
+                split = ric_l_spectrum(a, p)
+                for got in (split, spectrum(M)):
                     assert got.shape == whole.shape, (name, n, p)
                     assert np.abs(got - whole).max() <= tol, (name, n, p)
+                if 2 * p == n and n % 4:
+                    # * is a complex structure there: every multiplicity is even
+                    assert all(m % 2 == 0 for _, m in cluster_eigenvalues(split)), (name, n)
+
+
+def _givens(n, angle):
+    Q = np.eye(n)
+    Q[:2, :2] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+    return Q
+
+
+def test_ric_l_spectrum_diagonal_curvature(monkeypatch):
+    # with Ric and F diagonal, ric_l_spectrum sums M's diagonal in closed
+    # form: it must assemble and solve nothing, and match a full eigvalsh
+    def refuse(*args, **kwargs):
+        raise AssertionError("the diagonal path assembled or solved a matrix")
+
+    rng = np.random.default_rng(15)
+    for n in (4, 5, 6, 8, 12):
+        models = {name: Analysis(R) for name, R in _reducible_models(n, rng).items()}
+        models["rotated"] = Analysis(rotate_curvature(product_sphere(n), _givens(n, 1e-3)))
+        # validation tolerates a one-sided asymmetry that F does not read
+        # (F reads R_ijkl for i < j, k < l only) but Ric does: Ric_12 != 0
+        one_sided = product_sphere(n).components.copy()
+        one_sided[1, 0, 2, 0] = 1e-14
+        models["one_sided"] = Analysis(CurvatureTensor(n, one_sided).validate())
+        for name, a in models.items():
+            # at n = 4 the random_sum is a sum of two surfaces: diagonal too
+            diagonal = not any(np.count_nonzero(X - np.diag(np.diag(X)))
+                               for X in (a.first_kind, a.summary.ricci))
+            if name in ("product_sphere", "constant_curvature", "perturbed", "kn_product"):
+                assert diagonal, (name, n)
+            if name in ("rotated", "one_sided"):
+                assert not diagonal, (name, n)
+            for p in range(1, n):
+                whole = np.linalg.eigvalsh(ric_l_matrix(a, p))
+                assembled = []
+                with monkeypatch.context() as m:
+                    if diagonal:
+                        for attr in ("ric_l_matrix", "_ric_l_rows", "spectrum"):
+                            m.setattr(bochner, attr, refuse)
+                    else:
+                        rows = bochner._ric_l_rows
+                        m.setattr(bochner, "_ric_l_rows",
+                                  lambda *args: assembled.append(args) or rows(*args))
+                    got = ric_l_spectrum(a, p)
+                assert bool(assembled) != diagonal, (name, n, p)
+                assert np.abs(got - whole).max() <= 1e-12 * (1 + np.abs(whole).max()), (name, n, p)
                 if name == "constant_curvature":
-                    # diagonal, so no eigensolve: exactly p(n-p), C(n, p) times
-                    assert np.array_equal(ric_l_spectrum(a, p),
-                                          np.full(math.comb(n, p), float(p * (n - p))))
+                    # exactly p(n-p), C(n, p) times
+                    assert np.array_equal(got, np.full(math.comb(n, p), float(p * (n - p))))
+            # p = n is the exact zero; p outside 1..n is refused
+            assert np.array_equal(ric_l_spectrum(a, n), [0.0])
+            for p in (0, n + 1):
+                with pytest.raises(POutOfRange):
+                    ric_l_spectrum(a, p)
+
+
+def test_ric_l_spectrum_middle_degree_gate(monkeypatch):
+    # the middle degree assembles only the rows of H; the symmetry gate
+    # holds the blocks it reads, A and B, to 1e-12 * max|M|
+    rng = np.random.default_rng(18)
+    rows_of = bochner._ric_l_rows
+    for n in (6, 8):
+        a = Analysis(random_curvature(n, rng))
+        half = math.comb(n, n // 2) // 2
+        scale = np.abs(ric_l_matrix(a, n // 2)).max()
+        # A[0, 1], and B[0, 1] at the reversed column 2 half - 2
+        for entry in ((0, 1), (0, 2 * half - 2)):
+            for size in (0.5e-12, 1.5e-12):
+                def skewed(*args):
+                    rows = rows_of(*args)
+                    rows[entry] += size * scale
+                    return rows
+
+                with monkeypatch.context() as m:
+                    m.setattr(bochner, "_ric_l_rows", skewed)
+                    if size < 1e-12:
+                        ric_l_spectrum(a, n // 2)
+                    else:
+                        with pytest.raises(NotSymmetric):
+                            ric_l_spectrum(a, n // 2)
+
+
+def test_ric_l_diagonal_is_the_assembled_diagonal():
+    # the closed form adds the terms in the assembly's order, bit for bit
+    rng = np.random.default_rng(16)
+    for n in (4, 7, 12):
+        a = Analysis(kulkarni_nomizu(np.diag(rng.uniform(-2.0, 2.0, n)),
+                                     np.diag(rng.uniform(-2.0, 2.0, n))))
+        for p in range(1, n):
+            assert np.array_equal(_ric_l_diagonal(a, p), ric_l_matrix(a, p).diagonal())
 
 
 # --- the decomposition -------------------------------------------------------

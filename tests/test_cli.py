@@ -5,7 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from curvkind import constant_curvature, random_curvature
+from curvkind import (
+    Analysis,
+    cluster_eigenvalues,
+    constant_curvature,
+    curvature_from_spec,
+    random_curvature,
+    ric_l_matrix,
+)
 from curvkind import model_spaces, operators, selftest, weights
 from curvkind.cli import main
 
@@ -242,7 +249,7 @@ def test_spectrum_operators(capsys):
     )
     payload = json.loads(out)
     assert payload["clusters"] == [[6.0, 10]]
-    # the middle degree at n = 0 (mod 4) is solved in self-dual blocks
+    # a diagonal Ric_L is summed in closed form, in the middle degree too
     code, out, _ = run_cli(
         capsys,
         [
@@ -258,6 +265,41 @@ def test_spectrum_operators(capsys):
     payload = json.loads(out)
     assert [m for _, m in payload["clusters"]] == [6]
     assert payload["clusters"][0][0] == pytest.approx(4.0, rel=1e-12)
+
+
+DIAGONAL_12 = [
+    '{"kind":"product_sphere","n":12}',
+    '{"kind":"perturbed","base":{"kind":"constant_curvature","n":12,"kappa":1.3},"kappa":-0.4}',
+]
+
+
+@pytest.mark.parametrize("spec", DIAGONAL_12, ids=["product_sphere", "perturbed"])
+def test_ric_l_diagonal_path_matches_assembled(capsys, spec):
+    # Ric and F are diagonal on these inputs, so ric_l_spectrum never
+    # assembles Ric_L; the CLI must still report the spectra of the
+    # assembled matrices, within the benchmark's 1e-9 * (1 + radius)
+    a = Analysis(curvature_from_spec(json.loads(spec)))
+    full = {p: np.linalg.eigvalsh(ric_l_matrix(a, p)) for p in range(1, 12)}
+
+    def tol(p):
+        return 1e-9 * (1 + np.abs(full[p]).max())
+
+    code, out, _ = run_cli(capsys, ["spectrum", "--model", spec, "--operator", "ric_l",
+                                    "--ric-l-p", "6"])
+    assert code == 0
+    payload = json.loads(out)
+    assert np.abs(np.array(payload["eigenvalues"]) - full[6]).max() <= tol(6)
+    want = cluster_eigenvalues(full[6])
+    assert [m for _, m in payload["clusters"]] == [m for _, m in want]
+    assert np.abs(np.array([v for v, _ in payload["clusters"]])
+                  - [v for v, _ in want]).max() <= tol(6)
+    code, out, _ = run_cli(capsys, ["analyze", "--model", spec, "--p", "all"])
+    assert code == 0
+    rows = json.loads(out)["per_p"]
+    assert [row["p"] for row in rows] == list(range(1, 12))
+    for row in rows:
+        p = row["p"]
+        assert abs(row["ric_l_min_eigenvalue"] - full[p][0]) <= tol(p), p
 
 
 def test_per_p_table_bounds_present(capsys):

@@ -140,6 +140,10 @@ def test_spectrum_basics():
     for solve in (spectrum, spectral_decomposition):
         with pytest.raises(NotSymmetric):
             solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a complex matrix is gated as Hermitian: symmetric is not enough
+    assert np.allclose(spectrum(np.array([[0.0, 1j], [-1j, 0.0]])), [-1.0, 1.0])
+    with pytest.raises(NotSymmetric):
+        spectrum(np.array([[0.0, 1j], [1j, 0.0]]))
 
 
 def test_block_eigvalsh_against_whole_solve():
@@ -162,6 +166,9 @@ def test_block_eigvalsh_against_whole_solve():
         assert np.abs(got - whole).max() <= 1e-12 * (1 + np.abs(whole).max())
 
     check(M)
+    # a Hermitian matrix with the same blocks (ric_l_spectrum's A + iB)
+    skew = rng.standard_normal((N, N)) * (M != 0)
+    check(M + 1j * (skew - skew.T))
     # the gate lets one triangle hold a 1e-17 entry where the other holds 0:
     # it must link the two rows whichever triangle holds it
     i, j = np.flatnonzero(order == 0)[0], np.flatnonzero(order == N - 1)[0]
