@@ -9,7 +9,9 @@ the tensor fails the curvature-symmetry validation.
 """
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -239,7 +241,12 @@ def _add_input_and_format(parser):
     parser.set_defaults(table=False)
 
 
+@functools.cache
 def build_parser():
+    """The CLI's one parser, built on the first call and reused by every later
+    `main` call in the process.  `parse_args` only reads it: each call gets a
+    fresh Namespace, and usage and error text read the terminal width when
+    they are printed.  Callers must not change the parser."""
     parser = argparse.ArgumentParser(
         prog="curvkind",
         description="spectra, eigenvalue-sum bounds and vanishing certificates "
@@ -282,6 +289,10 @@ def main(argv=None):
             int(args.p)
         except ValueError:
             _fail(PARSE_ERROR, f"--p must be 'half', 'all' or an integer, got {args.p!r}")
+    kappa = getattr(args, "kappa", None)
+    if kappa is not None and not math.isfinite(kappa):
+        # the report echoes kappa, and JSON has no NaN or infinity
+        _fail(PARSE_ERROR, f"--kappa must be a finite number, got {kappa}")
     try:
         return args.func(args)
     except CurvkindError as exc:

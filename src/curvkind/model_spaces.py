@@ -113,6 +113,14 @@ def _capped(n):
     return n
 
 
+def _number(value, name):
+    """A JSON number as a float.  Strings and booleans are refused, not
+    converted, because the report echoes the spec as given."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ShapeMismatch(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def curvature_from_spec(spec):
     """Build a CurvatureTensor from a model-spec dictionary.
 
@@ -131,7 +139,7 @@ def curvature_from_spec(spec):
         raise ShapeMismatch("model spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "constant_curvature":
-        return constant_curvature(_capped(spec["n"]), float(spec.get("kappa", 1.0)))
+        return constant_curvature(_capped(spec["n"]), _number(spec.get("kappa", 1.0), "kappa"))
     if kind == "product_sphere":
         return product_sphere(_capped(spec["n"]))
     if kind == "su3_so3":
@@ -143,7 +151,7 @@ def curvature_from_spec(spec):
         return kulkarni_nomizu(h, np.asarray(spec["k"], dtype=float))
     if kind == "perturbed":
         base = curvature_from_spec(spec["base"])
-        return perturb_constant(base, float(spec["kappa"]))
+        return perturb_constant(base, _number(spec["kappa"], "kappa"))
     if kind == "dense":
         return CurvatureTensor(_capped(spec["n"]), np.asarray(spec["components"], dtype=float))
     raise ShapeMismatch(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")

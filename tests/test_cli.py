@@ -13,7 +13,7 @@ from curvkind import (
     random_curvature,
     ric_l_matrix,
 )
-from curvkind import model_spaces, operators, selftest, weights
+from curvkind import cli, model_spaces, operators, selftest, weights
 from curvkind.cli import main
 
 
@@ -140,6 +140,73 @@ def test_malformed_input_exit_2(tmp_path, capsys, monkeypatch, flag, text, nmax)
     code, out, err = run_cli(capsys, ["analyze", flag, text])
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+SU3 = '{"kind":"su3_so3"}'
+NOT_A_NUMBER = "cannot build curvature tensor: kappa must be a number, got"
+BAD_KAPPA = {
+    "flag-nan": (["--model", SU3, "--kappa=nan"], "--kappa must be a finite number, got nan"),
+    "flag-minus-inf": (["--model", SU3, "--kappa=-inf"],
+                       "--kappa must be a finite number, got -inf"),
+    "flag-inf": (["--model", SU3, "--kappa=inf"], "--kappa must be a finite number, got inf"),
+    "flag-overflow": (["--model", SU3, "--kappa=1e400"],
+                      "--kappa must be a finite number, got inf"),
+    "spec-string": (["--model", '{"kind":"constant_curvature","n":4,"kappa":"1"}'],
+                    f"{NOT_A_NUMBER} '1'"),
+    "spec-true": (["--model", '{"kind":"constant_curvature","n":4,"kappa":true}'],
+                  f"{NOT_A_NUMBER} True"),
+    "perturbed-string": (["--model", '{"kind":"perturbed","base":{"kind":"su3_so3"},"kappa":"-1"}'],
+                         f"{NOT_A_NUMBER} '-1'"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "certify"])
+@pytest.mark.parametrize("argv, message", BAD_KAPPA.values(), ids=BAD_KAPPA)
+def test_bad_kappa_exit_2(capsys, command, argv, message):
+    # the report echoes kappa: NaN and infinities are not JSON, and a string
+    # or boolean would be echoed as given while a number was used
+    assert run_cli(capsys, [command, *argv]) == (2, "", f"error: {message}\n")
+
+
+# (argv, terminal width) per call
+REUSE_SEQUENCE = [
+    (["analyze", "--model", SU3, "--p", "all", "--table"], 100),
+    (["analyze", "--model", SU3], 100),
+    (["certify", "--model", SU3, "--kappa", "-0.5"], 100),
+    (["certify", "--model", SU3], 100),
+    (["spectrum", "--model", SU3, "--operator", "first"], 100),
+    (["spectrum", "--model", SU3], 100),
+    (["analyze", "--model", SU3, "--p"], 100),
+    (["analyze", "--model", SU3, "--p"], 40),
+    (["analyze", "--model", SU3, "--p", "x"], 100),
+    (["--version"], 100),
+    (["certify", "--model", SU3], 100),
+]
+
+
+def test_parser_built_once_and_reused(capsys, monkeypatch):
+    def run_sequence():
+        results = []
+        for argv, columns in REUSE_SEQUENCE:
+            monkeypatch.setenv("COLUMNS", str(columns))
+            results.append(run_cli(capsys, argv))
+        return results
+
+    with monkeypatch.context() as fresh_parsers:
+        fresh_parsers.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = run_sequence()
+    cli.build_parser.cache_clear()
+    reused = run_sequence()
+    built = cli.build_parser.cache_info()
+    assert (built.misses, built.hits) == (1, len(REUSE_SEQUENCE) - 1)
+    # no option, default or subcommand of one call leaks into the next
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0] * 6 + [2, 2, 2, 0, 0]
+    assert reused[-1] == reused[3]
+    # usage is laid out at the width read when it is printed
+    wide, narrow = reused[6][2], reused[7][2]
+    assert wide.startswith("usage: curvkind analyze") and narrow.startswith("usage:")
+    assert wide != narrow
 
 
 @pytest.mark.parametrize(
