@@ -7,10 +7,8 @@ Run from the repository root:
 This directory lies outside the pytest test paths, so the tier-1 suite does
 not run it.  second_kind_matrix is timed on random tensors for
 n in {5, 8, 10, 12}.  The eigensolve is timed on the Ric_L of a random n = 12
-tensor, which is irreducible: at (12, 5) the whole matrix, at (12, 6) the
-self-dual block A + B that ric_l_spectrum solves.  There block_eigvalsh finds
-one component and solves it whole, so its time less that of a plain
-np.linalg.eigvalsh is the cost of looking for blocks.
+tensor: at (12, 5) the whole matrix, at (12, 6) the self-dual block A + B
+that ric_l_spectrum solves.
 """
 
 import numpy as np
@@ -18,7 +16,6 @@ import pytest
 
 from curvkind import Analysis, random_curvature, ric_l_matrix, second_kind_matrix
 from curvkind.bochner import _hodge_table
-from curvkind.operators import block_eigvalsh
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +39,6 @@ def irreducible(rng):
     return {"12-5": ric_l_matrix(a, 5), "12-6": A + B}
 
 
-@pytest.mark.parametrize("solve", [np.linalg.eigvalsh, block_eigvalsh],
-                         ids=["eigvalsh", "block_eigvalsh"])
 @pytest.mark.parametrize("case", ["12-5", "12-6"])
-def test_eigensolve(benchmark, irreducible, case, solve):
-    benchmark(solve, irreducible[case])
+def test_eigensolve(benchmark, irreducible, case):
+    benchmark(np.linalg.eigvalsh, irreducible[case])

@@ -9,7 +9,6 @@ from .bochner import (
     FormS02Expansion,
     act_sym_on_form,
     bochner_decomposition,
-    bochner_ricci_diagonal_residual,
     form_s02_expansion,
     form_two_point,
     general_tensor_bochner_check,
@@ -45,7 +44,6 @@ from .operators import (
     act_sym_dense,
     cluster_eigenvalues,
     first_kind_matrix,
-    rbar_apply,
     ricci_scalar,
     second_kind_matrix,
     spectral_decomposition,
@@ -64,7 +62,6 @@ from .tensor_core import (
     rotate_form,
     s02_dimension,
     sort_with_sign,
-    sym_inner,
     trace_free_project,
     validate_curvature,
 )

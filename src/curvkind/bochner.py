@@ -61,8 +61,6 @@ from .tensor_core import (
     canonical_s02_basis,
     multi_index_array,
     require_square,
-    rotate_curvature,
-    rotate_form,
 )
 
 
@@ -498,32 +496,6 @@ def general_tensor_bochner_check(R, T):
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
-def bochner_ricci_diagonal_residual(R, w):
-    """Residual of the Ricci-diagonal form of the decomposition.
-
-    The frame is rotated to diagonalize Ric; there the Ricci term becomes
-    (n-2p)/n * sum_I (sum_{i in I} Ric_ii) w_I^2 over all index tuples.
-    """
-    summary = ricci_scalar(R)
-    _, Q = np.linalg.eigh(summary.ricci)
-    Rr = rotate_curvature(R, Q)
-    wr = rotate_form(w, Q)
-    n, p = R.n, w.p
-    if p == 0:
-        return 0.0
-    rsum = ricci_scalar(Rr)
-    ric_diag = np.diag(rsum.ricci)
-    ric_sums = ric_diag[multi_index_array(n, p)].sum(axis=1)
-    weighted = math.factorial(p) * float(ric_sums @ wr.coeffs**2)
-    lhs = 1.5 * ric_l_quadratic(Rr, wr)
-    rhs = (
-        second_kind_form_term(Rr, wr)
-        + ((n - 2 * p) / n) * weighted
-        + (p**2 / n**2) * rsum.scalar * wr.norm_sq
-    )
-    return abs(lhs - rhs) / (1.0 + abs(lhs))
-
-
 def _is_diagonal(X):
     """True when the square X has no nonzero entry off its diagonal."""
     return np.count_nonzero(X) == np.count_nonzero(X.diagonal())
@@ -576,9 +548,6 @@ def ric_l_spectrum(analysis, p):
       holds A and B to the same threshold.
     * Every other degree solves the whole matrix.  Degrees p and n-p share
       one spectrum.
-
-    Every solve is operators.block_eigvalsh: a reducible matrix is split
-    over the connected components of its nonzero pattern.
     """
     n = analysis.n
     if not 1 <= p < n:

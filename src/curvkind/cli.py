@@ -4,14 +4,17 @@ certificates as JSON or text tables.
 Subcommands: analyze, certify, spectrum, selftest.  Input is either
 --model '<json>' (the model-spec vocabulary of model_spaces) or
 --dense <path> pointing at {"n": int, "components": [n^4 floats]} in
-row-major (i, j, k, l) order.  Exit codes: 2 for unparsable input, 3 when
-the tensor fails the curvature-symmetry validation.
+row-major (i, j, k, l) order.  Exit codes: 1 when a selftest check fails or
+the reader closes stdout, 2 for unparsable input, 3 when the tensor fails
+the curvature-symmetry validation.
 """
 
 import argparse
 import functools
 import json
 import math
+import os
+import re
 import sys
 
 import numpy as np
@@ -24,7 +27,7 @@ from .operators import Analysis, cluster_eigenvalues, spectrum
 from .tensor_core import validate_curvature
 from .weights import certify, constants, k_positivity_profile, ric_l_lower_bound
 
-PARSE_ERROR, VALIDATION_ERROR = 2, 3
+CLOSED_OUTPUT, PARSE_ERROR, VALIDATION_ERROR = 1, 2, 3
 
 
 def _fail(code, message):
@@ -137,7 +140,7 @@ def _analysis_report(a, descriptor, kappa=None, p_mode="half"):
 
 
 def _emit_json(payload):
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _fmt(x):
@@ -232,6 +235,11 @@ def _cmd_selftest(args):
 
 
 def _add_input_and_format(parser):
+    # argparse's default pattern knows only "-1" and "-0.5" as negative
+    # numbers and takes "-1e-3" for an option; no option of this CLI is
+    # spelled like a negative number, so "-<digit>" and "-.<digit>" are
+    # always values
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
     parser.add_argument("--model", help="inline model-spec JSON")
     parser.add_argument("--dense", help="path to a dense-components JSON file")
     parser.add_argument("--kappa", type=float, default=None, help="estimate hypothesis level")
@@ -294,9 +302,17 @@ def main(argv=None):
         # the report echoes kappa, and JSON has no NaN or infinity
         _fail(PARSE_ERROR, f"--kappa must be a finite number, got {kappa}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout raises here, not at the interpreter's exit
+        sys.stdout.flush()
+        return code
     except CurvkindError as exc:
         _fail(PARSE_ERROR, str(exc))
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_OUTPUT
 
 
 if __name__ == "__main__":

@@ -113,12 +113,31 @@ def _capped(n):
     return n
 
 
+def _numbers(value, name):
+    """A JSON number, or nested lists of them, as a float array.  Strings and
+    booleans are refused, not converted, because the report echoes the spec
+    as given.  Each distinct entry type is checked once, and the first
+    refused entry is named."""
+    array = np.asarray(value, dtype=object)
+    entries = array.ravel()
+    refused = {
+        kind
+        for kind in set(map(type, entries))
+        if issubclass(kind, (bool, np.bool_))
+        or not issubclass(kind, (int, float, np.integer, np.floating))
+    }
+    if refused:
+        bad = next(x for x in entries if type(x) in refused)
+        raise ShapeMismatch(f"{name} must be a number, got {bad!r}")
+    return array.astype(float)
+
+
 def _number(value, name):
-    """A JSON number as a float.  Strings and booleans are refused, not
-    converted, because the report echoes the spec as given."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    """A JSON number as a float, under the rule of _numbers."""
+    x = _numbers(value, name)
+    if x.ndim:
         raise ShapeMismatch(f"{name} must be a number, got {value!r}")
-    return float(value)
+    return float(x)
 
 
 def curvature_from_spec(spec):
@@ -146,12 +165,13 @@ def curvature_from_spec(spec):
         _capped(5)  # SU(3)/SO(3) is 5-dimensional
         return su3_so3()
     if kind == "kn_product":
-        h = np.asarray(spec["h"], dtype=float)
+        h = _numbers(spec["h"], "every entry of h")
         _capped(len(h))
-        return kulkarni_nomizu(h, np.asarray(spec["k"], dtype=float))
+        return kulkarni_nomizu(h, _numbers(spec["k"], "every entry of k"))
     if kind == "perturbed":
         base = curvature_from_spec(spec["base"])
         return perturb_constant(base, _number(spec["kappa"], "kappa"))
     if kind == "dense":
-        return CurvatureTensor(_capped(spec["n"]), np.asarray(spec["components"], dtype=float))
+        n = _capped(spec["n"])
+        return CurvatureTensor(n, _numbers(spec["components"], "every entry of components"))
     raise ShapeMismatch(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")

@@ -1,18 +1,13 @@
 """Self-adjoint operators induced by an algebraic curvature tensor.
 
-* rbar_apply: h |-> sum_{kl} R_{iklj} h_{kl} on symmetric 2-tensors; it
-  sends the metric to -Ric and equals the identity on trace-free tensors
-  for the unit sphere.
-* second_kind_matrix: the trace-free restriction, as a symmetric matrix
-  over the canonical orthonormal basis of S^2_0 (dimension (n-1)(n+2)/2).
+* second_kind_matrix: R-bar h = sum_{kl} R_{iklj} h_{kl} restricted to
+  trace-free symmetric 2-tensors, as a symmetric matrix over the canonical
+  orthonormal basis of S^2_0 (dimension (n-1)(n+2)/2).
 * first_kind_matrix: the operator on 2-forms over the unit-norm wedge
   basis {e_i ^ e_j}_{i<j}, entries R_{ijkl}.
 * require_symmetric / spectrum / cluster_eigenvalues: the symmetry gate,
   deterministic symmetric (or Hermitian) eigensolve and multiplicity
   grouping.
-* block_eigvalsh: the one eigenvalue solve behind spectrum and
-  bochner.ric_l_spectrum, block by block over the connected components of
-  the nonzero pattern.
 * Analysis: the three facts about R that the certificates and the Ric_L
   bounds read (summary, first-kind matrix, second-kind spectrum), each
   computed once, when first read.
@@ -27,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotSymmetric
-from .tensor_core import CurvatureTensor, canonical_s02_basis, multi_indices, require_square
+from .tensor_core import CurvatureTensor, canonical_s02_basis, multi_indices
 
 
 @dataclass(frozen=True)
@@ -46,12 +41,6 @@ class CurvatureSummary:
         if tol is None:
             tol = 1e-10 * max(1.0, abs(self.scalar))
         return self.einstein_defect <= tol
-
-
-def rbar_apply(R, h):
-    """(R-bar h)_{ij} = sum_{kl} R_{iklj} h_{kl} for symmetric h."""
-    h = require_square(h, n=R.n)
-    return np.einsum("iklj,kl->ij", R.components, h)
 
 
 def ricci_scalar(R):
@@ -119,49 +108,10 @@ def require_symmetric(M, symmetry_tol=None):
     return M
 
 
-def block_eigvalsh(M):
-    """Ascending eigenvalues of a symmetric or Hermitian M that has passed
-    require_symmetric.
-
-    M is solved block by block over the connected components of its
-    off-diagonal nonzero pattern, found by breadth-first search.  The
-    pattern is (M != 0) | (M.T != 0): the gate lets one triangle hold a tiny
-    entry where the other holds 0, and both must link the same two rows so
-    that the components do not overlap.  A row with no off-diagonal entry
-    contributes its diagonal entry exactly; every other component gets one
-    eigvalsh on its rows and columns, kept in their order, so each block
-    reads the same lower-triangle entries as a whole-matrix solve.  An
-    irreducible M is solved whole, with no copy.
-    """
-    nonzero = M != 0
-    linked = nonzero | nonzero.T
-    np.fill_diagonal(linked, False)
-    single = ~linked.any(axis=1)
-    values = [M.diagonal().real[single]]
-    todo = ~single
-    while todo.any():
-        member = np.zeros(len(M), dtype=bool)
-        frontier = member.copy()
-        frontier[np.argmax(todo)] = True
-        while frontier.any():
-            member |= frontier
-            frontier = linked[frontier].any(axis=0) & ~member
-        if member.all():
-            return np.linalg.eigvalsh(M)
-        block = np.flatnonzero(member)
-        values.append(np.linalg.eigvalsh(M[np.ix_(block, block)]))
-        todo &= ~member
-    return np.sort(np.concatenate(values))
-
-
 def spectrum(M, symmetry_tol=None):
-    """Ascending eigenvalues of a symmetric matrix (gated by require_symmetric).
-
-    The solve is block_eigvalsh: a matrix whose nonzero pattern splits into
-    blocks, such as the diagonal Ric_L of a constant-curvature tensor, is
-    solved one block at a time.
-    """
-    return block_eigvalsh(require_symmetric(M, symmetry_tol))
+    """Ascending eigenvalues of a symmetric or Hermitian matrix (gated by
+    require_symmetric)."""
+    return np.linalg.eigvalsh(require_symmetric(M, symmetry_tol))
 
 
 def spectral_decomposition(M, symmetry_tol=None):

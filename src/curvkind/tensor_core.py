@@ -197,11 +197,6 @@ def trace_free_project(S):
     return S - (np.trace(S) / n) * np.eye(n)
 
 
-def sym_inner(A, B):
-    """<A, B> = sum_{ij} A_{ij} B_{ij}."""
-    return float(np.sum(np.asarray(A) * np.asarray(B)))
-
-
 def canonical_s02_basis(n):
     """Orthonormal basis of trace-free symmetric 2-tensors, shape (N, n, n).
 
@@ -210,7 +205,8 @@ def canonical_s02_basis(n):
 
         (-(n-k) e^k x e^k + sum_{l>k} e^l x e^l) / sqrt((n-k+1)(n-k)).
 
-    Pairwise orthonormal under sym_inner, each trace-free; N = (n-1)(n+2)/2.
+    Pairwise orthonormal under <A, B> = sum_{ij} A_{ij} B_{ij}, each
+    trace-free; N = (n-1)(n+2)/2.
     """
     n = check_dimension(n)
     out = np.zeros((s02_dimension(n), n, n))

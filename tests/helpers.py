@@ -11,13 +11,30 @@ from curvkind import (
     first_kind_matrix,
     kulkarni_nomizu,
     multi_indices,
+    ric_l_quadratic,
     ricci_scalar,
+    rotate_curvature,
+    rotate_form,
+    second_kind_form_term,
     second_kind_matrix,
     sort_with_sign,
-    sym_inner,
 )
 from curvkind.bochner import _slot_table
 from curvkind.operators import _gram_against
+from curvkind.tensor_core import multi_index_array, require_square
+
+
+def sym_inner(A, B):
+    """<A, B> = sum_{ij} A_{ij} B_{ij}."""
+    return float(np.sum(np.asarray(A) * np.asarray(B)))
+
+
+def rbar_apply(R, h):
+    """(R-bar h)_{ij} = sum_{kl} R_{iklj} h_{kl} for symmetric h: it sends the
+    metric to -Ric and is the identity on trace-free tensors for the unit
+    sphere."""
+    h = require_square(h, n=R.n)
+    return np.einsum("iklj,kl->ij", R.components, h)
 
 
 def make_einstein(R):
@@ -90,6 +107,32 @@ def ric_l_by_derivations(R, p):
     return np.bincount(target.ravel(), terms.ravel(), minlength=count * count).reshape(
         count, count
     )
+
+
+def bochner_ricci_diagonal_residual(R, w):
+    """Residual of the Ricci-diagonal form of the decomposition.
+
+    The frame is rotated to diagonalize Ric; there the Ricci term becomes
+    (n-2p)/n * sum_I (sum_{i in I} Ric_ii) w_I^2 over all index tuples.
+    """
+    summary = ricci_scalar(R)
+    _, Q = np.linalg.eigh(summary.ricci)
+    Rr = rotate_curvature(R, Q)
+    wr = rotate_form(w, Q)
+    n, p = R.n, w.p
+    if p == 0:
+        return 0.0
+    rsum = ricci_scalar(Rr)
+    ric_diag = np.diag(rsum.ricci)
+    ric_sums = ric_diag[multi_index_array(n, p)].sum(axis=1)
+    weighted = math.factorial(p) * float(ric_sums @ wr.coeffs**2)
+    lhs = 1.5 * ric_l_quadratic(Rr, wr)
+    rhs = (
+        second_kind_form_term(Rr, wr)
+        + ((n - 2 * p) / n) * weighted
+        + (p**2 / n**2) * rsum.scalar * wr.norm_sq
+    )
+    return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
 def multi_index_positions(n, p):

@@ -12,7 +12,6 @@ from curvkind import (
     bochner,
     act_sym_on_form,
     bochner_decomposition,
-    bochner_ricci_diagonal_residual,
     cluster_eigenvalues,
     constant_curvature,
     form_s02_expansion,
@@ -43,7 +42,13 @@ from curvkind.bochner import (
     _wedge_table,
 )
 from curvkind.operators import first_kind_matrix, ricci_scalar
-from helpers import form_two_point_dense, make_einstein, multi_index_positions, ric_l_by_derivations
+from helpers import (
+    bochner_ricci_diagonal_residual,
+    form_two_point_dense,
+    make_einstein,
+    multi_index_positions,
+    ric_l_by_derivations,
+)
 
 
 # --- the action of symmetric tensors on forms -------------------------------
@@ -328,10 +333,11 @@ def _reducible_models(n, rng):
 
 
 def test_ric_l_spectrum_middle_degree_split():
-    # every degree p = 1..n-1, not only the middle one: ric_l_spectrum and
-    # spectrum solve each connected block of M on its own and must match a
-    # whole-matrix eigvalsh; n = 6, 10 have ** = -1 in the middle degree and
-    # solve the Hermitian A + iB, n = 4, 8, 12 split it into self-dual blocks
+    # every degree p = 1..n-1, not only the middle one, on tensors whose M
+    # splits into blocks and on a random one: ric_l_spectrum and spectrum
+    # must match a whole-matrix eigvalsh; n = 6, 10 have ** = -1 in the
+    # middle degree and solve the Hermitian A + iB, n = 4, 8, 12 split it
+    # into self-dual blocks
     rng = np.random.default_rng(14)
     for n in (4, 5, 6, 8, 10, 12):
         cases = {**_reducible_models(n, rng), "random": random_curvature(n, rng)}

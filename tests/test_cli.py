@@ -1,5 +1,8 @@
 from collections import Counter
 import json
+import os
+from pathlib import Path
+import subprocess
 import sys
 
 import numpy as np
@@ -121,6 +124,16 @@ MALFORMED = {
     "components-string": ("--model", '{"kind":"dense","n":3,"components":"abc"}', None),
     "h-string-entry": ("--model", '{"kind":"kn_product","h":[[1,"a"],[0,1]],"k":[[1,0],[0,1]]}',
                        None),
+    # numeric strings and booleans are refused, not converted and echoed
+    "h-numeric-strings": ("--model",
+                          '{"kind":"kn_product","h":[["1","0"],["0",true]],"k":[[1,0],[0,1]]}',
+                          None),
+    "k-boolean-entry": ("--model", '{"kind":"kn_product","h":[[1,0],[0,1]],"k":[[1,0],[0,true]]}',
+                        None),
+    "components-numeric-strings": ("--model", json.dumps(
+        {"kind": "dense", "n": 2, "components": ["0"] * 16}), None),
+    "dense-file-boolean-component": ("--dense", json.dumps(
+        {"n": 2, "components": [0] * 15 + [False]}), None),
     "dense-file-list": ("--dense", "[1, 2, 3]", None),
     "dense-file-string": ("--dense", '"abc"', None),
     "dense-file-other-kind": ("--dense", '{"kind": "su3_so3"}', None),
@@ -166,6 +179,46 @@ def test_bad_kappa_exit_2(capsys, command, argv, message):
     # the report echoes kappa: NaN and infinities are not JSON, and a string
     # or boolean would be echoed as given while a number was used
     assert run_cli(capsys, [command, *argv]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "certify"])
+@pytest.mark.parametrize("kappa", ["-1e-3", "-1E-3", "-1.", "-.5e1"])
+def test_negative_kappa_any_notation(capsys, command, kappa):
+    # argparse's own negative-number pattern knows only "-1" and "-0.5"
+    joined = run_cli(capsys, [command, "--model", SU3, f"--kappa={kappa}"])
+    assert joined[0] == 0
+    assert run_cli(capsys, [command, "--model", SU3, "--kappa", kappa]) == joined
+
+
+@pytest.mark.parametrize("kappa", ["-inf", "-nan", "-1e400"])
+def test_negative_kappa_non_finite_exit_2(capsys, kappa):
+    code, out, err = run_cli(capsys, ["certify", "--model", SU3, "--kappa", kappa])
+    assert code == 2 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--model", SU3],
+    ["analyze", "--model", SU3, "--table"],
+    ["spectrum", "--model", SU3],
+])
+def test_closed_stdout_exit_1_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    try:
+        done = subprocess.run([sys.executable, "-m", "curvkind.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+def test_reports_refuse_non_finite_numbers(capsys, monkeypatch):
+    # a NaN that reached a report would print as NaN, which is not JSON
+    monkeypatch.setattr(cli, "_certificate_dicts", lambda certs: [{"sums": float("nan")}])
+    with pytest.raises(ValueError, match="JSON compliant"):
+        main(["certify", "--model", SU3])
 
 
 # (argv, terminal width) per call

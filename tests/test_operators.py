@@ -12,7 +12,6 @@ from curvkind import (
     product_sphere,
     random_curvature,
     random_trace_free,
-    rbar_apply,
     ricci_scalar,
     s02_dimension,
     second_kind_matrix,
@@ -20,8 +19,14 @@ from curvkind import (
     spectrum,
     su3_so3,
 )
-from curvkind.operators import block_eigvalsh, require_symmetric
-from helpers import make_einstein, quadratic_form_identity_check, random_symmetric, rbar_full_matrix
+from curvkind.operators import require_symmetric
+from helpers import (
+    make_einstein,
+    quadratic_form_identity_check,
+    random_symmetric,
+    rbar_apply,
+    rbar_full_matrix,
+)
 
 
 def test_rbar_sphere_formula():
@@ -144,43 +149,6 @@ def test_spectrum_basics():
     assert np.allclose(spectrum(np.array([[0.0, 1j], [-1j, 0.0]])), [-1.0, 1.0])
     with pytest.raises(NotSymmetric):
         spectrum(np.array([[0.0, 1j], [1j, 0.0]]))
-
-
-def test_block_eigvalsh_against_whole_solve():
-    rng = np.random.default_rng(21)
-    # blocks of 1, 3, 1, 4 and 2 rows, under a random row/column permutation
-    sizes = (1, 3, 1, 4, 2)
-    N = sum(sizes)
-    M = np.zeros((N, N))
-    start = 0
-    for size in sizes:
-        M[start:start + size, start:start + size] = random_symmetric(size, rng)
-        start += size
-    order = rng.permutation(N)
-    M = M[np.ix_(order, order)]
-
-    def check(M):
-        whole = np.linalg.eigvalsh(M)
-        got = block_eigvalsh(require_symmetric(M))
-        assert got.shape == whole.shape
-        assert np.abs(got - whole).max() <= 1e-12 * (1 + np.abs(whole).max())
-
-    check(M)
-    # a Hermitian matrix with the same blocks (ric_l_spectrum's A + iB)
-    skew = rng.standard_normal((N, N)) * (M != 0)
-    check(M + 1j * (skew - skew.T))
-    # the gate lets one triangle hold a 1e-17 entry where the other holds 0:
-    # it must link the two rows whichever triangle holds it
-    i, j = np.flatnonzero(order == 0)[0], np.flatnonzero(order == N - 1)[0]
-    for a, b in ((i, j), (j, i)):
-        linked = M.copy()
-        linked[a, b] = 1e-17
-        check(linked)
-    # an all-diagonal matrix needs no solve: its diagonal, bit for bit
-    D = np.diag(rng.standard_normal(9))
-    assert np.array_equal(block_eigvalsh(D), np.sort(np.diag(D)))
-    assert block_eigvalsh(np.zeros((0, 0))).shape == (0,)
-    assert np.array_equal(block_eigvalsh(np.array([[-2.5]])), [-2.5])
 
 
 def test_symmetry_gate_stripes():

@@ -19,12 +19,11 @@ from curvkind import (
     rotate_form,
     s02_dimension,
     sort_with_sign,
-    sym_inner,
     trace_free_project,
     validate_curvature,
 )
 from curvkind.tensor_core import multi_index_array
-from helpers import random_symmetric, to_dense_by_permutations
+from helpers import random_symmetric, sym_inner, to_dense_by_permutations
 
 
 def test_sort_with_sign():
