@@ -1,6 +1,7 @@
 """Timings of the p-form paths at the CLI cap: the dense form, the two-point
-matrix, the Bochner decomposition, its dense oracle and the Ogiue-Tachibana
-term.
+matrix, the Bochner decomposition, its dense oracle, and the two oracles of
+its operator term, the canonical-basis second_kind_form_term and the
+Ogiue-Tachibana term.
 
 Run from the repository root:
 
@@ -8,7 +9,8 @@ Run from the repository root:
 
 This directory lies outside the pytest test paths, so the tier-1 suite does
 not run it.  (12, 6) is the middle degree at the cap.  bochner_decomposition
-and form_two_point read the wedge tables; PForm.to_dense and ric_l_quadratic
+and form_two_point read the wedge tables, and bochner_decomposition takes its
+operator term from them with no basis; PForm.to_dense and ric_l_quadratic
 build the n^p dense form, 24 MB at (12, 6).  The bochner_decomposition cases
 also record, as extra_info, the tracemalloc peak of one warm call.
 """
@@ -26,6 +28,7 @@ from curvkind import (
     ogiue_tachibana_term,
     random_curvature,
     ric_l_quadratic,
+    second_kind_form_term,
 )
 
 CASES = [(11, 5), (12, 6)]
@@ -73,3 +76,8 @@ def test_ric_l_quadratic(benchmark, inputs, n, p):
 @pytest.mark.parametrize("n, p", CASES)
 def test_ogiue_tachibana_term(benchmark, inputs, n, p):
     benchmark(ogiue_tachibana_term, *inputs[n, p])
+
+
+@pytest.mark.parametrize("n, p", CASES)
+def test_second_kind_form_term(benchmark, inputs, n, p):
+    benchmark(second_kind_form_term, *inputs[n, p])

@@ -5,10 +5,10 @@ Run from the repository root:
     PYTHONPATH=src python -m pytest benchmarks/bench_operators.py --benchmark-only
 
 This directory lies outside the pytest test paths, so the tier-1 suite does
-not run it.  second_kind_matrix is timed on random tensors for
-n in {5, 8, 10, 12}.  The eigensolve is timed on the Ric_L of a random n = 12
-tensor: at (12, 5) the whole matrix, at (12, 6) the self-dual block A + B
-that ric_l_spectrum solves.
+not run it.  second_kind_matrix, two GEMMs over the flattened basis, is
+timed on random tensors for n in {5, 8, 10, 12}.  The eigensolve is timed
+on the Ric_L of a random n = 12 tensor: at (12, 5) the whole matrix, at
+(12, 6) the self-dual block A + B that ric_l_spectrum solves.
 """
 
 import numpy as np

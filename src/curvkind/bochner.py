@@ -27,6 +27,20 @@ taken twice, for n = 2 (mod 4).
 
 bochner_decomposition and form_two_point read w through the same wedges
 (_opened); the n^p dense form, with ric_l_quadratic, is their oracle.
+bochner_decomposition takes its operator term from the same two Grams,
+U^T U and V^T V, against R-bar made symmetric and trace-free in each index
+pair (_s02_form_term): no S^2_0 basis and no expansion.  Its oracles
+evaluate it independently: second_kind_form_term pairs second_kind_matrix
+with the expansion Gram over the canonical basis, and ogiue_tachibana_term
+uses the non-orthogonal family e^i (.) e^j.  None of the tables
+(_wedge_table, _through, _slot_table, _ric_l_plan, _ogiue_tachibana_family)
+reads curvature; each is cached and read-only.
+
+The five evaluations on one p-form (form_s02_expansion,
+second_kind_form_term, bochner_decomposition, ogiue_tachibana_term and
+ric_l_quadratic) run their products on one OpenBLAS thread
+(_blas.one_blas_thread): at n <= 12 a second thread saves little, and its
+spinning between calls makes a loop over them as slow as the host is busy.
 
 The quadratic curvature term is
 
@@ -47,6 +61,7 @@ import math
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import DimensionMismatch, POutOfRange
 from .operators import (
     act_sym_dense,
@@ -54,6 +69,7 @@ from .operators import (
     ricci_scalar,
     second_kind_matrix,
     spectrum,
+    _rbar_matrix,
     _symmetry_tol,
 )
 from .tensor_core import (
@@ -65,7 +81,7 @@ from .tensor_core import (
 
 
 def _frozen(x, dtype):
-    """A read-only copy of x in the given compact integer dtype."""
+    """A read-only copy of x in the given dtype (a compact integer one for an index table)."""
     x = np.asarray(x).astype(dtype)
     x.flags.writeable = False
     return x
@@ -99,10 +115,11 @@ def _wedge_table(n, q):
     return _frozen(row, np.int32), _frozen(sign, np.int8)
 
 
+@lru_cache(maxsize=None)
 def _through(n, q, k):
     """The k-fold wedges e_G ^ e_K with the q-forms e_K, k in {1, 2}.
 
-    Returns arrays (row, sign, g) of shape (C(n,q), C(n-q,k)): for the
+    Returns read-only arrays (row, sign, g) of shape (C(n,q), C(n-q,k)): for the
     q-tuple K in row k of the sorted basis, one entry per k-tuple G disjoint
     from K, in sorted order, with e_G ^ e_K = sign * e_row.  g indexes G: it
     is G's element for k = 1, and G's row in the sorted basis of 2-forms
@@ -117,17 +134,14 @@ def _through(n, q, k):
         row = up_row[row[:, d], c]
     hub, g = np.nonzero(sign)
     width = math.comb(n - q, k)
-    return (
-        row[hub, g].reshape(-1, width),
-        sign[hub, g].reshape(-1, width),
-        g.reshape(-1, width),
-    )
+    return tuple(_frozen(x.reshape(-1, width), x.dtype) for x in (row[hub, g], sign[hub, g], g))
 
 
+@lru_cache(maxsize=None)
 def _slot_table(n, p):
     """How a 2-tensor acts slot by slot on p-forms over the sorted basis.
 
-    Returns integer arrays (target, a, j, source, sign), one entry per
+    Returns read-only integer arrays (target, a, j, source, sign), one entry per
     (I, slot m, j) for which I[m->j] repeats no index: C(n,p) * p * (n-p+1)
     entries.  S acts as sum_{a,j} S[a, j] e_a ^ i_j, through the
     (p-1)-forms K = I \\ {a}: with e_a ^ e_K = s_a e_I, e_j ^ e_K =
@@ -136,7 +150,7 @@ def _slot_table(n, p):
         (S w)_I = sum over the entries of I of S[a, j] * sign * w[source].
     """
     if p == 0:
-        return (np.zeros(0, dtype=np.intp),) * 5
+        return (_frozen(np.zeros(0), np.intp),) * 5
     row, sign, g = _through(n, p - 1, 1)
     table = np.broadcast_arrays(
         row[:, :, None],
@@ -145,7 +159,7 @@ def _slot_table(n, p):
         row[:, None, :],
         sign[:, :, None] * sign[:, None, :],
     )
-    return tuple(x.ravel() for x in table)
+    return tuple(_frozen(x.ravel(), x.dtype) for x in table)
 
 
 @lru_cache(maxsize=None)
@@ -226,6 +240,7 @@ class FormS02Expansion:
         return fact * (self.coefficient_matrix @ self.coefficient_matrix.T)
 
 
+@one_blas_thread
 def form_s02_expansion(w):
     """Expand w over the canonical trace-free basis and collect the weights.
 
@@ -241,14 +256,17 @@ def form_s02_expansion(w):
     )
 
 
+@one_blas_thread
 def second_kind_form_term(R, w):
     """g(second-kind(w^{S^2_0}), w^{S^2_0}) via the canonical-basis matrix."""
     return float(np.einsum("ab,ab->", second_kind_matrix(R), form_s02_expansion(w).gram()))
 
 
+@one_blas_thread
 def ric_l_quadratic(R, w):
-    """The curvature term g(Ric_L w, w), contracted on the dense n^p form: the
-    oracle for bochner_decomposition and ric_l_matrix, sharing no table."""
+    """The curvature term g(Ric_L w, w), contracted on the dense n^p form
+    through the Gram of its slices w_{ij...}, i < j: the oracle for
+    bochner_decomposition and ric_l_matrix, sharing no table."""
     n, p = R.n, w.p
     if w.n != n:
         raise DimensionMismatch("form and curvature live on different dimensions")
@@ -256,15 +274,20 @@ def ric_l_quadratic(R, w):
         return 0.0
     summary = ricci_scalar(R)
     dense = w.to_dense()
-    flat1 = dense.reshape(n, -1)
-    term1 = float(np.einsum("ij,ij->", summary.ricci, flat1 @ flat1.T))
-    total = p * term1
-    if p >= 2:
-        flat2 = dense.reshape(n * n, -1)
-        R4 = R.components.reshape(n * n, n * n)
-        term2 = float(np.sum((R4 @ flat2) * flat2))
-        total -= 0.5 * p * (p - 1) * term2
-    return total
+    if p == 1:
+        return float(dense @ summary.ricci @ dense)
+    # G[i, j, k, l] = sum over i_3..i_p of w_{ij...} w_{kl...} is alternating
+    # in (i, j) and in (k, l), so the slices with i < j give all of it; its
+    # partial trace is W[i, k] = sum over i_2..i_p of w_{i...} w_{k...}
+    i, j = np.triu_indices(n, 1)
+    half = dense.reshape(n, n, -1)[i, j]
+    G = np.zeros((n, n, n, n))
+    G[i[:, None], j[:, None], i, j] = half @ half.T
+    G = G - G.transpose(1, 0, 2, 3)
+    G = G - G.transpose(0, 1, 3, 2)
+    term1 = float(np.einsum("ij,ikjk->", summary.ricci, G))
+    term2 = float(np.einsum("ijkl,ijkl->", R.components, G))
+    return p * term1 - 0.5 * p * (p - 1) * term2
 
 
 def ric_l_matrix(analysis, p):
@@ -366,12 +389,50 @@ class BochnerReport:
     einstein_residual: float | None = None
 
 
+def _s02_form_term(R, W, G, p):
+    """The second-kind quadratic form on w^{S^2_0}, from the two Grams of w.
+
+    With E_aj the matrix unit acting on p-forms, the expansion Gram over an
+    orthonormal basis B of S^2_0 (flattened to rows) is B Q B^T, where
+
+        Q[(a,j), (b,k)] = <E_aj w, E_bk w>
+                        = p d_ab W_jk - p(p-1) sum_M w_{jbM} w_{kaM},
+
+    W = form_two_point(w) = (p-1)! U^T U, and the sum over all (p-2)-tuples M
+    is G = (p-2)! V^T V on the sorted pairs (j < b, k < a), antisymmetric in
+    each pair.  The second-kind matrix is B Rbar B^T, so the term is
+    <P Rbar P, Q>, where P = B^T B makes each index pair symmetric and
+    trace-free: no basis and no expansion.
+    """
+    n = R.n
+    eye = np.eye(n)
+    # P Rbar P, with Rbar[a, j, b, k] = R_{bajk}
+    X = _rbar_matrix(R).reshape(n, n, n, n)
+    X = X + X.transpose(1, 0, 2, 3)
+    X = 0.25 * (X + X.transpose(0, 1, 3, 2))
+    X = X - eye[:, :, None, None] * (np.einsum("aabk->bk", X) / n)
+    X = X - (np.einsum("ajbb->aj", X) / n)[:, :, None, None] * eye
+    term = p * float(np.vdot(np.einsum("ajak->jk", X), W))
+    if p >= 2:
+        # pair X[a, j, b, k] with the sum at [j, b, k, a], antisymmetric in
+        # (j, b) and in (k, a), then keep the sorted pairs that G holds
+        Y = X.transpose(1, 2, 3, 0)
+        Y = Y - Y.transpose(1, 0, 2, 3)
+        Y = Y - Y.transpose(0, 1, 3, 2)
+        i, j = np.triu_indices(n, 1)
+        term -= p * (p - 1) * float(np.vdot(Y[i[:, None], j[:, None], i, j], G))
+    return term
+
+
+@one_blas_thread
 def bochner_decomposition(R, w):
     """Evaluate both sides of the decomposition and report the residual.
 
     The left side is ric_l_matrix's Weitzenboeck form on w, with no matrix
     and no dense form: g(Ric_L w, w) = p! (<Ric, U^T U> - 2 <F, V^T V>), with
-    U, V = _opened(w, 1), _opened(w, 2) and F = first_kind_matrix(R).
+    U, V = _opened(w, 1), _opened(w, 2) and F = first_kind_matrix(R).  The
+    operator term reads the same two Grams (_s02_form_term);
+    second_kind_form_term and ogiue_tachibana_term are its oracles.
     """
     n, p = R.n, w.p
     if w.n != n:
@@ -380,16 +441,21 @@ def bochner_decomposition(R, w):
     norm_sq = w.norm_sq
     if p == 0:
         return BochnerReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    ricci_w = float(np.einsum("ij,ij->", summary.ricci, form_two_point(w)))
+    W = form_two_point(w)
+    ricci_w = float(np.einsum("ij,ij->", summary.ricci, W))
     quadratic = p * ricci_w
+    G = None
     if p >= 2:
         V = _opened(w, 2)
+        VtV = V.T @ V
         quadratic -= 2 * math.factorial(p) * float(
-            np.einsum("ab,ab->", first_kind_matrix(R), V.T @ V)
+            np.einsum("ab,ab->", first_kind_matrix(R), VtV)
         )
-    # at p = n the two sums are scal and -scal: keep ric_l_matrix's exact zero
+        G = math.factorial(p - 2) * VtV
+    # at p = n the two sums are scal and -scal: keep ric_l_matrix's exact zero;
+    # and S w = tr(S) w vanishes for every trace-free S
     lhs = 1.5 * quadratic if p < n else 0.0
-    term_op = second_kind_form_term(R, w)
+    term_op = _s02_form_term(R, W, G, p) if p < n else 0.0
     term_ricci = (p * (n - 2 * p) / n) * ricci_w
     term_scal = (p**2 / n**2) * summary.scalar * norm_sq
     residual = abs(lhs - term_op - term_ricci - term_scal) / (1.0 + abs(lhs))
@@ -400,15 +466,18 @@ def bochner_decomposition(R, w):
     return BochnerReport(lhs, term_op, term_ricci, term_scal, residual, einstein_residual)
 
 
+@lru_cache(maxsize=None)
 def _ogiue_tachibana_family(n):
-    """The n^2 tensors e^i (.) e^j, stacked at i * n + j: shape (n^2, n, n)."""
+    """The n^2 tensors e^i (.) e^j, stacked at i * n + j: a read-only array of
+    shape (n^2, n, n)."""
     eye = np.eye(n)
     # [i, j, a, b] = d_ia d_jb + d_ja d_ib - (2/n) d_ij d_ab
     pair = eye[:, None, :, None] * eye[None, :, None, :]
     stack = pair + pair.transpose(1, 0, 2, 3) - (2.0 / n) * eye[:, :, None, None] * eye
-    return stack.reshape(n * n, n, n)
+    return _frozen(stack.reshape(n * n, n, n), float)
 
 
+@one_blas_thread
 def ogiue_tachibana_term(R, w):
     """Quadratic form of the second kind on w^{S^2_0} via the non-orthogonal
     trace-free family e^i (.) e^j = e^i x e^j + e^j x e^i - (2/n) d_ij g:

@@ -249,13 +249,23 @@ def _add_input_and_format(parser):
     parser.set_defaults(table=False)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors take the CLI's one-line form,
+    `error: <message>` with exit code 2; add_subparsers builds the
+    subcommand parsers with this class too.  -h and --version print as
+    argparse prints them."""
+
+    def error(self, message):
+        _fail(PARSE_ERROR, message)
+
+
 @functools.cache
 def build_parser():
     """The CLI's one parser, built on the first call and reused by every later
     `main` call in the process.  `parse_args` only reads it: each call gets a
     fresh Namespace, and usage and error text read the terminal width when
     they are printed.  Callers must not change the parser."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curvkind",
         description="spectra, eigenvalue-sum bounds and vanishing certificates "
         "for algebraic curvature tensors",

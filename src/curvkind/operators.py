@@ -2,7 +2,9 @@
 
 * second_kind_matrix: R-bar h = sum_{kl} R_{iklj} h_{kl} restricted to
   trace-free symmetric 2-tensors, as a symmetric matrix over the canonical
-  orthonormal basis of S^2_0 (dimension (n-1)(n+2)/2).
+  orthonormal basis of S^2_0 (dimension (n-1)(n+2)/2).  It is two GEMMs,
+  (B @ Rbar) @ B.T, with B the basis as rows of n^2 entries and Rbar the
+  n^2 x n^2 matrix of R-bar (_rbar_matrix).
 * first_kind_matrix: the operator on 2-forms over the unit-norm wedge
   basis {e_i ^ e_j}_{i<j}, entries R_{ijkl}.
 * require_symmetric / spectrum / cluster_eigenvalues: the symmetry gate,
@@ -51,10 +53,18 @@ def ricci_scalar(R):
     return CurvatureSummary(ricci=ric, scalar=scal, einstein_defect=defect)
 
 
+def _rbar_matrix(R):
+    """R-bar on all n x n matrices, flattened to n^2 entries: the symmetric
+    n^2 x n^2 matrix Rbar[(k,l), (i,j)] = R_{iklj}."""
+    n = R.n
+    return R.components.transpose(1, 2, 0, 3).reshape(n * n, n * n)
+
+
 def _gram_against(R, basis):
-    """Matrix <Rbar(B_a), B_b> over a stacked basis of symmetric tensors."""
-    rb = np.einsum("iklj,akl->aij", R.components, basis)
-    return np.einsum("aij,bij->ab", rb, basis)
+    """Matrix <Rbar(B_a), B_b> over a stacked basis of symmetric tensors, as
+    two GEMMs (B @ Rbar) @ B.T over the basis flattened to rows."""
+    B = basis.reshape(len(basis), R.n * R.n)
+    return (B @ _rbar_matrix(R)) @ B.T
 
 
 def second_kind_matrix(R):

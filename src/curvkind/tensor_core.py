@@ -89,6 +89,21 @@ def _signed_permutations(p):
     return perms, signs
 
 
+@lru_cache(maxsize=None)
+def _dense_positions(n, p):
+    """Where PForm.to_dense puts each coefficient: a read-only array of shape
+    (C(n,p), p!) whose [k, s] is the flat index in the n^p dense form of the
+    k-th sorted p-tuple permuted by the s-th signed permutation.  It has
+    C(n,p) p! <= n^p entries, fewer than the dense form it fills."""
+    idx = multi_index_array(n, p)
+    perms, _ = _signed_permutations(p)
+    at = np.zeros((len(idx), len(perms)), dtype=np.intp)
+    for m in range(p):
+        at = at * n + idx[:, perms[:, m]]
+    at.flags.writeable = False
+    return at
+
+
 @dataclass(frozen=True)
 class PForm:
     """Alternating (0,p)-tensor stored on strictly increasing multi-indices.
@@ -125,19 +140,15 @@ class PForm:
         return math.factorial(self.p) * float(np.dot(self.coeffs, other.coeffs))
 
     def to_dense(self):
-        """Full n^p component array of the antisymmetric extension, scattered
-        a block of signed slot permutations at a time (about 2^16 entries);
-        entries with a repeated index or a zero coefficient are +0.0."""
+        """Full n^p component array of the antisymmetric extension, one
+        scatter through the cached positions _dense_positions(n, p); entries
+        with a repeated index or a zero coefficient are +0.0."""
         n, p = self.n, self.p
-        idx = multi_index_array(n, p)
-        perms, signs = _signed_permutations(p)
-        place = n ** np.arange(p - 1, -1, -1)
+        at = _dense_positions(n, p)
+        _, signs = _signed_permutations(p)
         dense = np.zeros(n**p)
-        step = max(1, 2**16 // len(idx))
-        for s in range(0, len(perms), step):
-            at = idx[:, perms[s : s + step]] @ place
-            # adding 0.0 turns the -0.0 of a negated zero into +0.0
-            dense[at] = self.coeffs[:, None] * signs[s : s + step] + 0.0
+        # adding 0.0 turns the -0.0 of a negated zero into +0.0
+        dense[at] = self.coeffs[:, None] * signs + 0.0
         return dense.reshape((n,) * p)
 
     @classmethod
@@ -197,8 +208,10 @@ def trace_free_project(S):
     return S - (np.trace(S) / n) * np.eye(n)
 
 
+@lru_cache(maxsize=None)
 def canonical_s02_basis(n):
-    """Orthonormal basis of trace-free symmetric 2-tensors, shape (N, n, n).
+    """Orthonormal basis of trace-free symmetric 2-tensors, shape (N, n, n),
+    read-only and cached.
 
     First the (e^i x e^j + e^j x e^i)/sqrt(2) for i < j, then for
     k = 1, ..., n-1 the diagonal tensors
@@ -219,6 +232,7 @@ def canonical_s02_basis(n):
     diag = np.where(l > k[:, None], 1.0 / norm[:, None], 0.0)
     diag[k, k] = -m / norm
     out[len(i) :, l, l] = diag
+    out.flags.writeable = False
     return out
 
 

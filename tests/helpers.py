@@ -20,7 +20,6 @@ from curvkind import (
     sort_with_sign,
 )
 from curvkind.bochner import _slot_table
-from curvkind.operators import _gram_against
 from curvkind.tensor_core import multi_index_array, require_square
 
 
@@ -135,6 +134,24 @@ def bochner_ricci_diagonal_residual(R, w):
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
+def ogiue_tachibana_long_double(R, w):
+    """ogiue_tachibana_term evaluated in np.longdouble (64-bit mantissa on
+    x86-64): the family e^i (.) e^j, the actions S w through the slot table,
+    their Gram and its contraction with R, every product and sum in long
+    double.  A reference for the rounding of the float64 evaluations."""
+    ld = np.longdouble
+    n, p = w.n, w.p
+    eye = np.eye(n, dtype=ld)
+    pair = eye[:, None, :, None] * eye[None, :, None, :]
+    family = pair + pair.transpose(1, 0, 2, 3) - (ld(2) / ld(n)) * eye[:, :, None, None] * eye
+    target, a, j, source, sign = _slot_table(n, p)
+    X = np.zeros((n * n, len(w.coeffs)), dtype=ld)
+    X[a * n + j, target] = sign * w.coeffs.astype(ld)[source]
+    coeff = family.reshape(n * n, n * n) @ X
+    gram = (ld(math.factorial(p)) * (coeff @ coeff.T)).reshape(n, n, n, n)
+    return ld(0.25) * np.einsum("ijkl,iljk->", R.components.astype(ld), gram)
+
+
 def multi_index_positions(n, p):
     """Position of each sorted p-tuple in multi_indices(n, p)."""
     return {idx: pos for pos, idx in enumerate(multi_indices(n, p))}
@@ -151,9 +168,17 @@ def canonical_s2_basis(n):
     return out
 
 
+def gram_against_einsum(R, basis):
+    """Matrix <Rbar(B_a), B_b> over a stacked basis of symmetric tensors, by
+    two einsums: an oracle for operators._gram_against, which is two GEMMs
+    over the basis flattened to rows."""
+    rb = np.einsum("iklj,akl->aij", R.components, basis)
+    return np.einsum("aij,bij->ab", rb, basis)
+
+
 def rbar_full_matrix(R):
     """Matrix of R-bar over canonical_s2_basis(R.n) (the full S^2 operator)."""
-    return _gram_against(R, canonical_s2_basis(R.n))
+    return gram_against_einsum(R, canonical_s2_basis(R.n))
 
 
 def quadratic_form_identity_check(R, T):
@@ -171,7 +196,7 @@ def quadratic_form_identity_check(R, T):
     k = T.ndim
 
     full = canonical_s2_basis(n)
-    rbar_gram = _gram_against(R, full)
+    rbar_gram = gram_against_einsum(R, full)
     comps = [act_sym_dense(C, T) - (k / n) * sym_inner(C, np.eye(n)) * T for C in full]
     inner = np.array([[float(np.sum(a * b)) for b in comps] for a in comps])
     lhs = float(np.einsum("ab,ab->", inner, rbar_gram))

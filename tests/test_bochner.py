@@ -39,14 +39,18 @@ from curvkind.bochner import (
     _ogiue_tachibana_family,
     _ric_l_diagonal,
     _ric_l_plan,
+    _slot_table,
+    _through,
     _wedge_table,
 )
 from curvkind.operators import first_kind_matrix, ricci_scalar
+from curvkind.tensor_core import _dense_positions, canonical_s02_basis
 from helpers import (
     bochner_ricci_diagonal_residual,
     form_two_point_dense,
     make_einstein,
     multi_index_positions,
+    ogiue_tachibana_long_double,
     ric_l_by_derivations,
 )
 
@@ -264,6 +268,30 @@ def test_cached_tables_are_read_only():
             x.flat[0] = 0
 
 
+def test_form_tables_cached_read_only_and_equal_a_rebuild():
+    # the cached index tables of the form ops read no curvature: every call
+    # gets the same read-only arrays, equal to an uncached rebuild
+    tables = {
+        "_through": (_through, [(n, q, k) for n in (4, 7) for q in range(n - 1) for k in (1, 2)]),
+        "_slot_table": (_slot_table, [(n, p) for n in (4, 7) for p in range(n + 1)]),
+        "_ogiue_tachibana_family": (_ogiue_tachibana_family, [(n,) for n in (2, 5, 12)]),
+        "_dense_positions": (_dense_positions, [(n, p) for n in (4, 7) for p in range(5)]),
+        "canonical_s02_basis": (canonical_s02_basis, [(n,) for n in (2, 5, 12)]),
+    }
+    for name, (cached, cases) in tables.items():
+        for args in cases:
+            got = cached(*args)
+            assert cached(*args) is got, (name, args)
+            rebuilt = cached.__wrapped__(*args)
+            if not isinstance(got, tuple):
+                got, rebuilt = (got,), (rebuilt,)
+            for x, y in zip(got, rebuilt, strict=True):
+                assert x.dtype == y.dtype and np.array_equal(x, y), (name, args)
+                if x.size:
+                    with pytest.raises(ValueError):
+                        x.flat[0] = 0
+
+
 def test_ric_l_matrix_two_oracles():
     rng = np.random.default_rng(17)
     # (11, 5) has 5 * 7 + 10 * 21 = 245 terms per row, so its 462 rows fill
@@ -334,8 +362,9 @@ def _reducible_models(n, rng):
 
 def test_ric_l_spectrum_middle_degree_split():
     # every degree p = 1..n-1, not only the middle one, on tensors whose M
-    # splits into blocks and on a random one: ric_l_spectrum and spectrum
-    # must match a whole-matrix eigvalsh; n = 6, 10 have ** = -1 in the
+    # splits into blocks and on a random one: ric_l_spectrum must match a
+    # whole-matrix eigvalsh of M and the spectrum of Ric_L assembled
+    # independently, as -sum F_ab D_a D_b; n = 6, 10 have ** = -1 in the
     # middle degree and solve the Hermitian A + iB, n = 4, 8, 12 split it
     # into self-dual blocks
     rng = np.random.default_rng(14)
@@ -344,13 +373,12 @@ def test_ric_l_spectrum_middle_degree_split():
         for name, R in cases.items():
             a = Analysis(R)
             for p in range(1, n):
-                M = ric_l_matrix(a, p)
-                whole = np.linalg.eigvalsh(M)
+                whole = np.linalg.eigvalsh(ric_l_matrix(a, p))
                 tol = 1e-12 * (1 + np.abs(whole).max())
                 split = ric_l_spectrum(a, p)
-                for got in (split, spectrum(M)):
-                    assert got.shape == whole.shape, (name, n, p)
-                    assert np.abs(got - whole).max() <= tol, (name, n, p)
+                for want in (whole, np.linalg.eigvalsh(ric_l_by_derivations(R, p))):
+                    assert split.shape == want.shape, (name, n, p)
+                    assert np.abs(split - want).max() <= tol, (name, n, p)
                 if 2 * p == n and n % 4:
                     # * is a complex structure there: every multiplicity is even
                     assert all(m % 2 == 0 for _, m in cluster_eigenvalues(split)), (name, n)
@@ -586,6 +614,44 @@ def test_ogiue_tachibana_family_matches_loop_bitwise():
                 S[j, i] += 1.0
                 stack[i * n + j] = S - (2.0 / n) * eye[i, j] * eye
         assert _ogiue_tachibana_family(n).tobytes() == stack.tobytes()
+
+
+def _operator_term_cases(n, rng):
+    generic = random_curvature(n, rng)
+    cases = {"random": generic}
+    if n >= 3:
+        cases["einstein"] = make_einstein(generic)
+        cases["product_sphere"] = product_sphere(n)
+    if n == 5:
+        cases["su3_so3"] = su3_so3()
+    return cases
+
+
+def test_operator_term_basis_free_against_both_oracles():
+    # bochner_decomposition reads the operator term off the two Grams of w,
+    # with no basis; the canonical-basis matrix and the non-orthogonal family
+    # evaluate it independently
+    rng = np.random.default_rng(31)
+    for n in range(2, 10):
+        for name, R in _operator_term_cases(n, rng).items():
+            for p in range(n + 1):
+                w = PForm.random(n, p, rng)
+                got = bochner_decomposition(R, w).term_operator
+                for oracle in (second_kind_form_term, ogiue_tachibana_term):
+                    want = oracle(R, w)
+                    assert abs(got - want) <= 1e-12 * (1 + abs(want)), (name, n, p, oracle)
+
+
+def test_operator_term_against_long_double():
+    # the float64 term against the same contraction in long double, to about
+    # 100 units in the last place of float64
+    rng = np.random.default_rng(32)
+    for _ in range(2):
+        R = random_curvature(12, rng)
+        w = PForm.random(12, 5, rng)
+        ref = ogiue_tachibana_long_double(R, w)
+        got = bochner_decomposition(R, w).term_operator
+        assert float(abs(got - ref)) <= 100 * np.finfo(float).eps * float(abs(ref))
 
 
 def test_ogiue_tachibana_matches_expansion_path():

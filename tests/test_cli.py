@@ -196,6 +196,32 @@ def test_negative_kappa_non_finite_exit_2(capsys, kappa):
     assert code == 2 and out == "" and "error:" in err
 
 
+ARGPARSE_ERRORS = {
+    "missing-value": (["analyze", "--model", SU3, "--p"], "argument --p: expected one argument"),
+    # "-inf" is not a number to argparse's pattern, so it reads as an option
+    "kappa-minus-inf": (["certify", "--model", SU3, "--kappa", "-inf"],
+                        "argument --kappa: expected one argument"),
+    # the list of choices after it is spelled differently across Python versions
+    "unknown-subcommand": (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    "unknown-option": (["spectrum", "--model", SU3, "--bogus"], "unrecognized arguments: --bogus"),
+}
+
+
+@pytest.mark.parametrize("argv, message", ARGPARSE_ERRORS.values(), ids=ARGPARSE_ERRORS)
+def test_argparse_errors_one_line(capsys, argv, message):
+    # argparse's own errors take the same one-line form as input errors,
+    # with no usage block
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_help_and_version_unchanged(capsys):
+    code, out, err = run_cli(capsys, ["analyze", "-h"])
+    assert (code, err) == (0, "") and out.startswith("usage: curvkind analyze")
+    assert run_cli(capsys, ["--version"]) == (0, f"{cli.__version__}\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--model", SU3],
     ["analyze", "--model", SU3, "--table"],
@@ -229,8 +255,9 @@ REUSE_SEQUENCE = [
     (["certify", "--model", SU3], 100),
     (["spectrum", "--model", SU3, "--operator", "first"], 100),
     (["spectrum", "--model", SU3], 100),
+    (["analyze", "-h"], 100),
+    (["analyze", "-h"], 40),
     (["analyze", "--model", SU3, "--p"], 100),
-    (["analyze", "--model", SU3, "--p"], 40),
     (["analyze", "--model", SU3, "--p", "x"], 100),
     (["--version"], 100),
     (["certify", "--model", SU3], 100),
@@ -254,10 +281,10 @@ def test_parser_built_once_and_reused(capsys, monkeypatch):
     assert (built.misses, built.hits) == (1, len(REUSE_SEQUENCE) - 1)
     # no option, default or subcommand of one call leaks into the next
     assert reused == fresh
-    assert [code for code, _, _ in reused] == [0] * 6 + [2, 2, 2, 0, 0]
+    assert [code for code, _, _ in reused] == [0] * 8 + [2, 2, 0, 0]
     assert reused[-1] == reused[3]
-    # usage is laid out at the width read when it is printed
-    wide, narrow = reused[6][2], reused[7][2]
+    # help is laid out at the width read when it is printed
+    wide, narrow = reused[6][1], reused[7][1]
     assert wide.startswith("usage: curvkind analyze") and narrow.startswith("usage:")
     assert wide != narrow
 

@@ -19,8 +19,10 @@ from curvkind import (
     spectrum,
     su3_so3,
 )
-from curvkind.operators import require_symmetric
+from curvkind.operators import _gram_against, require_symmetric
 from helpers import (
+    canonical_s2_basis,
+    gram_against_einsum,
     make_einstein,
     quadratic_form_identity_check,
     random_symmetric,
@@ -70,6 +72,20 @@ def test_second_kind_sphere_identity():
         M = second_kind_matrix(constant_curvature(n, 1.0))
         assert M.shape == (s02_dimension(n),) * 2
         assert np.abs(M - np.eye(len(M))).max() < 1e-12
+
+
+def test_second_kind_gemm_against_einsum_oracle():
+    # the two GEMMs sum each entry in another order than the einsums: they
+    # agree to the round-off of sums of n^2 products of R with the basis
+    rng = np.random.default_rng(30)
+    for n in range(2, 13):
+        for R in (random_curvature(n, rng), random_curvature(n, rng) * 1e3):
+            tol = 1e-13 * (1 + R.max_abs)
+            for basis, got in (
+                (canonical_s02_basis(n), second_kind_matrix(R)),
+                (canonical_s2_basis(n), _gram_against(R, canonical_s2_basis(n))),
+            ):
+                assert np.abs(got - gram_against_einsum(R, basis)).max() <= tol, n
 
 
 def test_second_kind_flat_zero():
