@@ -1,7 +1,7 @@
 """Timings of the p-form paths at the CLI cap: the dense form, the two-point
-matrix, the Bochner decomposition, its dense oracle, and the two oracles of
-its operator term, the canonical-basis second_kind_form_term and the
-Ogiue-Tachibana term.
+matrix, the expansion over the canonical S^2_0 basis, the Bochner
+decomposition, its dense oracle, and the two oracles of its operator term,
+the canonical-basis second_kind_form_term and the Ogiue-Tachibana term.
 
 Run from the repository root:
 
@@ -10,8 +10,10 @@ Run from the repository root:
 This directory lies outside the pytest test paths, so the tier-1 suite does
 not run it.  (12, 6) is the middle degree at the cap.  bochner_decomposition
 and form_two_point read the wedge tables, and bochner_decomposition takes its
-operator term from them with no basis; PForm.to_dense and ric_l_quadratic
-build the n^p dense form, 24 MB at (12, 6).  The bochner_decomposition cases
+operator term from them with no basis; form_s02_expansion and
+ogiue_tachibana_term read the matrix-unit table X[a, j] = E_aj w;
+PForm.to_dense and ric_l_quadratic build the n^p dense form, 24 MB at
+(12, 6).  The bochner_decomposition cases
 also record, as extra_info, the tracemalloc peak of one warm call.
 """
 
@@ -24,6 +26,7 @@ import pytest
 from curvkind import (
     PForm,
     bochner_decomposition,
+    form_s02_expansion,
     form_two_point,
     ogiue_tachibana_term,
     random_curvature,
@@ -52,6 +55,11 @@ def test_to_dense(benchmark, inputs, n, p):
 @pytest.mark.parametrize("n, p", CASES)
 def test_form_two_point(benchmark, inputs, n, p):
     benchmark(form_two_point, inputs[n, p][1])
+
+
+@pytest.mark.parametrize("n, p", CASES)
+def test_form_s02_expansion(benchmark, inputs, n, p):
+    benchmark(form_s02_expansion, inputs[n, p][1])
 
 
 @pytest.mark.parametrize("n, p", CASES)

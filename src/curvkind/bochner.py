@@ -32,9 +32,15 @@ U^T U and V^T V, against R-bar made symmetric and trace-free in each index
 pair (_s02_form_term): no S^2_0 basis and no expansion.  Its oracles
 evaluate it independently: second_kind_form_term pairs second_kind_matrix
 with the expansion Gram over the canonical basis, and ogiue_tachibana_term
-uses the non-orthogonal family e^i (.) e^j.  None of the tables
-(_wedge_table, _through, _slot_table, _ric_l_plan, _ogiue_tachibana_family)
-reads curvature; each is cached and read-only.
+uses the non-orthogonal family e^i (.) e^j.
+
+Every symmetric action is read off one table per form, X[a, j] = E_aj w
+with E_aj = e_a ^ i_j the matrix unit on p-forms (_matrix_units, one
+scatter through _unit_positions): act_sym_on_form contracts S with it, the
+expansion's canonical-basis rows and the Ogiue-Tachibana family are sums of
+its rows.  None of the tables (_wedge_table, _through, _slot_table,
+_unit_positions, _symmetric_pairs, _ric_l_plan) reads curvature; each is
+cached and read-only.
 
 The five evaluations on one p-form (form_s02_expansion,
 second_kind_form_term, bochner_decomposition, ogiue_tachibana_term and
@@ -128,7 +134,7 @@ def _through(n, q, k):
     row, sign = _wedge_table(n, q)
     if k == 2:
         # e_c ^ e_d ^ e_K = e_c ^ (sign[K, d] e_{row[K, d]})
-        c, d = np.triu_indices(n, 1)
+        c, d = multi_index_array(n, 2).T
         up_row, up_sign = _wedge_table(n, q + 1)
         sign = sign[:, d] * up_sign[row[:, d], c]
         row = up_row[row[:, d], c]
@@ -186,20 +192,42 @@ def _ric_l_plan(n, p):
     return tuple(parts)
 
 
-def _act_stack_coeffs(stack, w):
-    """Sorted coefficients of S_a w for every S_a in the stack: shape (N, C(n,p))."""
+@lru_cache(maxsize=None)
+def _unit_positions(n, p):
+    """Where _matrix_units puts each entry of _slot_table(n, p): read-only
+    (flat, source, sign), with flat the position of (a, j, target) in the
+    flattened n x n x C(n,p) table."""
+    target, a, j, source, sign = _slot_table(n, p)
+    flat = (a.astype(np.intp) * n + j) * math.comb(n, p) + target
+    return _frozen(flat, np.intp), source, sign
+
+
+@lru_cache(maxsize=None)
+def _symmetric_pairs(n):
+    """The pairs i <= l, first i = l and then i < l in sorted order, as
+    read-only arrays (i, l, il, li) of length n(n+1)/2: il and li are the
+    flat positions i * n + l and l * n + i in an n x n table."""
+    i, l = (np.concatenate([np.arange(n), x]) for x in multi_index_array(n, 2).T)
+    return tuple(_frozen(x, np.intp) for x in (i, l, i * n + l, l * n + i))
+
+
+def _matrix_units(w):
+    """X[a, j] = E_aj w, the sorted coefficients of e_a ^ i_j w, shape
+    (n, n, C(n,p)): S w = sum_{a,j} S[a, j] X[a, j] for every 2-tensor S."""
     n = w.n
-    target, a, j, source, sign = _slot_table(n, w.p)
-    X = np.zeros((n * n, len(w.coeffs)))
+    flat, source, sign = _unit_positions(n, w.p)
+    values = w.coeffs[source]
+    values *= sign
+    X = np.zeros(n * n * len(w.coeffs))
     # each (a, j, target) occurs once, so plain assignment loses no term
-    X[a * n + j, target] = sign * w.coeffs[source]
-    return stack.reshape(len(stack), n * n) @ X
+    X[flat] = values
+    return X.reshape(n, n, -1)
 
 
 def act_sym_on_form(S, w):
     """The p-form S w; diagonal S scales each wedge by the sum of its entries."""
     S = require_square(S, n=w.n)
-    coeffs = _act_stack_coeffs(S[None, :, :], w)[0]
+    coeffs = S.ravel() @ _matrix_units(w).reshape(w.n * w.n, -1)
     return PForm(w.n, w.p, coeffs)
 
 
@@ -246,9 +274,20 @@ def form_s02_expansion(w):
 
     The total satisfies sum_a |S_a w|^2 = (p(n-p)/n)((n+2)/2) |w|^2 and each
     weight is bounded by (p(n-p)/n) |w|^2 for unit-norm basis elements.
+
+    Each S_a w is read off X = _matrix_units(w): (X[i, j] + X[j, i])/sqrt(2)
+    for the pair rows i < j, and the (n-1) x n diagonal block of the basis
+    times the rows X[l, l] for the rest.
     """
-    basis = canonical_s02_basis(w.n)
-    coeff = _act_stack_coeffs(basis, w)
+    n = w.n
+    basis = canonical_s02_basis(n)
+    X = _matrix_units(w).reshape(n * n, -1)
+    _, _, il, li = _symmetric_pairs(n)
+    pairs = len(basis) - (n - 1)
+    coeff = np.empty((len(basis), X.shape[1]))
+    coeff[:pairs] = (X[il[n:]] + X[li[n:]]) / math.sqrt(2.0)
+    diagonal = np.diagonal(basis[pairs:], axis1=1, axis2=2)
+    coeff[pairs:] = diagonal @ X[il[:n]]
     fact = math.factorial(w.p)
     weights = fact * np.einsum("ad,ad->a", coeff, coeff)
     return FormS02Expansion(
@@ -279,7 +318,7 @@ def ric_l_quadratic(R, w):
     # G[i, j, k, l] = sum over i_3..i_p of w_{ij...} w_{kl...} is alternating
     # in (i, j) and in (k, l), so the slices with i < j give all of it; its
     # partial trace is W[i, k] = sum over i_2..i_p of w_{i...} w_{k...}
-    i, j = np.triu_indices(n, 1)
+    i, j = multi_index_array(n, 2).T
     half = dense.reshape(n, n, -1)[i, j]
     G = np.zeros((n, n, n, n))
     G[i[:, None], j[:, None], i, j] = half @ half.T
@@ -419,7 +458,7 @@ def _s02_form_term(R, W, G, p):
         Y = X.transpose(1, 2, 3, 0)
         Y = Y - Y.transpose(1, 0, 2, 3)
         Y = Y - Y.transpose(0, 1, 3, 2)
-        i, j = np.triu_indices(n, 1)
+        i, j = multi_index_array(n, 2).T
         term -= p * (p - 1) * float(np.vdot(Y[i[:, None], j[:, None], i, j], G))
     return term
 
@@ -466,30 +505,34 @@ def bochner_decomposition(R, w):
     return BochnerReport(lhs, term_op, term_ricci, term_scal, residual, einstein_residual)
 
 
-@lru_cache(maxsize=None)
-def _ogiue_tachibana_family(n):
-    """The n^2 tensors e^i (.) e^j, stacked at i * n + j: a read-only array of
-    shape (n^2, n, n)."""
-    eye = np.eye(n)
-    # [i, j, a, b] = d_ia d_jb + d_ja d_ib - (2/n) d_ij d_ab
-    pair = eye[:, None, :, None] * eye[None, :, None, :]
-    stack = pair + pair.transpose(1, 0, 2, 3) - (2.0 / n) * eye[:, :, None, None] * eye
-    return _frozen(stack.reshape(n * n, n, n), float)
-
-
 @one_blas_thread
 def ogiue_tachibana_term(R, w):
     """Quadratic form of the second kind on w^{S^2_0} via the non-orthogonal
     trace-free family e^i (.) e^j = e^i x e^j + e^j x e^i - (2/n) d_ij g:
 
         1/4 sum_{ijkl} <(e^i (.) e^l) w, (e^j (.) e^k) w> R_{ijkl}.
+
+    As sum_a E_aa = p on p-forms, (e^i (.) e^l) w = E_il w + E_li w -
+    (2p/n) d_il w, a sum of rows of X = _matrix_units(w).  The family is
+    symmetric in (i, l), so its Gram is taken over the pairs i <= l and R
+    is summed over the orderings of each pair.
     """
-    n = w.n
+    n, p = w.n, w.p
     if R.n != n:
         raise DimensionMismatch("form and curvature live on different dimensions")
-    coeff = _act_stack_coeffs(_ogiue_tachibana_family(n), w)
-    gram = (math.factorial(w.p) * (coeff @ coeff.T)).reshape(n, n, n, n)
-    return 0.25 * float(np.einsum("ijkl,iljk->", R.components, gram))
+    i, l, il, li = _symmetric_pairs(n)
+    X = _matrix_units(w).reshape(n * n, -1)
+    family = X[il] + X[li]
+    family[:n] -= (2.0 * p / n) * w.coeffs
+    gram = math.factorial(p) * (family @ family.T)
+    # rsum[(i, l), (j, k)]: R_{ijkl} summed over the orderings of both pairs,
+    # one ordering where i = l and two where i < l
+    by_pair = R.components.reshape(n, n * n, n)
+    rows = by_pair[i, :, l]
+    rows[n:] += by_pair[l[n:], :, i[n:]]
+    rsum = rows[:, il]
+    rsum[:, n:] += rows[:, li[n:]]
+    return 0.25 * float(np.vdot(rsum, gram))
 
 
 def ric_l_apply_dense(R, T):
@@ -584,7 +627,7 @@ def _ric_l_diagonal(analysis, p):
     ricci = analysis.summary.ricci.diagonal()
     curv = -2.0 * analysis.first_kind.diagonal()
     pair_row = np.zeros((n, n), dtype=np.intp)
-    pair_row[np.triu_indices(n, 1)] = np.arange(math.comb(n, 2))
+    pair_row[tuple(multi_index_array(n, 2).T)] = np.arange(math.comb(n, 2))
     diag = np.zeros(len(idx))
     for a in reversed(range(p)):
         diag += ricci[idx[:, a]]

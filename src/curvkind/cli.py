@@ -139,8 +139,18 @@ def _analysis_report(a, descriptor, kappa=None, p_mode="half"):
     }
 
 
-def _emit_json(payload):
-    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
+def _emit(payload, table=None):
+    """Print payload as JSON, or through table(payload).  A finite input can
+    still overflow to a report with an infinity or NaN, which JSON cannot
+    hold and the table would state as a result: both exit 2 instead."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        _fail(PARSE_ERROR, "input out of range: the report has a non-finite value")
+    if table is None:
+        print(text)
+    else:
+        table(payload)
 
 
 def _fmt(x):
@@ -186,22 +196,20 @@ def _emit_certificate_table(cert_dicts):
 def _cmd_analyze(args):
     a, descriptor = _load_curvature(args)
     report = _analysis_report(a, descriptor, kappa=args.kappa, p_mode=args.p)
-    if args.table:
-        _emit_analysis_table(report)
-    else:
-        _emit_json(report)
+    _emit(report, _emit_analysis_table if args.table else None)
     return 0
 
 
 def _cmd_certify(args):
     a, descriptor = _load_curvature(args)
     payload = _certify_payload(a, descriptor, args.kappa)
-    if args.table:
-        _emit_k_profile(payload["k_profile"])
-        _emit_certificate_table(payload["certificates"])
-    else:
-        _emit_json(payload)
+    _emit(payload, _emit_certify_table if args.table else None)
     return 0
+
+
+def _emit_certify_table(payload):
+    _emit_k_profile(payload["k_profile"])
+    _emit_certificate_table(payload["certificates"])
 
 
 def _cmd_spectrum(args):
@@ -214,17 +222,20 @@ def _cmd_spectrum(args):
         eigs = ric_l_spectrum(a, args.ric_l_p)
     payload = {"input": descriptor, "n": a.n, "operator": args.operator}
     payload.update(_spectrum_block(eigs))
-    if args.table:
-        clus = ", ".join(f"{_fmt(v)} (x{m})" for v, m in payload["clusters"])
-        print(f"{args.operator} spectrum: {clus}")
-    else:
-        _emit_json(payload)
+    _emit(payload, _emit_spectrum_table if args.table else None)
     return 0
+
+
+def _emit_spectrum_table(payload):
+    clus = ", ".join(f"{_fmt(v)} (x{m})" for v, m in payload["clusters"])
+    print(f"{payload['operator']} spectrum: {clus}")
 
 
 def _cmd_selftest(args):
     from .selftest import run_selftest
 
+    if args.seed < 0:
+        _fail(PARSE_ERROR, f"--seed must be non-negative, got {args.seed}")
     if args.seeds < 1:
         _fail(PARSE_ERROR, f"--seeds must be at least 1, got {args.seeds}")
     if args.n_max < 4:
@@ -312,12 +323,17 @@ def main(argv=None):
         # the report echoes kappa, and JSON has no NaN or infinity
         _fail(PARSE_ERROR, f"--kappa must be a finite number, got {kappa}")
     try:
-        code = args.func(args)
+        # a finite input can overflow: stop at the first infinity or NaN numpy
+        # makes, before anything is printed, rather than print a warning
+        with np.errstate(over="raise", invalid="raise"):
+            code = args.func(args)
         # a closed stdout raises here, not at the interpreter's exit
         sys.stdout.flush()
         return code
     except CurvkindError as exc:
         _fail(PARSE_ERROR, str(exc))
+    except FloatingPointError as exc:
+        _fail(PARSE_ERROR, f"input out of range: {exc}")
     except BrokenPipeError:
         # the reader closed stdout; point it at devnull so that the
         # interpreter's final flush cannot raise again

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotSymmetric
-from .tensor_core import CurvatureTensor, canonical_s02_basis, multi_indices
+from .tensor_core import CurvatureTensor, canonical_s02_basis, multi_index_array
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,7 @@ def second_kind_matrix(R):
 
 def first_kind_matrix(R):
     """Matrix over the unit wedges {e_i ^ e_j}_{i<j}: entries R_{ijkl}."""
-    pairs = np.array(multi_indices(R.n, 2))
-    i, j = pairs[:, 0], pairs[:, 1]
+    i, j = multi_index_array(R.n, 2).T
     return R.components[i[:, None], j[:, None], i[None, :], j[None, :]]
 
 

@@ -53,8 +53,12 @@ def multi_indices(n, p):
 
 @lru_cache(maxsize=None)
 def multi_index_array(n, p):
-    """multi_indices(n, p) as a read-only integer array of shape (C(n,p), p)."""
+    """multi_indices(n, p) as a read-only integer array of shape (C(n,p), p),
+    stored column by column: each column idx[:, m], and so each row of
+    idx.T (for p = 2 the pairs i < j as i, j = idx.T), is a contiguous index
+    array."""
     idx = np.array(multi_indices(n, p), dtype=np.intp).reshape(math.comb(n, p), p)
+    idx = np.asfortranarray(idx)
     idx.flags.writeable = False
     return idx
 

@@ -134,6 +134,44 @@ def bochner_ricci_diagonal_residual(R, w):
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
+def stack_coeffs(stack, w):
+    """Sorted coefficients of S_a w for every S_a in a stack of n x n tensors,
+    shape (N, C(n,p)): the stack flattened to N x n^2 rows times the
+    n^2 x C(n,p) scatter of w through the slot table, one GEMM over all n^2
+    matrix units.  An oracle for the row sums of bochner._matrix_units."""
+    n = w.n
+    target, a, j, source, sign = _slot_table(n, w.p)
+    X = np.zeros((n * n, len(w.coeffs)))
+    X[a * n + j, target] = sign * w.coeffs[source]
+    return stack.reshape(len(stack), n * n) @ X
+
+
+def s02_expansion_stacked(w):
+    """form_s02_expansion(w).coefficient_matrix as the stacked product
+    canonical_s02_basis(n) @ X."""
+    return stack_coeffs(canonical_s02_basis(w.n), w)
+
+
+def ogiue_tachibana_family(n):
+    """The n^2 tensors e^i (.) e^j = e^i x e^j + e^j x e^i - (2/n) d_ij g,
+    stacked at i * n + j: shape (n^2, n, n)."""
+    eye = np.eye(n)
+    # [i, j, a, b] = d_ia d_jb + d_ja d_ib - (2/n) d_ij d_ab
+    pair = eye[:, None, :, None] * eye[None, :, None, :]
+    stack = pair + pair.transpose(1, 0, 2, 3) - (2.0 / n) * eye[:, :, None, None] * eye
+    return stack.reshape(n * n, n, n)
+
+
+def ogiue_tachibana_stacked(R, w):
+    """ogiue_tachibana_term over all n^2 members of the family, with every
+    action through stack_coeffs: the Gram of the n^2 rows contracted with
+    R_{ijkl} as 1/4 sum <(e^i (.) e^l) w, (e^j (.) e^k) w> R_{ijkl}."""
+    n = w.n
+    coeff = stack_coeffs(ogiue_tachibana_family(n), w)
+    gram = (math.factorial(w.p) * (coeff @ coeff.T)).reshape(n, n, n, n)
+    return 0.25 * float(np.einsum("ijkl,iljk->", R.components, gram))
+
+
 def ogiue_tachibana_long_double(R, w):
     """ogiue_tachibana_term evaluated in np.longdouble (64-bit mantissa on
     x86-64): the family e^i (.) e^j, the actions S w through the slot table,

@@ -36,22 +36,27 @@ from curvkind import (
 )
 from curvkind.bochner import (
     _hodge_table,
-    _ogiue_tachibana_family,
+    _matrix_units,
     _ric_l_diagonal,
     _ric_l_plan,
     _slot_table,
+    _symmetric_pairs,
     _through,
+    _unit_positions,
     _wedge_table,
 )
-from curvkind.operators import first_kind_matrix, ricci_scalar
-from curvkind.tensor_core import _dense_positions, canonical_s02_basis
+from curvkind.operators import act_sym_dense, first_kind_matrix, ricci_scalar
+from curvkind.tensor_core import _dense_positions, canonical_s02_basis, multi_index_array
 from helpers import (
     bochner_ricci_diagonal_residual,
     form_two_point_dense,
     make_einstein,
     multi_index_positions,
+    ogiue_tachibana_family,
     ogiue_tachibana_long_double,
+    ogiue_tachibana_stacked,
     ric_l_by_derivations,
+    s02_expansion_stacked,
 )
 
 
@@ -96,6 +101,35 @@ def test_action_against_slow_reference():
                             val += S[im, j] * sign * w.coeffs[pos[sidx]]
                 expected[r] = val
             assert np.allclose(act_sym_on_form(S, w).coeffs, expected, atol=1e-12)
+
+
+def test_matrix_units_against_dense_action():
+    # X[a, j] = E_aj w, the matrix unit e_a (x) e^j acting slot by slot on the
+    # dense form: against one generic, non-symmetric S for every (n, p), and
+    # row by row up to n^p = 50000 entries; the n^2 rows cost n^2 dense
+    # actions, 49 on 7^7 entries at (7, 7)
+    rng = np.random.default_rng(33)
+    for n in range(2, 8):
+        for p in range(n + 1):
+            w = PForm.random(n, p, rng)
+            X = _matrix_units(w)
+            assert X.shape == (n, n, math.comb(n, p))
+            if p == 0:
+                assert not X.any()
+                continue
+            dense = w.to_dense()
+            S = rng.standard_normal((n, n))
+            want = PForm.from_dense(act_sym_dense(S, dense)).coeffs
+            got = np.einsum("aj,ajc->c", S, X)
+            assert np.abs(got - want).max() <= 1e-14 * (1 + np.abs(want).max()), (n, p)
+            if n**p > 50_000:
+                continue
+            for a in range(n):
+                for j in range(n):
+                    E = np.zeros((n, n))
+                    E[a, j] = 1.0
+                    want = PForm.from_dense(act_sym_dense(E, dense)).coeffs
+                    assert np.array_equal(X[a, j], want), (n, p, a, j)
 
 
 def test_sharp_weight_pair():
@@ -147,6 +181,19 @@ def test_expansion_total_weight_random():
             assert abs(exp.total - target) <= 1e-10 * (1 + target)
             assert np.all(exp.weights <= p * (n - p) / n * w.norm_sq * (1 + 1e-10))
             assert exp.total == pytest.approx(float(exp.weights.sum()))
+
+
+def test_expansion_against_stacked_product():
+    # the pair and diagonal rows read off the matrix units against the
+    # n^2-wide product canonical_s02_basis(n) @ X
+    rng = np.random.default_rng(34)
+    for n in range(2, 12):
+        for p in range(n + 1):
+            w = PForm.random(n, p, rng)
+            got = form_s02_expansion(w).coefficient_matrix
+            want = s02_expansion_stacked(w)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * (1 + np.abs(got).max()), (n, p)
 
 
 def test_operator_term_two_paths_agree():
@@ -274,7 +321,9 @@ def test_form_tables_cached_read_only_and_equal_a_rebuild():
     tables = {
         "_through": (_through, [(n, q, k) for n in (4, 7) for q in range(n - 1) for k in (1, 2)]),
         "_slot_table": (_slot_table, [(n, p) for n in (4, 7) for p in range(n + 1)]),
-        "_ogiue_tachibana_family": (_ogiue_tachibana_family, [(n,) for n in (2, 5, 12)]),
+        "_unit_positions": (_unit_positions, [(n, p) for n in (4, 7) for p in range(n + 1)]),
+        "_symmetric_pairs": (_symmetric_pairs, [(n,) for n in (2, 5, 12)]),
+        "multi_index_array": (multi_index_array, [(n, p) for n in (4, 7) for p in range(n + 1)]),
         "_dense_positions": (_dense_positions, [(n, p) for n in (4, 7) for p in range(5)]),
         "canonical_s02_basis": (canonical_s02_basis, [(n,) for n in (2, 5, 12)]),
     }
@@ -613,7 +662,19 @@ def test_ogiue_tachibana_family_matches_loop_bitwise():
                 S[i, j] += 1.0
                 S[j, i] += 1.0
                 stack[i * n + j] = S - (2.0 / n) * eye[i, j] * eye
-        assert _ogiue_tachibana_family(n).tobytes() == stack.tobytes()
+        assert ogiue_tachibana_family(n).tobytes() == stack.tobytes()
+
+
+def test_ogiue_tachibana_against_stacked_family():
+    # the Gram over the pairs i <= l against the Gram of all n^2 members
+    rng = np.random.default_rng(35)
+    for n in range(2, 11):
+        for name, R in _operator_term_cases(n, rng).items():
+            for p in range(n + 1):
+                w = PForm.random(n, p, rng)
+                got = ogiue_tachibana_term(R, w)
+                want = ogiue_tachibana_stacked(R, w)
+                assert abs(got - want) <= 1e-13 * (1 + abs(want)), (name, n, p)
 
 
 def _operator_term_cases(n, rng):

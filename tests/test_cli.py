@@ -241,10 +241,36 @@ def test_closed_stdout_exit_1_without_traceback(argv):
 
 
 def test_reports_refuse_non_finite_numbers(capsys, monkeypatch):
-    # a NaN that reached a report would print as NaN, which is not JSON
+    # a NaN that reached a report would print as NaN, which is not JSON, and
+    # the table would state it as a result
     monkeypatch.setattr(cli, "_certificate_dicts", lambda certs: [{"sums": float("nan")}])
-    with pytest.raises(ValueError, match="JSON compliant"):
-        main(["certify", "--model", SU3])
+    for fmt in ("--json", "--table"):
+        code, out, err = run_cli(capsys, ["certify", "--model", SU3, fmt])
+        assert code == 2 and out == ""
+        assert err == "error: input out of range: the report has a non-finite value\n"
+
+
+OVERFLOWING = {
+    "constant": ["certify", "--model", '{"kind":"constant_curvature","n":5,"kappa":1e308}'],
+    "perturbed": ["certify", "--model", '{"kind":"perturbed","base":{"kind":"constant_curvature",'
+                  '"n":5,"kappa":1},"kappa":1e308}'],
+    "kn_product": ["certify", "--model", '{"kind":"kn_product","h":[[1e200,0],[0,1e200]],'
+                   '"k":[[1e200,0],[0,1e200]]}'],
+    "analyze-table": ["analyze", "--table", "--model",
+                      '{"kind":"constant_curvature","n":5,"kappa":1e308}'],
+    "analyze-nan": ["analyze", "--model", '{"kind":"constant_curvature","n":5,"kappa":1e307}'],
+    "spectrum": ["spectrum", "--model", '{"kind":"constant_curvature","n":5,"kappa":1e308}'],
+    "kappa": ["certify", "--model", SU3, "--kappa", "-1e308"],
+}
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING.values(), ids=OVERFLOWING)
+def test_overflowing_input_exit_2(capsys, argv):
+    # finite input whose evaluation overflows; a numpy RuntimeWarning would
+    # fail the test (filterwarnings = error)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: input out of range: ") and err.count("\n") == 1
 
 
 # (argv, terminal width) per call
@@ -505,6 +531,12 @@ def test_selftest_too_small_exit_2(capsys, flag):
     code, out, err = run_cli(capsys, ["selftest", *flag])
     assert code == 2 and out == ""
     assert err.startswith("error:") and f"got {flag[1]}" in err
+
+
+def test_selftest_negative_seed_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["selftest", "--seed", "-1"])
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be non-negative, got -1\n"
 
 
 def test_selftest_failure_path(capsys, monkeypatch):

@@ -88,6 +88,8 @@ def test_multi_index_array_is_read_only():
     assert idx.shape == (20, 3)
     assert [tuple(row) for row in idx.tolist()] == list(multi_indices(6, 3))
     assert multi_index_array(4, 0).shape == (1, 0)
+    # each column is a contiguous index array, so i, j = idx.T are too
+    assert all(column.flags.c_contiguous for column in idx.T)
     with pytest.raises(ValueError):
         idx[0, 0] = 1
 
