@@ -9,8 +9,8 @@ weight is at most (p(n-p)/n) * |S|^2 |w|^2.
 
 Every action on p-forms here reads one cached table over the sorted basis,
 _wedge_table(n, q): the row and sign of e_i ^ e_K for each q-tuple K.  A
-2-tensor acts through (p-1)-forms, as sum S_aj e_a ^ i_j (_slot_table), and
-Ric_L, in the Weitzenboeck form
+2-tensor acts through (p-1)-forms, as sum S_aj e_a ^ i_j (_unit_positions),
+and Ric_L, in the Weitzenboeck form
 
     Ric_L = sum_{i,j} Ric_ij e_i ^ i_j - 2 sum_{a<b, c<d} R_abcd e_a ^ e_b ^ i_d i_c,
 
@@ -38,9 +38,9 @@ Every symmetric action is read off one table per form, X[a, j] = E_aj w
 with E_aj = e_a ^ i_j the matrix unit on p-forms (_matrix_units, one
 scatter through _unit_positions): act_sym_on_form contracts S with it, the
 expansion's canonical-basis rows and the Ogiue-Tachibana family are sums of
-its rows.  None of the tables (_wedge_table, _through, _slot_table,
-_unit_positions, _symmetric_pairs, _ric_l_plan) reads curvature; each is
-cached and read-only.
+its rows.  None of the tables (_wedge_table, _through, _unit_positions,
+_symmetric_pairs, _ric_l_plan) reads curvature; each is cached and
+read-only.
 
 The five evaluations on one p-form (form_s02_expansion,
 second_kind_form_term, bochner_decomposition, ogiue_tachibana_term and
@@ -144,31 +144,6 @@ def _through(n, q, k):
 
 
 @lru_cache(maxsize=None)
-def _slot_table(n, p):
-    """How a 2-tensor acts slot by slot on p-forms over the sorted basis.
-
-    Returns read-only integer arrays (target, a, j, source, sign), one entry per
-    (I, slot m, j) for which I[m->j] repeats no index: C(n,p) * p * (n-p+1)
-    entries.  S acts as sum_{a,j} S[a, j] e_a ^ i_j, through the
-    (p-1)-forms K = I \\ {a}: with e_a ^ e_K = s_a e_I, e_j ^ e_K =
-    s_j e_source and sign = s_a * s_j,
-
-        (S w)_I = sum over the entries of I of S[a, j] * sign * w[source].
-    """
-    if p == 0:
-        return (_frozen(np.zeros(0), np.intp),) * 5
-    row, sign, g = _through(n, p - 1, 1)
-    table = np.broadcast_arrays(
-        row[:, :, None],
-        g[:, :, None],
-        g[:, None, :],
-        row[:, None, :],
-        sign[:, :, None] * sign[:, None, :],
-    )
-    return tuple(_frozen(x.ravel(), x.dtype) for x in table)
-
-
-@lru_cache(maxsize=None)
 def _ric_l_plan(n, p):
     """The index plan of ric_l_matrix for degree p, 1 <= p < n; it reads no curvature.
 
@@ -194,12 +169,26 @@ def _ric_l_plan(n, p):
 
 @lru_cache(maxsize=None)
 def _unit_positions(n, p):
-    """Where _matrix_units puts each entry of _slot_table(n, p): read-only
-    (flat, source, sign), with flat the position of (a, j, target) in the
-    flattened n x n x C(n,p) table."""
-    target, a, j, source, sign = _slot_table(n, p)
-    flat = (a.astype(np.intp) * n + j) * math.comb(n, p) + target
-    return _frozen(flat, np.intp), source, sign
+    """How a 2-tensor acts slot by slot on p-forms over the sorted basis.
+
+    S acts as sum_{a,j} S[a, j] e_a ^ i_j, through the (p-1)-forms
+    K = I \\ {a}: with e_a ^ e_K = s_a e_I, e_j ^ e_K = s_j e_source and
+    sign = s_a * s_j,
+
+        (S w)_I = sum over the entries of I of S[a, j] * sign * w[source].
+
+    Returns read-only arrays (flat, source, sign), one entry per (I, slot m, j)
+    for which I[m->j] repeats no index, C(n,p) * p * (n-p+1) in all: flat is
+    the position of (a, j, I) in the flattened n x n x C(n,p) table of
+    _matrix_units.
+    """
+    if p == 0:
+        return (_frozen(np.zeros(0), np.intp),) * 3
+    row, sign, g = _through(n, p - 1, 1)
+    flat = (g[:, :, None] * n + g[:, None, :]) * math.comb(n, p) + row[:, :, None]
+    source = np.broadcast_to(row[:, None, :], flat.shape)
+    units = (flat, source, sign[:, :, None] * sign[:, None, :])
+    return tuple(_frozen(x.ravel(), x.dtype) for x in units)
 
 
 @lru_cache(maxsize=None)

@@ -71,18 +71,15 @@ def _spectrum_block(eigs):
 
 
 def _certificate_dicts(certs):
-    out = []
-    for c in certs:
-        entry = {
-            "theorem": c.theorem,
-            "verdict": c.verdict,
-            "conclusion": c.conclusion,
-            "sums": {k: float(v) for k, v in c.sums.items()},
+    """Each Certificate's fields as a dict, every sum a float; p only when set."""
+    return [
+        {
+            key: {k: float(v) for k, v in value.items()} if key == "sums" else value
+            for key, value in vars(c).items()
+            if value is not None
         }
-        if c.p is not None:
-            entry["p"] = c.p
-        out.append(entry)
-    return out
+        for c in certs
+    ]
 
 
 def _per_p_rows(a, p_values):

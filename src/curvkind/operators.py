@@ -39,10 +39,8 @@ class CurvatureSummary:
     def n(self):
         return self.ricci.shape[0]
 
-    def is_einstein(self, tol=None):
-        if tol is None:
-            tol = 1e-10 * max(1.0, abs(self.scalar))
-        return self.einstein_defect <= tol
+    def is_einstein(self):
+        return self.einstein_defect <= 1e-10 * max(1.0, abs(self.scalar))
 
 
 def ricci_scalar(R):

@@ -196,8 +196,10 @@ def _positive(value, radius):
     return value > 1e-12 * (1.0 + radius)
 
 
-def _nonnegative(value, radius):
-    return value >= -1e-10 * radius
+def _nonnegative(value, radius, floor=0.0):
+    """value >= floor up to 1e-10 * radius; the one comparison of every
+    nonnegativity verdict, the estimate hypothesis D's included."""
+    return value >= floor - 1e-10 * radius
 
 
 def k_positivity_profile(eigenvalues):
@@ -209,149 +211,92 @@ def k_positivity_profile(eigenvalues):
     """
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
     radius = float(np.abs(eigs).max(initial=0.0))
-    positive = nonnegative = None
-    running = 0.0
-    for m, lam in enumerate(eigs, start=1):
-        running += lam
-        if positive is None and _positive(running, radius):
-            positive = m
-        if nonnegative is None and _nonnegative(running, radius):
-            nonnegative = m
-        if positive is not None and nonnegative is not None:
-            break
-    return {"positive": positive, "nonnegative": nonnegative}
+    sums = np.cumsum(eigs)
+
+    def first(hits):
+        return int(np.argmax(hits)) + 1 if hits.any() else None
+
+    return {
+        "positive": first(_positive(sums, radius)),
+        "nonnegative": first(_nonnegative(sums, radius)),
+    }
 
 
 def _exists_below(eigs, threshold, radius):
     """Whether some k' < threshold has a nonnegative partial sum.
 
-    The partial sum is piecewise linear in k, so it suffices to scan the
-    integers below the threshold plus a point just under it.
+    The scanned grid is the integers below the threshold plus a point just
+    under it.  The partial sum is convex in k (its slopes are the ascending
+    eigenvalues), so its largest value on the grid is at the first or the
+    last grid point, and only those two are evaluated.
     """
-    N = len(eigs)
-    grid = [float(k) for k in range(1, min(N, math.ceil(threshold)))]
+    integers = range(1, min(len(eigs), math.ceil(threshold)))
     just_under = threshold * (1.0 - 1e-12)
-    if 1.0 <= just_under <= N:
-        grid.append(just_under)
-    return any(_nonnegative(k_partial_sum(eigs, k), radius) for k in grid)
+    last = [just_under] if 1.0 <= just_under <= len(eigs) else integers[-1:]
+    ends = [float(k) for k in (*integers[:1], *last)]
+    return any(_nonnegative(k_partial_sum(eigs, k), radius) for k in ends)
 
 
-def certify(analysis, kappa=None, einstein_tol=None):
+def _d_required(n, kappa):
+    """The level (n+2)/2 * kappa that hypothesis D asks of the (n+2)/2
+    partial sum; it is stated for kappa <= 0."""
+    if kappa > 0:
+        raise VariantPreconditionFailed(f"hypothesis is stated for kappa <= 0, got {kappa}")
+    return (n + 2) / 2 * kappa
+
+
+def certify(analysis, kappa=None):
     """Run every hypothesis check on the second-kind spectrum of an
     operators.Analysis.
 
     Returns a list of Certificates: the full vanishing check A at order
     (n+2)/2, its 3-nonnegativity corollary, the Einstein refinements B(a-c)
     when the input is Einstein, the per-degree checks C(a-c) for every
-    p <= n/2, and (when kappa is supplied) the estimate hypothesis D.
+    p <= n/2, and (when kappa is supplied) the estimate hypothesis D, which
+    reads A's partial sum.
     """
     n, eigs = analysis.n, analysis.second_kind
     radius = float(np.abs(eigs).max(initial=0.0))
-    flat = radius <= 1e-12
     out = []
 
-    threshold_a = (n + 2) / 2
-    sum_a = k_partial_sum(eigs, threshold_a)
-    out.append(
-        Certificate(
-            theorem="A",
-            verdict="holds" if _nonnegative(sum_a, radius) else "fails",
-            conclusion=(
-                "flat (zero curvature); hypothesis holds trivially"
-                if flat and _nonnegative(sum_a, radius)
-                else "either flat or a rational homology sphere"
-            ),
-            sums={"order": threshold_a, "partial_sum": sum_a},
-        )
-    )
+    def check(theorem, holds, conclusion, sums, p=None):
+        out.append(Certificate(theorem, "holds" if holds else "fails", conclusion, sums, p))
 
+    def at(order):
+        return {"order": order, "partial_sum": k_partial_sum(eigs, order)}
+
+    def three(theorem, order, conclusions, p=None):
+        """(a) positive at the order, (b) nonnegative below it, (c) nonnegative at it."""
+        sums = at(order)
+        total = sums["partial_sum"]
+        positive, below, nonnegative = conclusions
+        check(f"{theorem}(a)", _positive(total, radius), positive, sums, p)
+        check(f"{theorem}(b)", _exists_below(eigs, order, radius), below, {"order_upper": order}, p)
+        check(f"{theorem}(c)", _nonnegative(total, radius), nonnegative, dict(sums), p)
+
+    sphere = "either flat or a rational homology sphere"
+    a = at((n + 2) / 2)
+    holds = _nonnegative(a["partial_sum"], radius)
+    flat = holds and radius <= 1e-12
+    check("A", holds, "flat (zero curvature); hypothesis holds trivially" if flat else sphere, a)
     if n >= 4:
-        sum_cor = k_partial_sum(eigs, 3.0)
-        out.append(
-            Certificate(
-                theorem="A-corollary",
-                verdict="holds" if _nonnegative(sum_cor, radius) else "fails",
-                conclusion="either flat or diffeomorphic to a spherical space form",
-                sums={"order": 3.0, "partial_sum": sum_cor},
-            )
-        )
-
-    if analysis.summary.is_einstein(einstein_tol):
-        N_e = constants(n, 1).n_einstein
-        sum_b = k_partial_sum(eigs, N_e)
-        out.append(
-            Certificate(
-                theorem="B(a)",
-                verdict="holds" if _positive(sum_b, radius) else "fails",
-                conclusion="rational homology sphere",
-                sums={"order": N_e, "partial_sum": sum_b},
-            )
-        )
-        out.append(
-            Certificate(
-                theorem="B(b)",
-                verdict="holds" if _exists_below(eigs, N_e, radius) else "fails",
-                conclusion="either flat or a rational homology sphere",
-                sums={"order_upper": N_e},
-            )
-        )
-        out.append(
-            Certificate(
-                theorem="B(c)",
-                verdict="holds" if _nonnegative(sum_b, radius) else "fails",
-                conclusion="all harmonic forms parallel",
-                sums={"order": N_e, "partial_sum": sum_b},
-            )
-        )
-
+        sums = at(3.0)
+        corollary = "either flat or diffeomorphic to a spherical space form"
+        check("A-corollary", _nonnegative(sums["partial_sum"], radius), corollary, sums)
+    if analysis.summary.is_einstein():
+        b = ("rational homology sphere", sphere, "all harmonic forms parallel")
+        three("B", constants(n, 1).n_einstein, b)
     for p in range(1, n // 2 + 1):
-        c_p = constants(n, p).c_p
-        sum_c = k_partial_sum(eigs, c_p)
-        out.append(
-            Certificate(
-                theorem="C(a)",
-                verdict="holds" if _positive(sum_c, radius) else "fails",
-                conclusion=f"b_{p} vanishes",
-                sums={"order": c_p, "partial_sum": sum_c},
-                p=p,
-            )
-        )
-        out.append(
-            Certificate(
-                theorem="C(b)",
-                verdict="holds" if _exists_below(eigs, c_p, radius) else "fails",
-                conclusion=f"b_{p} vanishes unless flat",
-                sums={"order_upper": c_p},
-                p=p,
-            )
-        )
-        out.append(
-            Certificate(
-                theorem="C(c)",
-                verdict="holds" if _nonnegative(sum_c, radius) else "fails",
-                conclusion=f"harmonic {p}-forms parallel",
-                sums={"order": c_p, "partial_sum": sum_c},
-                p=p,
-            )
-        )
-
+        c = (f"b_{p} vanishes", f"b_{p} vanishes unless flat", f"harmonic {p}-forms parallel")
+        three("C", constants(n, p).c_p, c, p)
     if kappa is not None:
-        holds = theorem_d_hypothesis(eigs, n, kappa)
-        out.append(
-            Certificate(
-                theorem="D-hypothesis",
-                verdict="holds" if holds else "fails",
-                conclusion=(
-                    "Betti numbers bounded by binomial(n, p) times an "
-                    "unspecified diameter-dependent factor"
-                ),
-                sums={
-                    "order": threshold_a,
-                    "partial_sum": sum_a,
-                    "required": threshold_a * kappa,
-                    "kappa": kappa,
-                },
-            )
+        required = _d_required(n, kappa)
+        check(
+            "D-hypothesis",
+            _nonnegative(a["partial_sum"], radius, required),
+            "Betti numbers bounded by binomial(n, p) times an "
+            "unspecified diameter-dependent factor",
+            {**a, "required": required, "kappa": kappa},
         )
     return out
 
@@ -362,9 +307,7 @@ def theorem_d_hypothesis(eigenvalues, n, kappa):
     Only the hypothesis is evaluated; the estimate's constant is not
     computed (it is never made explicit).
     """
-    if kappa > 0:
-        raise VariantPreconditionFailed(f"hypothesis is stated for kappa <= 0, got {kappa}")
-    eigs = np.sort(np.asarray(eigenvalues, dtype=float))
+    required = _d_required(n, kappa)
+    eigs = np.asarray(eigenvalues, dtype=float)
     radius = float(np.abs(eigs).max(initial=0.0))
-    value = k_partial_sum(eigs, (n + 2) / 2)
-    return value >= (n + 2) / 2 * kappa - 1e-10 * radius
+    return _nonnegative(k_partial_sum(eigs, (n + 2) / 2), radius, required)

@@ -9,6 +9,7 @@ from curvkind import (
     act_sym_dense,
     canonical_s02_basis,
     first_kind_matrix,
+    k_partial_sum,
     kulkarni_nomizu,
     multi_indices,
     ric_l_quadratic,
@@ -19,7 +20,7 @@ from curvkind import (
     second_kind_matrix,
     sort_with_sign,
 )
-from curvkind.bochner import _slot_table
+from curvkind.bochner import _unit_positions
 from curvkind.tensor_core import multi_index_array, require_square
 
 
@@ -45,6 +46,35 @@ def make_einstein(R):
     s = ricci_scalar(R)
     ric0 = s.ricci - (s.scalar / R.n) * np.eye(R.n)
     return R + kulkarni_nomizu(ric0, np.eye(R.n)) * (-1.0 / (R.n - 2))
+
+
+def exists_below_by_scan(eigs, threshold, radius):
+    """Whether some k' < threshold has a partial sum >= -1e-10 * radius, over
+    every integer below the threshold and a point just under it: an oracle for
+    weights._exists_below, which evaluates only the first and last of them."""
+    N = len(eigs)
+    grid = [float(k) for k in range(1, min(N, math.ceil(threshold)))]
+    just_under = threshold * (1.0 - 1e-12)
+    if 1.0 <= just_under <= N:
+        grid.append(just_under)
+    return any(k_partial_sum(eigs, k) >= -1e-10 * radius for k in grid)
+
+
+def positivity_profile_by_loop(eigenvalues):
+    """The smallest integer orders whose running sum of the ascending
+    eigenvalues is positive and nonnegative, one eigenvalue at a time: an
+    oracle for weights.k_positivity_profile, which reads one cumulative sum."""
+    eigs = np.sort(np.asarray(eigenvalues, dtype=float))
+    radius = float(np.abs(eigs).max(initial=0.0))
+    positive = nonnegative = None
+    running = 0.0
+    for m, lam in enumerate(eigs, start=1):
+        running += lam
+        if positive is None and running > 1e-12 * (1.0 + radius):
+            positive = m
+        if nonnegative is None and running >= -1e-10 * radius:
+            nonnegative = m
+    return {"positive": positive, "nonnegative": nonnegative}
 
 
 def random_symmetric(n, rng):
@@ -80,7 +110,7 @@ def ric_l_by_derivations(R, p):
     """Ric_L = -sum_ab F_ab D_a D_b over the sorted basis of p-forms.
 
     F = first_kind_matrix(R) and D_a is the action of the 2-form e_i ^ e_j,
-    a = (i < j), through the slot table: p(n-p) nonzeros per row,
+    a = (i < j), through the unit positions: p(n-p) nonzeros per row,
     (D_b w)_I = coef * w[col].  An oracle for ric_l_matrix, which sums the
     Weitzenboeck form through (p-1)- and (p-2)-forms instead.
     """
@@ -90,7 +120,9 @@ def ric_l_by_derivations(R, p):
     width = p * (n - p)
     if width == 0:
         return np.zeros((count, count))
-    target, a, j, source, sign = (np.asarray(x, dtype=np.int64) for x in _slot_table(n, p))
+    flat, source, sign = (np.asarray(x, dtype=np.int64) for x in _unit_positions(n, p))
+    aj, target = divmod(flat, count)
+    a, j = divmod(aj, n)
     # row I of every D_b: one entry per pair b = {a in I, j not in I}
     keep = np.argsort(target, kind="stable")
     keep = keep[a[keep] != j[keep]]
@@ -137,12 +169,12 @@ def bochner_ricci_diagonal_residual(R, w):
 def stack_coeffs(stack, w):
     """Sorted coefficients of S_a w for every S_a in a stack of n x n tensors,
     shape (N, C(n,p)): the stack flattened to N x n^2 rows times the
-    n^2 x C(n,p) scatter of w through the slot table, one GEMM over all n^2
-    matrix units.  An oracle for the row sums of bochner._matrix_units."""
+    n^2 x C(n,p) scatter of w through the unit positions, one GEMM over all
+    n^2 matrix units.  An oracle for the row sums of bochner._matrix_units."""
     n = w.n
-    target, a, j, source, sign = _slot_table(n, w.p)
+    flat, source, sign = _unit_positions(n, w.p)
     X = np.zeros((n * n, len(w.coeffs)))
-    X[a * n + j, target] = sign * w.coeffs[source]
+    X[divmod(flat, len(w.coeffs))] = sign * w.coeffs[source]
     return stack.reshape(len(stack), n * n) @ X
 
 
@@ -174,17 +206,17 @@ def ogiue_tachibana_stacked(R, w):
 
 def ogiue_tachibana_long_double(R, w):
     """ogiue_tachibana_term evaluated in np.longdouble (64-bit mantissa on
-    x86-64): the family e^i (.) e^j, the actions S w through the slot table,
-    their Gram and its contraction with R, every product and sum in long
-    double.  A reference for the rounding of the float64 evaluations."""
+    x86-64): the family e^i (.) e^j, the actions S w through the unit
+    positions, their Gram and its contraction with R, every product and sum
+    in long double.  A reference for the rounding of the float64 evaluations."""
     ld = np.longdouble
     n, p = w.n, w.p
     eye = np.eye(n, dtype=ld)
     pair = eye[:, None, :, None] * eye[None, :, None, :]
     family = pair + pair.transpose(1, 0, 2, 3) - (ld(2) / ld(n)) * eye[:, :, None, None] * eye
-    target, a, j, source, sign = _slot_table(n, p)
+    flat, source, sign = _unit_positions(n, p)
     X = np.zeros((n * n, len(w.coeffs)), dtype=ld)
-    X[a * n + j, target] = sign * w.coeffs.astype(ld)[source]
+    X[divmod(flat, len(w.coeffs))] = sign * w.coeffs.astype(ld)[source]
     coeff = family.reshape(n * n, n * n) @ X
     gram = (ld(math.factorial(p)) * (coeff @ coeff.T)).reshape(n, n, n, n)
     return ld(0.25) * np.einsum("ijkl,iljk->", R.components.astype(ld), gram)

@@ -39,7 +39,6 @@ from curvkind.bochner import (
     _matrix_units,
     _ric_l_diagonal,
     _ric_l_plan,
-    _slot_table,
     _symmetric_pairs,
     _through,
     _unit_positions,
@@ -320,7 +319,6 @@ def test_form_tables_cached_read_only_and_equal_a_rebuild():
     # gets the same read-only arrays, equal to an uncached rebuild
     tables = {
         "_through": (_through, [(n, q, k) for n in (4, 7) for q in range(n - 1) for k in (1, 2)]),
-        "_slot_table": (_slot_table, [(n, p) for n in (4, 7) for p in range(n + 1)]),
         "_unit_positions": (_unit_positions, [(n, p) for n in (4, 7) for p in range(n + 1)]),
         "_symmetric_pairs": (_symmetric_pairs, [(n,) for n in (2, 5, 12)]),
         "multi_index_array": (multi_index_array, [(n, p) for n in (4, 7) for p in range(n + 1)]),

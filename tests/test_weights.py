@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -27,7 +28,8 @@ from curvkind import (
     su3_so3,
     theorem_d_hypothesis,
 )
-from helpers import make_einstein
+from curvkind.weights import _exists_below
+from helpers import exists_below_by_scan, make_einstein, positivity_profile_by_loop
 
 
 def product_sphere_eigs(n):
@@ -328,10 +330,74 @@ def test_certify_su3_so3():
 
 
 def test_certify_verdicts_reproducible_from_sums():
-    for R in (constant_curvature(5, 1.0), product_sphere(5), su3_so3()):
-        for c in certify(Analysis(R)):
-            if "partial_sum" in c.sums and c.theorem in ("A", "A-corollary", "C(c)", "B(c)"):
-                assert c.holds == (c.sums["partial_sum"] >= -1e-9)
+    rng = np.random.default_rng(14)
+    tensors = [
+        constant_curvature(5, 1.0),
+        product_sphere(5),
+        su3_so3(),
+        perturb_constant(su3_so3(), -0.25),
+        constant_curvature(4, 0.0),
+    ]
+    for n in range(3, 9):
+        R = random_curvature(n, rng)
+        tensors += [R, make_einstein(R)]
+    for R in tensors:
+        a = Analysis(R)
+        eigs = a.second_kind
+        radius = float(np.abs(eigs).max(initial=0.0))
+        for kappa in (None, 0.0, -0.5, -3.0):
+            for c in certify(a, kappa):
+                s = c.sums
+                if "order" in s:
+                    assert s["partial_sum"] == k_partial_sum(eigs, s["order"])
+                if c.theorem.endswith("(a)"):
+                    want = s["partial_sum"] > 1e-12 * (1.0 + radius)
+                elif c.theorem.endswith("(b)"):
+                    want = exists_below_by_scan(eigs, s["order_upper"], radius)
+                elif c.theorem == "D-hypothesis":
+                    assert s["required"] == (R.n + 2) / 2 * kappa and s["kappa"] == kappa
+                    want = s["partial_sum"] >= s["required"] - 1e-10 * radius
+                else:
+                    assert c.theorem in ("A", "A-corollary") or c.theorem.endswith("(c)")
+                    want = s["partial_sum"] >= -1e-10 * radius
+                assert c.holds == want, (c, kappa)
+
+
+@st.composite
+def spectra_and_thresholds(draw):
+    """An ascending spectrum of 2..30 values and a threshold in [0.5, N + 2].
+
+    Integer spectra give partial sums that are exactly zero; float spectra
+    are scaled by 1e-15..1e15.  The third kind puts N - 1 eigenvalues of
+    -0.6e-10, 0 or 0.6e-10 beside a largest one of 1, so that its partial
+    sums straddle the tolerance -1e-10 * radius.  Thresholds are integers,
+    N itself, or any float in the range.
+    """
+    N = draw(st.integers(2, 30))
+    kind = draw(st.sampled_from(("integer", "float", "tolerance")))
+    if kind == "integer":
+        eigs = np.array(draw(st.lists(st.integers(-6, 6), min_size=N, max_size=N)), float)
+    elif kind == "float":
+        unit = draw(st.lists(st.floats(-1.0, 1.0), min_size=N, max_size=N))
+        eigs = np.array(unit) * 10.0 ** draw(st.integers(-15, 15))
+    else:
+        steps = draw(st.lists(st.integers(-1, 1), min_size=N - 1, max_size=N - 1))
+        eigs = np.append(0.6e-10 * np.array(steps, float), 1.0)
+    threshold = draw(
+        st.one_of(st.integers(1, N + 2).map(float), st.just(float(N)), st.floats(0.5, N + 2.0))
+    )
+    return np.sort(eigs), threshold
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(spectra_and_thresholds())
+def test_two_point_scan_and_cumulative_profile_match_full_scans(case):
+    # the partial sum is convex in k, so the two ends of the scanned grid
+    # decide what the scan of every grid point decides
+    eigs, threshold = case
+    radius = float(np.abs(eigs).max(initial=0.0))
+    assert _exists_below(eigs, threshold, radius) == exists_below_by_scan(eigs, threshold, radius)
+    assert k_positivity_profile(eigs) == positivity_profile_by_loop(eigs)
 
 
 def test_theorem_d_hypothesis():
