@@ -74,6 +74,7 @@ from .weights import (
     k_positivity_profile,
     min_weighted_sum,
     ric_l_lower_bound,
+    ric_l_lower_bounds,
     ricci_lower_bound_improved,
     ricci_lower_bound_weak,
     theorem_d_hypothesis,

@@ -62,7 +62,6 @@ and it decomposes as
 
 from dataclasses import dataclass
 from functools import lru_cache
-import itertools
 import math
 
 import numpy as np
@@ -607,21 +606,18 @@ def _ric_l_diagonal(analysis, p):
 
       M[I,I] = sum_{i in I} Ric_ii - 2 sum_{a<b in I} F_{ab,ab}.
 
-    The terms are added in the order in which the assembly adds them to
-    M[I,I], the elements a of I descending and then the pairs {a, b}
-    descending, so each entry equals the assembled one bit for bit.
+    It is read off _ric_l_plan: in part k the term of row I that pairs G with
+    itself sits at left + left // C(n,k) of the flattened factor, with sign
+    +1.  Adding those terms column by column, k = 1 before k = 2, is the
+    order in which _ric_l_rows' bincount adds them to M[I,I], so each entry
+    equals the assembled one bit for bit.
     """
     n = analysis.n
-    idx = multi_index_array(n, p)
-    ricci = analysis.summary.ricci.diagonal()
-    curv = -2.0 * analysis.first_kind.diagonal()
-    pair_row = np.zeros((n, n), dtype=np.intp)
-    pair_row[tuple(multi_index_array(n, 2).T)] = np.arange(math.comb(n, 2))
-    diag = np.zeros(len(idx))
-    for a in reversed(range(p)):
-        diag += ricci[idx[:, a]]
-    for a, b in reversed(list(itertools.combinations(range(p), 2))):
-        diag += curv[pair_row[idx[:, a], idx[:, b]]]
+    factors = (analysis.summary.ricci.ravel(), -2.0 * analysis.first_kind.ravel())
+    diag = np.zeros(math.comb(n, p))
+    for k, (_, _, left, _, _, _), X in zip((1, 2), _ric_l_plan(n, p), factors):
+        for column in (left + left // math.comb(n, k)).T:
+            diag += X[column]
     return diag
 
 

@@ -25,7 +25,7 @@ from .errors import CurvatureSymmetryError, CurvkindError, ShapeMismatch
 from .model_spaces import curvature_from_spec
 from .operators import Analysis, cluster_eigenvalues, spectrum
 from .tensor_core import validate_curvature
-from .weights import certify, constants, k_positivity_profile, ric_l_lower_bound
+from .weights import certify, constants, k_positivity_profile, ric_l_lower_bounds
 
 CLOSED_OUTPUT, PARSE_ERROR, VALIDATION_ERROR = 1, 2, 3
 
@@ -97,10 +97,7 @@ def _per_p_rows(a, p_values):
         row = {"p": p, "ric_l_min_eigenvalue": minima[key]}
         if 2 * p <= n:
             row["c_p"] = constants(n, p).c_p
-            variants = ["weak", "improved"] + (["one_form"] if p == 1 else [])
-            if a.summary.is_einstein():
-                variants.append("einstein")
-            row["bounds"] = {v: float(ric_l_lower_bound(a, p, v)) for v in sorted(variants)}
+            row["bounds"] = ric_l_lower_bounds(a, p)
         rows.append(row)
     return rows
 

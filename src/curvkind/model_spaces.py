@@ -69,12 +69,13 @@ def perturb_constant(base, kappa):
     return base + constant_curvature(base.n, kappa)
 
 
-def random_curvature(n, rng, scale=1.0):
+def random_curvature(n, rng):
     """Generic algebraic curvature tensor.
 
     A random 4-tensor is projected onto pair-symmetric bi-antisymmetric
     tensors, then the totally antisymmetric part (the failure of the first
-    Bianchi identity) is removed.
+    Bianchi identity) is removed.  The result is scaled to max|R_ijkl| = 1,
+    as a product with 1/max (a division would round differently).
     """
     n = check_dimension(n)
     A = rng.standard_normal((n, n, n, n))
@@ -85,7 +86,7 @@ def random_curvature(n, rng, scale=1.0):
     R = A - alt
     peak = float(np.abs(R).max(initial=0.0))
     if peak > 0.0:
-        R = R * (scale / peak)
+        R = R * (1.0 / peak)
     return CurvatureTensor(n, R)
 
 

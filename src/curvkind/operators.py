@@ -20,6 +20,7 @@ scal/2, and the second-kind trace is (n+2)/(2n) * scal.
 
 from dataclasses import dataclass
 from functools import cached_property
+import math
 
 import numpy as np
 
@@ -44,10 +45,20 @@ class CurvatureSummary:
 
 
 def ricci_scalar(R):
-    """Ricci tensor Ric_{ij} = sum_k R_{ikjk}, its trace, and Einstein defect."""
+    """Ricci tensor Ric_{ij} = sum_k R_{ikjk}, its trace, and Einstein defect.
+
+    The defect's squares overflow once the entries pass about 1e154; only
+    then is the norm taken again at unit scale, so a finite defect keeps the
+    bits of the plain norm.
+    """
     ric = np.einsum("ikjk->ij", R.components)
     scal = float(np.trace(ric))
-    defect = float(np.linalg.norm(ric - (scal / R.n) * np.eye(R.n)))
+    deviation = ric - (scal / R.n) * np.eye(R.n)
+    with np.errstate(over="ignore"):
+        defect = float(np.linalg.norm(deviation))
+    if math.isinf(defect):
+        peak = float(np.abs(deviation).max())
+        defect = peak * float(np.linalg.norm(deviation / peak))
     return CurvatureSummary(ricci=ric, scalar=scal, einstein_defect=defect)
 
 
@@ -121,20 +132,19 @@ def spectrum(M, symmetry_tol=None):
     return np.linalg.eigvalsh(require_symmetric(M, symmetry_tol))
 
 
-def spectral_decomposition(M, symmetry_tol=None):
+def spectral_decomposition(M):
     """Eigenvalues and orthonormal eigenvectors (columns), ascending."""
-    return np.linalg.eigh(require_symmetric(M, symmetry_tol))
+    return np.linalg.eigh(require_symmetric(M))
 
 
-def cluster_eigenvalues(values, tol=None):
+def cluster_eigenvalues(values):
     """Group sorted eigenvalues into multiplicity clusters.
 
-    Returns a list of (mean value, multiplicity); the default gap tolerance
-    is 1e-7 * (1 + spectral radius).
+    Returns a list of (mean value, multiplicity); the gap tolerance is
+    1e-7 * (1 + spectral radius).
     """
     values = np.sort(np.asarray(values, dtype=float))
-    if tol is None:
-        tol = 1e-7 * (1.0 + float(np.abs(values).max(initial=0.0)))
+    tol = 1e-7 * (1.0 + float(np.abs(values).max(initial=0.0)))
     clusters = []
     start = 0
     for i in range(1, len(values) + 1):

@@ -33,7 +33,7 @@ from .model_spaces import (
 )
 from .operators import Analysis, first_kind_matrix, ricci_scalar, second_kind_matrix, spectrum
 from .tensor_core import PForm, canonical_s02_basis, random_trace_free, validate_curvature
-from .weights import k_partial_sum, min_weighted_sum, ric_l_lower_bound
+from .weights import k_partial_sum, min_weighted_sum, ric_l_lower_bounds
 
 MODEL_DIMS = range(3, 9)
 
@@ -46,13 +46,13 @@ def _random_pairs(rng, draws, n_max):
                 yield random_curvature(n, rng), PForm.random(n, p, rng)
 
 
-def estimate_slacks(a, variants=("weak", "improved")):
-    """bound - lambda_min(Ric_L) for the Analysis a, every p <= n/2 and
-    variant, with "one_form" added at p = 1; a sound bound gives values <= 0."""
+def estimate_slacks(a):
+    """bound - lambda_min(Ric_L) for the Analysis a, every p <= n/2 and every
+    bound of ric_l_lower_bounds; a sound bound gives values <= 0."""
     for p in range(1, a.n // 2 + 1):
         low = float(spectrum(ric_l_matrix(a, p))[0])
-        for variant in variants + (("one_form",) if p == 1 else ()):
-            yield ric_l_lower_bound(a, p, variant) - low
+        for bound in ric_l_lower_bounds(a, p).values():
+            yield bound - low
 
 
 def _canonical_basis(rng, draws, n_max):
@@ -124,13 +124,14 @@ def _estimate_soundness(rng, draws, n_max):
 
 
 def _einstein_sphere(rng, draws, n_max):
+    # on the unit sphere every bound, the Einstein one included, is p(n-p)
     for n in MODEL_DIMS:
         sphere = Analysis(constant_curvature(n, 1.0))
         for p in range(1, n // 2 + 1):
             low = float(spectrum(ric_l_matrix(sphere, p))[0])
-            bound = ric_l_lower_bound(sphere, p, "einstein")
-            yield bound - low
-            yield abs(bound - p * (n - p))
+            for bound in ric_l_lower_bounds(sphere, p).values():
+                yield bound - low
+                yield abs(bound - p * (n - p))
 
 
 def _product_sphere(rng, draws, n_max):

@@ -274,8 +274,8 @@ class CurvatureTensor:
             raise ShapeMismatch("curvature tensor has a non-finite component")
         object.__setattr__(self, "components", R.reshape((n, n, n, n)))
 
-    def validate(self, tol=None):
-        validate_curvature(self, tol=tol)
+    def validate(self):
+        validate_curvature(self)
         return self
 
     @property
@@ -316,14 +316,13 @@ def curvature_symmetry_report(R):
     return report
 
 
-def validate_curvature(R, tol=None):
+def validate_curvature(R):
     """Raise CurvatureSymmetryError unless R has all curvature symmetries.
 
-    Default tolerance is 1e-12 * max|R| (exact-arithmetic constructions stay
-    far below it; genuinely broken tensors are rejected, not repaired).
+    The tolerance is 1e-12 * max|R| (exact-arithmetic constructions stay far
+    below it; genuinely broken tensors are rejected, not repaired).
     """
-    if tol is None:
-        tol = 1e-12 * R.max_abs
+    tol = 1e-12 * R.max_abs
     report = curvature_symmetry_report(R)
     worst_name = max(report, key=lambda k: report[k][0])
     worst_res, worst_idx = report[worst_name]

@@ -136,37 +136,36 @@ def ricci_lower_bound_improved(eigenvalues, scal, n, p):
     ) + p * scal / (n * (n - p + 2.0))
 
 
-RIC_L_VARIANTS = ("weak", "improved", "one_form", "einstein")
+def ric_l_lower_bounds(analysis, p):
+    """Every certified L with g(Ric_L w, w) >= L |w|^2 for all p-forms that
+    applies to an operators.Analysis, keyed by variant in sorted order:
+    improved and weak always, one_form at p = 1, einstein on Einstein input.
+
+    Each is a prefactor times the bracket minimum of the second-kind spectrum
+    at (W, S).  A degree outside 1 <= p <= n/2 raises POutOfRange (constants).
+    """
+    n = analysis.n
+    c = constants(n, p)
+    brackets = {
+        "improved": (2.0 / 3.0, c.omega_improved, c.total),
+        "weak": (2.0 / 3.0, c.omega_weak, c.total),
+    }
+    if p == 1:
+        brackets["one_form"] = (2.0 / 3.0, (2.0 * n - 1.0) / (n + 2.0), 1.5 * (n - 1.0))
+    if analysis.summary.is_einstein():
+        brackets["einstein"] = ((2.0 / 3.0) * (p * (n - p) / n), (n + 4.0) / (n + 2.0), 1.5 * n)
+    return {
+        variant: factor * min_weighted_sum(analysis.second_kind, omega, total)
+        for variant, (factor, omega, total) in sorted(brackets.items())
+    }
 
 
 def ric_l_lower_bound(analysis, p, variant):
-    """Certified L with g(Ric_L w, w) >= L |w|^2 for every p-form, p <= n/2,
-    from the second-kind spectrum of an operators.Analysis."""
-    n, eigenvalues = analysis.n, analysis.second_kind
-    if not 1 <= p <= n / 2:
-        raise POutOfRange(f"bounds require 1 <= p <= n/2, got p={p}, n={n}")
-    if variant == "weak" or variant == "improved":
-        c = constants(n, p)
-        omega = c.omega_weak if variant == "weak" else c.omega_improved
-        return (2.0 / 3.0) * min_weighted_sum(eigenvalues, omega, c.total)
-    if variant == "one_form":
-        if p != 1:
-            raise VariantPreconditionFailed("one_form variant is specific to p = 1")
-        return (2.0 / 3.0) * min_weighted_sum(
-            eigenvalues, (2.0 * n - 1.0) / (n + 2.0), 1.5 * (n - 1.0)
-        )
-    if variant == "einstein":
-        if not analysis.summary.is_einstein():
-            raise VariantPreconditionFailed(
-                "einstein variant needs Einstein input, "
-                f"defect {analysis.summary.einstein_defect:.3e}"
-            )
-        return (
-            (2.0 / 3.0)
-            * (p * (n - p) / n)
-            * min_weighted_sum(eigenvalues, (n + 4.0) / (n + 2.0), 1.5 * n)
-        )
-    raise VariantPreconditionFailed(f"unknown variant {variant!r}; use {RIC_L_VARIANTS}")
+    """The entry `variant` of ric_l_lower_bounds(analysis, p)."""
+    bounds = ric_l_lower_bounds(analysis, p)
+    if variant not in bounds:
+        raise VariantPreconditionFailed(f"{variant!r} does not apply at p={p}; use {list(bounds)}")
+    return bounds[variant]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ import numpy as np
 from curvkind import (
     act_sym_dense,
     canonical_s02_basis,
+    constants,
     first_kind_matrix,
     k_partial_sum,
     kulkarni_nomizu,
+    min_weighted_sum,
     multi_indices,
     ric_l_quadratic,
     ricci_scalar,
@@ -46,6 +48,25 @@ def make_einstein(R):
     s = ricci_scalar(R)
     ric0 = s.ricci - (s.scalar / R.n) * np.eye(R.n)
     return R + kulkarni_nomizu(ric0, np.eye(R.n)) * (-1.0 / (R.n - 2))
+
+
+def ric_l_bound_by_variant(analysis, p, variant):
+    """One Ric_L lower bound by its own expression, with no precondition
+    checked: the oracle of weights.ric_l_lower_bounds."""
+    n, eigenvalues = analysis.n, analysis.second_kind
+    if variant in ("weak", "improved"):
+        c = constants(n, p)
+        omega = c.omega_weak if variant == "weak" else c.omega_improved
+        return (2.0 / 3.0) * min_weighted_sum(eigenvalues, omega, c.total)
+    if variant == "one_form":
+        return (2.0 / 3.0) * min_weighted_sum(
+            eigenvalues, (2.0 * n - 1.0) / (n + 2.0), 1.5 * (n - 1.0)
+        )
+    return (
+        (2.0 / 3.0)
+        * (p * (n - p) / n)
+        * min_weighted_sum(eigenvalues, (n + 4.0) / (n + 2.0), 1.5 * n)
+    )
 
 
 def exists_below_by_scan(eigs, threshold, radius):

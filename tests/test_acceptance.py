@@ -115,7 +115,7 @@ def test_criterion_10_estimate_soundness():
     for n in range(4, N_MAX + 1):
         for _ in range(DRAWS):
             einstein = Analysis(make_einstein(random_curvature(n, rng)))
-            worst = max(worst, *estimate_slacks(einstein, ("weak", "improved", "einstein")))
+            worst = max(worst, *estimate_slacks(einstein))
     assert worst <= TOLS["estimate soundness on random curvature"]
     report(
         "criterion 10: all four curvature-term bounds are sound on Einstein inputs, "

@@ -513,11 +513,15 @@ def test_ric_l_spectrum_middle_degree_gate(monkeypatch):
 def test_ric_l_diagonal_is_the_assembled_diagonal():
     # the closed form adds the terms in the assembly's order, bit for bit
     rng = np.random.default_rng(16)
-    for n in (4, 7, 12):
-        a = Analysis(kulkarni_nomizu(np.diag(rng.uniform(-2.0, 2.0, n)),
-                                     np.diag(rng.uniform(-2.0, 2.0, n))))
-        for p in range(1, n):
-            assert np.array_equal(_ric_l_diagonal(a, p), ric_l_matrix(a, p).diagonal())
+    for n in (*range(3, 10), 12):
+        diagonal = kulkarni_nomizu(np.diag(rng.uniform(-2.0, 2.0, n)),
+                                   np.diag(rng.uniform(-2.0, 2.0, n)))
+        sphere = product_sphere(n)
+        for R in (diagonal, sphere, perturb_constant(sphere, -0.3),
+                  perturb_constant(constant_curvature(n, 1.0), -0.3)):
+            a = Analysis(R)
+            for p in range(1, n):
+                assert np.array_equal(_ric_l_diagonal(a, p), ric_l_matrix(a, p).diagonal())
 
 
 # --- the decomposition -------------------------------------------------------

@@ -273,6 +273,37 @@ def test_overflowing_input_exit_2(capsys, argv):
     assert err.startswith("error: input out of range: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e250, 1e305])
+def test_large_finite_tensor_scales_through(tmp_path, capsys, scale):
+    # the Einstein defect's squares overflow from about 1e154 on; the reports
+    # must still scale with the input.  Small scales are not checked: at or
+    # below about 1e-12 the absolute tolerances of certify change its verdicts
+    R = random_curvature(5, np.random.default_rng(15))
+    commands = (["spectrum", "--operator", "ric_l", "--ric-l-p", "2"], ["certify"], ["analyze"])
+    reports = {}
+    for factor in (1.0, scale):
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps({"n": 5, "components": (R.components * factor).ravel().tolist()}))
+        for command, *rest in commands:
+            code, out, err = run_cli(capsys, [command, "--dense", str(path), *rest])
+            assert (code, err) == (0, "")
+            reports[command, factor] = json.loads(out)
+
+    def close(unit, scaled):
+        unit = np.asarray(unit)
+        assert np.abs(np.asarray(scaled) - scale * unit).max() <= 1e-14 * scale * np.abs(unit).max()
+
+    close(reports["spectrum", 1.0]["eigenvalues"], reports["spectrum", scale]["eigenvalues"])
+    unit, scaled = reports["analyze", 1.0], reports["analyze", scale]
+    close(unit["second_kind"]["eigenvalues"], scaled["second_kind"]["eigenvalues"])
+    close(unit["summary"]["einstein_defect"], scaled["summary"]["einstein_defect"])
+    close([r["ric_l_min_eigenvalue"] for r in unit["per_p"]],
+          [r["ric_l_min_eigenvalue"] for r in scaled["per_p"]])
+    for command in ("certify", "analyze"):
+        verdicts = [[c["verdict"] for c in reports[command, f]["certificates"]] for f in (1.0, scale)]
+        assert verdicts[0] == verdicts[1]
+
+
 # (argv, terminal width) per call
 REUSE_SEQUENCE = [
     (["analyze", "--model", SU3, "--p", "all", "--table"], 100),

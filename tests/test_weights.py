@@ -19,6 +19,7 @@ from curvkind import (
     product_sphere,
     random_curvature,
     ric_l_lower_bound,
+    ric_l_lower_bounds,
     ric_l_matrix,
     ricci_lower_bound_improved,
     ricci_lower_bound_weak,
@@ -29,7 +30,12 @@ from curvkind import (
     theorem_d_hypothesis,
 )
 from curvkind.weights import _exists_below
-from helpers import exists_below_by_scan, make_einstein, positivity_profile_by_loop
+from helpers import (
+    exists_below_by_scan,
+    make_einstein,
+    positivity_profile_by_loop,
+    ric_l_bound_by_variant,
+)
 
 
 def product_sphere_eigs(n):
@@ -288,6 +294,32 @@ def test_ric_l_bound_preconditions():
         ric_l_lower_bound(a, 2, "one_form")
     with pytest.raises(POutOfRange):
         ric_l_lower_bound(a, 3, "weak")
+    with pytest.raises(VariantPreconditionFailed):
+        ric_l_lower_bound(a, 1, "strong")
+
+
+def test_ric_l_bounds_table_keys_and_values():
+    # the table holds exactly the bounds that apply, each equal bit for bit
+    # to its own expression and to ric_l_lower_bound
+    rng = np.random.default_rng(15)
+    tensors = [constant_curvature(n, 1.0) for n in (3, 6, 8)] + [su3_so3()]
+    tensors += [product_sphere(n) for n in (4, 5, 8)]
+    for n in range(3, 9):
+        R = random_curvature(n, rng)
+        tensors += [R, make_einstein(R)]
+    einstein_seen = 0
+    for R in tensors:
+        a = Analysis(R)
+        einstein = a.summary.is_einstein()
+        einstein_seen += einstein
+        for p in range(1, a.n // 2 + 1):
+            bounds = ric_l_lower_bounds(a, p)
+            want = ["improved", "weak"] + ["one_form"] * (p == 1) + ["einstein"] * einstein
+            assert list(bounds) == sorted(want)
+            for variant, value in bounds.items():
+                assert value == ric_l_lower_bound(a, p, variant)
+                assert value == ric_l_bound_by_variant(a, p, variant)
+    assert einstein_seen == 10
 
 
 # --- certificates ------------------------------------------------------------
