@@ -21,9 +21,23 @@ The corpus has two parts.
   both middle-degree splits (n = 0 and 2 mod 4).
 
 Dense files are written to a temporary directory and named by a relative
-path, so the echoed input is the same on every run.  The output is one JSON
-object: the number of calls, the bytes of stdout and stderr they printed,
-and the sha256 over each call's argv, exit code, stdout and stderr.
+path, so the echoed input is the same on every run.
+
+A library section then calls the weight calculus directly: `k_partial_sum`
+at orders in and out of [1, N], `min_weighted_sum` at feasible and
+infeasible weights and totals, and `k_positivity_profile`, over seeded
+unsorted spectra (integer ones with exact zeros, and floats scaled by
+1e-13, 1 and 1e13) and second-kind spectra; `ric_l_lower_bounds` at every
+0 <= p <= n/2 + 1 and `certify` with kappa absent, negative and positive,
+over named models with n = 2..8 and 12, and random, Einstein and
+1e-13-scaled random tensors with n = 3, 4, 5, 6, 8 and 12.  Each call is
+hashed as the repr of its result, or the name and message of the curvkind
+error it raised.
+
+The output is one JSON object: the number of CLI calls, the bytes of stdout
+and stderr they printed, the sha256 over each call's argv, exit code, stdout
+and stderr, and under "library" the number of library calls and the sha256
+over their outcomes.
 """
 
 import contextlib
@@ -36,7 +50,22 @@ import tempfile
 
 import numpy as np
 
-from curvkind import kulkarni_nomizu, random_curvature, ricci_scalar
+from curvkind import (
+    Analysis,
+    CurvkindError,
+    certify,
+    constant_curvature,
+    k_partial_sum,
+    k_positivity_profile,
+    kulkarni_nomizu,
+    min_weighted_sum,
+    perturb_constant,
+    product_sphere,
+    random_curvature,
+    ric_l_lower_bounds,
+    ricci_scalar,
+    su3_so3,
+)
 from curvkind.cli import main
 
 KAPPAS = (None, -1.0, -0.3, 0.0, 0.5)
@@ -132,6 +161,63 @@ def _call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _analyses():
+    """One Analysis per tensor of the library section."""
+    rng = np.random.default_rng(16)
+    tensors = [su3_so3(), perturb_constant(su3_so3(), -0.25), constant_curvature(2, 1.0)]
+    for n in (3, 4, 5, 6, 8, 12):
+        R = random_curvature(n, rng)
+        tensors += [constant_curvature(n, 1.0), constant_curvature(n, 0.0), product_sphere(n)]
+        tensors += [R, _einstein(R), R * 1e-13]
+    tensors.append(perturb_constant(product_sphere(7), -0.04))
+    return [Analysis(R) for R in tensors]
+
+
+def _spectra(analyses):
+    """Seeded unsorted spectra of 1..77 values, then each second-kind spectrum."""
+    rng = np.random.default_rng(17)
+    out = []
+    for N in (1, 2, 5, 9, 14, 27, 77):
+        out.append(rng.integers(-4, 5, N).astype(float))
+        out += [rng.standard_normal(N) * scale for scale in (1e-13, 1.0, 1e13)]
+    return out + [a.second_kind for a in analyses]
+
+
+def _library_calls():
+    """(label, function, args) of every call of the library section, in order."""
+    analyses = _analyses()
+    for i, eigs in enumerate(_spectra(analyses)):
+        N = len(eigs)
+        yield f"profile {i}", k_positivity_profile, (eigs,)
+        for k in (0.5, 1.0, 1.5, N / 2, N - 0.25, float(N), N + 0.5):
+            yield f"k_partial_sum {i} {k!r}", k_partial_sum, (eigs, k)
+        for omega in (-1.0, 0.0, 0.3, 1.0, 1.7):
+            for total in (-0.5, 0.0, 0.7, omega * N / 2, omega * N, omega * N * 1.01):
+                label = f"min_weighted_sum {i} {omega!r} {total!r}"
+                yield label, min_weighted_sum, (eigs, omega, total)
+    for i, a in enumerate(analyses):
+        for p in range(a.n // 2 + 2):
+            yield f"ric_l_lower_bounds {i} {p}", ric_l_lower_bounds, (a, p)
+        for kappa in (None, -0.5, 0.5):
+            yield f"certify {i} {kappa!r}", certify, (a, kappa)
+
+
+def _outcome(function, args):
+    try:
+        return repr(function(*args))
+    except CurvkindError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def run_library():
+    digest = hashlib.sha256()
+    calls = 0
+    for label, function, args in _library_calls():
+        digest.update(json.dumps([label, _outcome(function, args)]).encode() + b"\n")
+        calls += 1
+    return {"calls": calls, "sha256": digest.hexdigest()}
+
+
 def run():
     digest = hashlib.sha256()
     calls = size = 0
@@ -146,7 +232,12 @@ def run():
                 size += len(out.encode()) + len(err.encode())
         finally:
             os.chdir(cwd)
-    return {"calls": calls, "output_bytes": size, "sha256": digest.hexdigest()}
+    return {
+        "calls": calls,
+        "output_bytes": size,
+        "sha256": digest.hexdigest(),
+        "library": run_library(),
+    }
 
 
 if __name__ == "__main__":

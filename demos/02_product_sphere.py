@@ -31,4 +31,5 @@ for c in ck.certify(ck.Analysis(R)):
     print(f" {marker} {c.theorem:<12} p={c.p}  {c.verdict}")
 
 print("\nestimate hypothesis at kappa = -1 (it clears the bar easily):")
-print("  holds:", ck.theorem_d_hypothesis(eigs, n, -1.0))
+d = next(c for c in ck.certify(ck.Analysis(R), kappa=-1.0) if c.theorem == "D-hypothesis")
+print("  holds:", d.holds)

@@ -59,7 +59,6 @@ from .tensor_core import (
     multi_indices,
     random_trace_free,
     rotate_curvature,
-    rotate_form,
     s02_dimension,
     sort_with_sign,
     trace_free_project,
@@ -75,7 +74,5 @@ from .weights import (
     min_weighted_sum,
     ric_l_lower_bound,
     ric_l_lower_bounds,
-    ricci_lower_bound_improved,
-    ricci_lower_bound_weak,
-    theorem_d_hypothesis,
+    ricci_lower_bounds,
 )

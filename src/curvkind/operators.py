@@ -145,14 +145,9 @@ def cluster_eigenvalues(values):
     """
     values = np.sort(np.asarray(values, dtype=float))
     tol = 1e-7 * (1.0 + float(np.abs(values).max(initial=0.0)))
-    clusters = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            block = values[start:i]
-            clusters.append((float(block.mean()), len(block)))
-            start = i
-    return clusters
+    cuts = np.flatnonzero(np.diff(values) > tol) + 1
+    # an empty input splits into one empty block, which is no cluster
+    return [(float(block.mean()), len(block)) for block in np.split(values, cuts) if len(block)]
 
 
 @dataclass(frozen=True)

@@ -342,19 +342,6 @@ def rotate_curvature(R, Q):
     return CurvatureTensor(R.n, Rr)
 
 
-def rotate_form(w, Q):
-    """Coefficients of a p-form in the rotated frame f_i = sum_a Q_{ai} e_a."""
-    Q = require_square(Q, n=w.n)
-    if w.p == 0:
-        return w
-    dense = w.to_dense()
-    for _ in range(w.p):
-        # contract the leading slot and cycle it to the back
-        dense = np.tensordot(Q, dense, axes=([0], [0]))
-        dense = np.moveaxis(dense, 0, -1)
-    return PForm.from_dense(dense)
-
-
 def kulkarni_nomizu(h, k):
     """Kulkarni-Nomizu product of symmetric matrices,
 

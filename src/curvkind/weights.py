@@ -5,7 +5,10 @@ when l_1 + ... + l_floor(k) + (k - floor(k)) l_{floor(k)+1} >= 0.  The
 bracket of a highest weight W and total weight S is realized here as the
 exact minimum of sum w_i l_i over the polytope {0 <= w_i <= W, sum w_i = S};
 it has the closed form (S - m W) l_{m+1} + W sum_{i<=m} l_i with
-m = floor(S/W), i.e. W * k_partial_sum(S/W).
+m = floor(S/W), i.e. W * k_partial_sum(S/W).  `_bracket` computes it on an
+ascending spectrum such as operators.Analysis.second_kind; every bound and
+certificate here reads it, and only k_partial_sum and min_weighted_sum sort
+and check their input.
 
 The certified lower bounds for the curvature term on p-forms (p <= n/2) are
 2/3 of the bracket minimum with
@@ -32,16 +35,24 @@ from .errors import (
 )
 
 
+def _bracket(ascending, omega, total):
+    """omega * (l_1 + ... + l_m) + (total - m omega) l_{m+1} with
+    m = min(floor(total/omega), N): the bracket minimum on eigenvalues that
+    are already ascending.  Nothing is sorted or checked; the caller keeps
+    omega > 0 and 0 <= total <= omega N."""
+    m = min(int(math.floor(total / omega)), len(ascending))
+    value = omega * float(ascending[:m].sum())
+    if m < len(ascending):
+        value += (total - m * omega) * float(ascending[m])
+    return value
+
+
 def k_partial_sum(eigenvalues, k):
     """l_1 + ... + l_floor(k) + (k - floor(k)) l_{floor(k)+1} for 1 <= k <= N."""
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
-    N = len(eigs)
-    if not 1.0 <= k <= N:
-        raise KOutOfRange(f"need 1 <= k <= {N}, got k={k}")
-    m = int(math.floor(k))
-    if m == N:
-        return float(eigs.sum())
-    return float(eigs[:m].sum() + (k - m) * eigs[m])
+    if not 1.0 <= k <= len(eigs):
+        raise KOutOfRange(f"need 1 <= k <= {len(eigs)}, got k={k}")
+    return float(_bracket(eigs, 1.0, k))
 
 
 def min_weighted_sum(eigenvalues, omega, total):
@@ -60,11 +71,7 @@ def min_weighted_sum(eigenvalues, omega, total):
         raise InfeasibleWeights(
             f"total weight {total} exceeds capacity {omega * N} of {N} eigenvalues"
         )
-    m = min(int(math.floor(total / omega)), N)
-    value = omega * float(eigs[:m].sum())
-    if m < N:
-        value += (total - m * omega) * float(eigs[m])
-    return value
+    return _bracket(eigs, omega, total)
 
 
 @dataclass(frozen=True)
@@ -111,29 +118,26 @@ def constants(n, p):
     )
 
 
-def ricci_lower_bound_weak(eigenvalues, n, p):
-    """Certified lower bound on any p-frame Ricci sum sum_{i<=p} Ric_ii.
+def ricci_lower_bounds(analysis, p):
+    """Certified lower bounds on any p-frame Ricci sum sum_{i<=p} Ric_ii of an
+    operators.Analysis, keyed by variant in sorted order.
 
-    p = 1 uses the bracket (1, n-1); p >= 2 uses (2, p(n-1)).
+    weak:     p = 1: min(1, n-1);  p >= 2: min(2, p(n-1))
+    improved: p = 1: (n-1)/(n+1) * min(1, n) + scal / (n(n+1))
+              p >= 2: (n-p+1)/(n-p+2) * min(2, p(n-1)) + p scal / (n(n-p+2))
+
+    with min(W, S) the bracket minimum of the second-kind spectrum.  A degree
+    outside 1 <= p <= n raises POutOfRange.
     """
+    n, eigs, scal = analysis.n, analysis.second_kind, analysis.summary.scalar
+    if not (isinstance(p, (int, np.integer)) and 1 <= p <= n):
+        raise POutOfRange(f"need integer 1 <= p <= n, got p={p}, n={n}")
     if p == 1:
-        return min_weighted_sum(eigenvalues, 1.0, n - 1.0)
-    return min_weighted_sum(eigenvalues, 2.0, p * (n - 1.0))
-
-
-def ricci_lower_bound_improved(eigenvalues, scal, n, p):
-    """Sharper p-frame Ricci bound mixing in the scalar curvature.
-
-    p = 1:  (n-1)/(n+1) * min(1, n)      + scal / (n(n+1))
-    p >= 2: (n-p+1)/(n-p+2) * min(2, p(n-1)) + p scal / (n(n-p+2)).
-    """
-    if p == 1:
-        return (n - 1.0) / (n + 1.0) * min_weighted_sum(eigenvalues, 1.0, float(n)) + scal / (
-            n * (n + 1.0)
-        )
-    return (n - p + 1.0) / (n - p + 2.0) * min_weighted_sum(
-        eigenvalues, 2.0, p * (n - 1.0)
-    ) + p * scal / (n * (n - p + 2.0))
+        improved = (n - 1.0) / (n + 1.0) * _bracket(eigs, 1.0, float(n)) + scal / (n * (n + 1.0))
+        return {"improved": improved, "weak": _bracket(eigs, 1.0, n - 1.0)}
+    weak = _bracket(eigs, 2.0, p * (n - 1.0))
+    improved = (n - p + 1.0) / (n - p + 2.0) * weak + p * scal / (n * (n - p + 2.0))
+    return {"improved": improved, "weak": weak}
 
 
 def ric_l_lower_bounds(analysis, p):
@@ -155,7 +159,7 @@ def ric_l_lower_bounds(analysis, p):
     if analysis.summary.is_einstein():
         brackets["einstein"] = ((2.0 / 3.0) * (p * (n - p) / n), (n + 4.0) / (n + 2.0), 1.5 * n)
     return {
-        variant: factor * min_weighted_sum(analysis.second_kind, omega, total)
+        variant: factor * _bracket(analysis.second_kind, omega, total)
         for variant, (factor, omega, total) in sorted(brackets.items())
     }
 
@@ -233,15 +237,7 @@ def _exists_below(eigs, threshold, radius):
     just_under = threshold * (1.0 - 1e-12)
     last = [just_under] if 1.0 <= just_under <= len(eigs) else integers[-1:]
     ends = [float(k) for k in (*integers[:1], *last)]
-    return any(_nonnegative(k_partial_sum(eigs, k), radius) for k in ends)
-
-
-def _d_required(n, kappa):
-    """The level (n+2)/2 * kappa that hypothesis D asks of the (n+2)/2
-    partial sum; it is stated for kappa <= 0."""
-    if kappa > 0:
-        raise VariantPreconditionFailed(f"hypothesis is stated for kappa <= 0, got {kappa}")
-    return (n + 2) / 2 * kappa
+    return any(_nonnegative(_bracket(eigs, 1.0, k), radius) for k in ends)
 
 
 def certify(analysis, kappa=None):
@@ -262,7 +258,7 @@ def certify(analysis, kappa=None):
         out.append(Certificate(theorem, "holds" if holds else "fails", conclusion, sums, p))
 
     def at(order):
-        return {"order": order, "partial_sum": k_partial_sum(eigs, order)}
+        return {"order": order, "partial_sum": _bracket(eigs, 1.0, order)}
 
     def three(theorem, order, conclusions, p=None):
         """(a) positive at the order, (b) nonnegative below it, (c) nonnegative at it."""
@@ -289,7 +285,9 @@ def certify(analysis, kappa=None):
         c = (f"b_{p} vanishes", f"b_{p} vanishes unless flat", f"harmonic {p}-forms parallel")
         three("C", constants(n, p).c_p, c, p)
     if kappa is not None:
-        required = _d_required(n, kappa)
+        if kappa > 0:
+            raise VariantPreconditionFailed(f"hypothesis is stated for kappa <= 0, got {kappa}")
+        required = (n + 2) / 2 * kappa
         check(
             "D-hypothesis",
             _nonnegative(a["partial_sum"], radius, required),
@@ -298,15 +296,3 @@ def certify(analysis, kappa=None):
             {**a, "required": required, "kappa": kappa},
         )
     return out
-
-
-def theorem_d_hypothesis(eigenvalues, n, kappa):
-    """Whether the (n+2)/2 partial sum clears (n+2)/2 * kappa (kappa <= 0).
-
-    Only the hypothesis is evaluated; the estimate's constant is not
-    computed (it is never made explicit).
-    """
-    required = _d_required(n, kappa)
-    eigs = np.asarray(eigenvalues, dtype=float)
-    radius = float(np.abs(eigs).max(initial=0.0))
-    return _nonnegative(k_partial_sum(eigs, (n + 2) / 2), radius, required)

@@ -6,18 +6,18 @@ import math
 import numpy as np
 
 from curvkind import (
+    InfeasibleWeights,
+    KOutOfRange,
+    PForm,
     act_sym_dense,
     canonical_s02_basis,
     constants,
     first_kind_matrix,
-    k_partial_sum,
     kulkarni_nomizu,
-    min_weighted_sum,
     multi_indices,
     ric_l_quadratic,
     ricci_scalar,
     rotate_curvature,
-    rotate_form,
     second_kind_form_term,
     second_kind_matrix,
     sort_with_sign,
@@ -50,6 +50,60 @@ def make_einstein(R):
     return R + kulkarni_nomizu(ric0, np.eye(R.n)) * (-1.0 / (R.n - 2))
 
 
+def partial_sum_by_slices(eigenvalues, k):
+    """l_1 + ... + l_floor(k) + (k - floor(k)) l_{floor(k)+1} of the sorted
+    eigenvalues, read off one slice sum, raising KOutOfRange outside
+    1 <= k <= N: an oracle for every partial sum of curvkind.weights, which
+    read the bracket minimum at highest weight 1."""
+    eigs = np.sort(np.asarray(eigenvalues, dtype=float))
+    N = len(eigs)
+    if not 1.0 <= k <= N:
+        raise KOutOfRange(f"need 1 <= k <= {N}, got k={k}")
+    m = int(math.floor(k))
+    if m == N:
+        return float(eigs.sum())
+    return float(eigs[:m].sum() + (k - m) * eigs[m])
+
+
+def min_weighted_sum_by_slices(eigenvalues, omega, total):
+    """omega times the sum of the m = floor(total/omega) smallest eigenvalues
+    plus the remainder on the next one, raising InfeasibleWeights outside
+    omega > 0, 0 <= total <= omega N (1 + 1e-12): an oracle for
+    weights.min_weighted_sum and every bound that reads the bracket minimum."""
+    if omega <= 0:
+        raise InfeasibleWeights(f"highest weight must be positive, got {omega}")
+    if total < 0:
+        raise InfeasibleWeights(f"total weight must be nonnegative, got {total}")
+    eigs = np.sort(np.asarray(eigenvalues, dtype=float))
+    N = len(eigs)
+    if total > omega * N * (1.0 + 1e-12):
+        raise InfeasibleWeights(
+            f"total weight {total} exceeds capacity {omega * N} of {N} eigenvalues"
+        )
+    m = min(int(math.floor(total / omega)), N)
+    value = omega * float(eigs[:m].sum())
+    if m < N:
+        value += (total - m * omega) * float(eigs[m])
+    return value
+
+
+def ricci_bounds_by_brackets(eigenvalues, scal, n, p):
+    """The weak and improved p-frame Ricci bounds, each by its own bracket
+    minimum of the eigenvalues (sorted here): the oracle of
+    weights.ricci_lower_bounds."""
+    if p == 1:
+        weak = min_weighted_sum_by_slices(eigenvalues, 1.0, n - 1.0)
+        improved = (n - 1.0) / (n + 1.0) * min_weighted_sum_by_slices(
+            eigenvalues, 1.0, float(n)
+        ) + scal / (n * (n + 1.0))
+    else:
+        weak = min_weighted_sum_by_slices(eigenvalues, 2.0, p * (n - 1.0))
+        improved = (n - p + 1.0) / (n - p + 2.0) * min_weighted_sum_by_slices(
+            eigenvalues, 2.0, p * (n - 1.0)
+        ) + p * scal / (n * (n - p + 2.0))
+    return {"improved": improved, "weak": weak}
+
+
 def ric_l_bound_by_variant(analysis, p, variant):
     """One Ric_L lower bound by its own expression, with no precondition
     checked: the oracle of weights.ric_l_lower_bounds."""
@@ -57,15 +111,15 @@ def ric_l_bound_by_variant(analysis, p, variant):
     if variant in ("weak", "improved"):
         c = constants(n, p)
         omega = c.omega_weak if variant == "weak" else c.omega_improved
-        return (2.0 / 3.0) * min_weighted_sum(eigenvalues, omega, c.total)
+        return (2.0 / 3.0) * min_weighted_sum_by_slices(eigenvalues, omega, c.total)
     if variant == "one_form":
-        return (2.0 / 3.0) * min_weighted_sum(
+        return (2.0 / 3.0) * min_weighted_sum_by_slices(
             eigenvalues, (2.0 * n - 1.0) / (n + 2.0), 1.5 * (n - 1.0)
         )
     return (
         (2.0 / 3.0)
         * (p * (n - p) / n)
-        * min_weighted_sum(eigenvalues, (n + 4.0) / (n + 2.0), 1.5 * n)
+        * min_weighted_sum_by_slices(eigenvalues, (n + 4.0) / (n + 2.0), 1.5 * n)
     )
 
 
@@ -78,7 +132,7 @@ def exists_below_by_scan(eigs, threshold, radius):
     just_under = threshold * (1.0 - 1e-12)
     if 1.0 <= just_under <= N:
         grid.append(just_under)
-    return any(k_partial_sum(eigs, k) >= -1e-10 * radius for k in grid)
+    return any(partial_sum_by_slices(eigs, k) >= -1e-10 * radius for k in grid)
 
 
 def positivity_profile_by_loop(eigenvalues):
@@ -159,6 +213,20 @@ def ric_l_by_derivations(R, p):
     return np.bincount(target.ravel(), terms.ravel(), minlength=count * count).reshape(
         count, count
     )
+
+
+def rotate_form(w, Q):
+    """Coefficients of a p-form in the rotated frame f_i = sum_a Q_{ai} e_a,
+    by p contractions of the dense n^p form with Q."""
+    Q = require_square(Q, n=w.n)
+    if w.p == 0:
+        return w
+    dense = w.to_dense()
+    for _ in range(w.p):
+        # contract the leading slot and cycle it to the back
+        dense = np.tensordot(Q, dense, axes=([0], [0]))
+        dense = np.moveaxis(dense, 0, -1)
+    return PForm.from_dense(dense)
 
 
 def bochner_ricci_diagonal_residual(R, w):

@@ -16,14 +16,13 @@ from curvkind import (
     random_curvature,
     random_trace_free,
     rotate_curvature,
-    rotate_form,
     s02_dimension,
     sort_with_sign,
     trace_free_project,
     validate_curvature,
 )
 from curvkind.tensor_core import multi_index_array
-from helpers import random_symmetric, sym_inner, to_dense_by_permutations
+from helpers import random_symmetric, rotate_form, sym_inner, to_dense_by_permutations
 
 
 def test_sort_with_sign():

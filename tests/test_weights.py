@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from curvkind import (
     Analysis,
     Certificate,
+    CurvatureSummary,
     InfeasibleWeights,
     KOutOfRange,
     POutOfRange,
@@ -21,20 +24,21 @@ from curvkind import (
     ric_l_lower_bound,
     ric_l_lower_bounds,
     ric_l_matrix,
-    ricci_lower_bound_improved,
-    ricci_lower_bound_weak,
+    ricci_lower_bounds,
     ricci_scalar,
     second_kind_matrix,
     spectrum,
     su3_so3,
-    theorem_d_hypothesis,
 )
 from curvkind.weights import _exists_below
 from helpers import (
     exists_below_by_scan,
     make_einstein,
+    min_weighted_sum_by_slices,
+    partial_sum_by_slices,
     positivity_profile_by_loop,
     ric_l_bound_by_variant,
+    ricci_bounds_by_brackets,
 )
 
 
@@ -224,14 +228,14 @@ def test_constants_out_of_range():
 
 def test_ricci_bounds_on_models():
     n = 6
-    sphere_eigs = spectrum(second_kind_matrix(constant_curvature(n, 1.0)))
-    assert ricci_lower_bound_weak(sphere_eigs, n, 1) == pytest.approx(n - 1)
-    s = ricci_scalar(constant_curvature(n, 1.0))
-    assert ricci_lower_bound_improved(sphere_eigs, s.scalar, n, 1) == pytest.approx(n - 1)
-    flat_eigs = spectrum(second_kind_matrix(constant_curvature(n, 0.0)))
-    for p in (1, 2, 3):
-        assert ricci_lower_bound_weak(flat_eigs, n, p) == 0.0
-        assert ricci_lower_bound_improved(flat_eigs, 0.0, n, p) == 0.0
+    sphere = Analysis(constant_curvature(n, 1.0))
+    assert ricci_lower_bounds(sphere, 1) == pytest.approx({"improved": n - 1, "weak": n - 1})
+    flat = Analysis(constant_curvature(n, 0.0))
+    for p in range(1, n + 1):
+        assert ricci_lower_bounds(flat, p) == {"improved": 0.0, "weak": 0.0}
+    for p in (0, n + 1, 2.0):
+        with pytest.raises(POutOfRange):
+            ricci_lower_bounds(sphere, p)
 
 
 def test_ricci_bounds_sound_against_eigenvalue_sums():
@@ -240,14 +244,13 @@ def test_ricci_bounds_sound_against_eigenvalue_sums():
     rng = np.random.default_rng(6)
     for n in (4, 5, 6):
         for _ in range(50):
-            R = random_curvature(n, rng)
-            s = ricci_scalar(R)
-            eigs = spectrum(second_kind_matrix(R))
-            ric_eigs = np.sort(np.linalg.eigvalsh(s.ricci))
+            a = Analysis(random_curvature(n, rng))
+            ric_eigs = np.sort(np.linalg.eigvalsh(a.summary.ricci))
             for p in range(1, n + 1):
                 actual = float(ric_eigs[:p].sum())
-                assert ricci_lower_bound_weak(eigs, n, p) <= actual + 1e-10
-                assert ricci_lower_bound_improved(eigs, s.scalar, n, p) <= actual + 1e-10
+                bounds = ricci_lower_bounds(a, p)
+                assert bounds["weak"] <= actual + 1e-10
+                assert bounds["improved"] <= actual + 1e-10
 
 
 def test_ric_l_bound_sphere_einstein_exact():
@@ -381,7 +384,7 @@ def test_certify_verdicts_reproducible_from_sums():
             for c in certify(a, kappa):
                 s = c.sums
                 if "order" in s:
-                    assert s["partial_sum"] == k_partial_sum(eigs, s["order"])
+                    assert s["partial_sum"] == partial_sum_by_slices(eigs, s["order"])
                 if c.theorem.endswith("(a)"):
                     want = s["partial_sum"] > 1e-12 * (1.0 + radius)
                 elif c.theorem.endswith("(b)"):
@@ -433,15 +436,91 @@ def test_two_point_scan_and_cumulative_profile_match_full_scans(case):
 
 
 def test_theorem_d_hypothesis():
-    sphere_eigs = spectrum(second_kind_matrix(constant_curvature(5, 1.0)))
-    assert theorem_d_hypothesis(sphere_eigs, 5, 0.0)
-    flat_eigs = np.zeros(14)
-    assert theorem_d_hypothesis(flat_eigs, 5, 0.0)
-    ps_eigs = spectrum(second_kind_matrix(product_sphere(5)))
-    assert theorem_d_hypothesis(ps_eigs, 5, -1.0)
-    assert not theorem_d_hypothesis(ps_eigs, 5, -0.1)
+    def d_holds(R, kappa):
+        return _by_theorem(certify(Analysis(R), kappa), "D-hypothesis").holds
+
+    assert d_holds(constant_curvature(5, 1.0), 0.0)
+    flat = constant_curvature(5, 0.0)
+    assert np.array_equal(Analysis(flat).second_kind, np.zeros(14))
+    assert d_holds(flat, 0.0)
+    assert d_holds(product_sphere(5), -1.0)
+    assert not d_holds(product_sphere(5), -0.1)
     with pytest.raises(VariantPreconditionFailed):
-        theorem_d_hypothesis(ps_eigs, 5, 0.5)
+        certify(Analysis(product_sphere(5)), 0.5)
+
+
+def _with_spectrum(ascending, n, einstein):
+    """An operators.Analysis stand-in carrying a given ascending second-kind
+    spectrum, the scalar curvature its trace implies and an Einstein verdict."""
+    scalar = 2.0 * n / (n + 2.0) * float(ascending.sum())
+    defect = 0.0 if einstein else float("inf")
+    summary = CurvatureSummary(np.eye(n) * (scalar / n), scalar, defect)
+    return SimpleNamespace(n=n, second_kind=ascending, summary=summary)
+
+
+def _same(call, oracle, *args):
+    """call(*args) equals oracle(*args), or both raise the same error."""
+    try:
+        want = oracle(*args)
+    except (KOutOfRange, InfeasibleWeights) as exc:
+        with pytest.raises(type(exc)):
+            call(*args)
+    else:
+        assert call(*args) == want, args
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(spectra_and_thresholds(), st.data())
+def test_bracket_readers_equal_the_slice_sums(case, data):
+    # every reader of weights._bracket gives the slice sums it replaced, and
+    # the public entry points raise where they did, on input in any order;
+    # the Analysis readers get the largest s02 spectrum (n-1)(n+2)/2 <= N
+    eigs, threshold = case
+    shuffled = np.array(data.draw(st.permutations(list(eigs))))
+    _same(k_partial_sum, partial_sum_by_slices, shuffled, threshold)
+    n = max(n for n in range(2, 9) if (n - 1) * (n + 2) // 2 <= len(eigs))
+    omegas = [1.0]
+    for p in range(1, n // 2 + 1):
+        omegas += [constants(n, p).omega_improved, constants(n, p).omega_weak]
+    for omega in omegas:
+        for total in (threshold, omega * threshold):
+            _same(min_weighted_sum, min_weighted_sum_by_slices, shuffled, omega, total)
+
+    head = eigs[: (n - 1) * (n + 2) // 2]
+    a = _with_spectrum(head, n, data.draw(st.booleans()))
+    unsorted = _with_spectrum(np.array(data.draw(st.permutations(list(head)))), n, False)
+    for p in range(1, n + 1):
+        want = ricci_bounds_by_brackets(unsorted.second_kind, a.summary.scalar, n, p)
+        assert ricci_lower_bounds(a, p) == want
+    for p in range(1, n // 2 + 1):
+        for variant, value in ric_l_lower_bounds(a, p).items():
+            assert value == ric_l_bound_by_variant(unsorted, p, variant)
+    shuffled_head, radius = unsorted.second_kind, float(np.abs(head).max(initial=0.0))
+    for c in certify(a, kappa=-0.5):
+        if "order" in c.sums:
+            assert c.sums["partial_sum"] == partial_sum_by_slices(shuffled_head, c.sums["order"])
+        if c.theorem.endswith("(b)"):
+            assert c.holds == exists_below_by_scan(shuffled_head, c.sums["order_upper"], radius)
+
+
+def test_certify_and_bounds_read_the_spectrum_unsorted(monkeypatch):
+    rng = np.random.default_rng(16)
+    R = random_curvature(6, rng)
+    analyses = [Analysis(R), Analysis(make_einstein(R)), Analysis(product_sphere(7))]
+    for a in analyses:
+        assert a.second_kind is not None and a.summary is not None
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.sort was called")
+
+    monkeypatch.setattr(np, "sort", no_sort)
+    for a in analyses:
+        certify(a)
+        certify(a, kappa=-1.0)
+        for p in range(1, a.n // 2 + 1):
+            ric_l_lower_bounds(a, p)
+        for p in range(1, a.n + 1):
+            ricci_lower_bounds(a, p)
 
 
 def test_certify_flags_flat():
