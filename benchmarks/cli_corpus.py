@@ -20,6 +20,10 @@ The corpus has two parts.
   closed-form diagonal path up to the dimension cap, whole solves, and
   both middle-degree splits (n = 0 and 2 mod 4).
 
+A scaling section follows: `certify` and `analyze` on a seeded random
+tensor with n = 5 and 8, its Einstein projection and the product sphere,
+each scaled by 2^e for e in SCALE_EXPONENTS: 60 calls.
+
 Dense files are written to a temporary directory and named by a relative
 path, so the echoed input is the same on every run.
 
@@ -72,6 +76,7 @@ KAPPAS = (None, -1.0, -0.3, 0.0, 0.5)
 COMMANDS = (("certify",), ("analyze",))
 FORMATS = ((), ("--table",))
 OPERATOR_DIMS = (6, 10, 11, 12)
+SCALE_EXPONENTS = (-400, -45, -30, 60, 400)
 
 
 def _einstein(R):
@@ -133,6 +138,18 @@ def _operator_sources():
     return out
 
 
+def _scaled_sources():
+    """Random, Einstein and product-sphere tensors times each 2^e."""
+    rng = np.random.default_rng(18)
+    out = []
+    for n in (5, 8):
+        R = random_curvature(n, rng)
+        for name, base in (("random", R), ("einstein", _einstein(R)), ("product", product_sphere(n))):
+            for e in SCALE_EXPONENTS:
+                out.append(_write_dense(f"scaled-{name}-{n}-{e}", base * 2.0**e))
+    return out
+
+
 def _corpus():
     """Every argv of the corpus, in order."""
     for source, command, fmt, kappa in itertools.product(
@@ -149,6 +166,8 @@ def _corpus():
             yield ["spectrum", *source, "--operator", "ric_l", "--ric-l-p", str(p)]
         for fmt in FORMATS:
             yield ["analyze", *source, "--p", "all", *fmt]
+    for source, command in itertools.product(_scaled_sources(), COMMANDS):
+        yield [*command, *source]
 
 
 def _call(argv):

@@ -30,36 +30,43 @@ from .tensor_core import CurvatureTensor, canonical_s02_basis, multi_index_array
 
 @dataclass(frozen=True)
 class CurvatureSummary:
-    """Ricci tensor, scalar curvature and the Einstein defect |Ric - (scal/n) g|."""
+    """Ricci tensor, scalar curvature, the Einstein defect |Ric - (scal/n) g|
+    and the unit scale of R: the power of two s with 1 <= max|R|/s < 2
+    (s = 1 for R = 0).
+
+    is_einstein compares the defect with 1e-10 * max(s, |scal|), so the
+    verdict does not change when R is multiplied by a power of two.
+    """
 
     ricci: np.ndarray
     scalar: float
     einstein_defect: float
+    scale: float
 
     @property
     def n(self):
         return self.ricci.shape[0]
 
     def is_einstein(self):
-        return self.einstein_defect <= 1e-10 * max(1.0, abs(self.scalar))
+        return self.einstein_defect <= 1e-10 * max(self.scale, abs(self.scalar))
 
 
 def ricci_scalar(R):
-    """Ricci tensor Ric_{ij} = sum_k R_{ikjk}, its trace, and Einstein defect.
+    """Ricci tensor Ric_{ij} = sum_k R_{ikjk}, its trace, Einstein defect and
+    unit scale s (see CurvatureSummary).
 
-    The defect's squares overflow once the entries pass about 1e154; only
-    then is the norm taken again at unit scale, so a finite defect keeps the
-    bits of the plain norm.
+    The defect is s * |dev / s| with dev = Ric - (scal/n) g: dividing by a
+    power of two is exact, the squares of dev / s cannot overflow, and the
+    defect of 2^e R is 2^e times that of R.
     """
-    ric = np.einsum("ikjk->ij", R.components)
+    c = R.components
+    peak = max(float(c.max()), -float(c.min()))
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak else 1.0
+    ric = np.einsum("ikjk->ij", c)
     scal = float(np.trace(ric))
     deviation = ric - (scal / R.n) * np.eye(R.n)
-    with np.errstate(over="ignore"):
-        defect = float(np.linalg.norm(deviation))
-    if math.isinf(defect):
-        peak = float(np.abs(deviation).max())
-        defect = peak * float(np.linalg.norm(deviation / peak))
-    return CurvatureSummary(ricci=ric, scalar=scal, einstein_defect=defect)
+    defect = scale * float(np.linalg.norm(deviation / scale))
+    return CurvatureSummary(ricci=ric, scalar=scal, einstein_defect=defect, scale=scale)
 
 
 def _rbar_matrix(R):
@@ -101,7 +108,7 @@ def _symmetry_tol(M):
         scale = float(np.abs(M).max(initial=0.0))
     else:
         scale = max(float(M.max(initial=0.0)), -float(M.min(initial=0.0)))
-    return 1e-12 * max(scale, 1e-300)
+    return 1e-12 * scale
 
 
 def require_symmetric(M, symmetry_tol=None):
@@ -141,10 +148,10 @@ def cluster_eigenvalues(values):
     """Group sorted eigenvalues into multiplicity clusters.
 
     Returns a list of (mean value, multiplicity); the gap tolerance is
-    1e-7 * (1 + spectral radius).
+    1e-7 * spectral radius.
     """
     values = np.sort(np.asarray(values, dtype=float))
-    tol = 1e-7 * (1.0 + float(np.abs(values).max(initial=0.0)))
+    tol = 1e-7 * float(np.abs(values).max(initial=0.0))
     cuts = np.flatnonzero(np.diff(values) > tol) + 1
     # an empty input splits into one empty block, which is no cluster
     return [(float(block.mean()), len(block)) for block in np.split(values, cuts) if len(block)]

@@ -156,21 +156,6 @@ class PForm:
         return dense.reshape((n,) * p)
 
     @classmethod
-    def from_dense(cls, dense):
-        dense = np.asarray(dense, dtype=float)
-        p = dense.ndim
-        n = dense.shape[0] if p else 2
-        if p and dense.shape != (n,) * p:
-            raise ShapeMismatch(f"dense form must be cubical, got {dense.shape}")
-        if p == 0:
-            raise ShapeMismatch("from_dense needs p >= 1; use zero/basis constructors")
-        return cls(n, p, dense[tuple(multi_index_array(n, p).T)])
-
-    @classmethod
-    def zero(cls, n, p):
-        return cls(n, p, np.zeros(math.comb(n, p)))
-
-    @classmethod
     def wedge(cls, n, idx):
         """e^{i_1} ^ ... ^ e^{i_p} (coefficient 1 on the sorted tuple idx)."""
         p = len(idx)

@@ -196,7 +196,8 @@ class Certificate:
 
 
 def _positive(value, radius):
-    return value > 1e-12 * (1.0 + radius)
+    """value > 1e-12 * radius; the one comparison of every positivity verdict."""
+    return value > 1e-12 * radius
 
 
 def _nonnegative(value, radius, floor=0.0):
@@ -249,6 +250,10 @@ def certify(analysis, kappa=None):
     when the input is Einstein, the per-degree checks C(a-c) for every
     p <= n/2, and (when kappa is supplied) the estimate hypothesis D, which
     reads A's partial sum.
+
+    Every comparison is relative to the spectral radius of the second-kind
+    spectrum, so 2^e R (with 2^e kappa) has the verdicts of R; A concludes
+    "flat" only when that radius is 0, i.e. R = 0.
     """
     n, eigs = analysis.n, analysis.second_kind
     radius = float(np.abs(eigs).max(initial=0.0))
@@ -272,7 +277,7 @@ def certify(analysis, kappa=None):
     sphere = "either flat or a rational homology sphere"
     a = at((n + 2) / 2)
     holds = _nonnegative(a["partial_sum"], radius)
-    flat = holds and radius <= 1e-12
+    flat = holds and radius == 0.0
     check("A", holds, "flat (zero curvature); hypothesis holds trivially" if flat else sphere, a)
     if n >= 4:
         sums = at(3.0)

@@ -9,6 +9,7 @@ from curvkind import (
     InfeasibleWeights,
     KOutOfRange,
     PForm,
+    ShapeMismatch,
     act_sym_dense,
     canonical_s02_basis,
     constants,
@@ -145,7 +146,7 @@ def positivity_profile_by_loop(eigenvalues):
     running = 0.0
     for m, lam in enumerate(eigs, start=1):
         running += lam
-        if positive is None and running > 1e-12 * (1.0 + radius):
+        if positive is None and running > 1e-12 * radius:
             positive = m
         if nonnegative is None and running >= -1e-10 * radius:
             nonnegative = m
@@ -215,6 +216,19 @@ def ric_l_by_derivations(R, p):
     )
 
 
+def form_from_dense(dense):
+    """The PForm whose antisymmetric extension is the dense n^p array, read
+    off its strictly increasing multi-indices (p >= 1)."""
+    dense = np.asarray(dense, dtype=float)
+    p = dense.ndim
+    n = dense.shape[0] if p else 2
+    if p and dense.shape != (n,) * p:
+        raise ShapeMismatch(f"dense form must be cubical, got {dense.shape}")
+    if p == 0:
+        raise ShapeMismatch("a dense form needs p >= 1")
+    return PForm(n, p, dense[tuple(multi_index_array(n, p).T)])
+
+
 def rotate_form(w, Q):
     """Coefficients of a p-form in the rotated frame f_i = sum_a Q_{ai} e_a,
     by p contractions of the dense n^p form with Q."""
@@ -226,7 +240,7 @@ def rotate_form(w, Q):
         # contract the leading slot and cycle it to the back
         dense = np.tensordot(Q, dense, axes=([0], [0]))
         dense = np.moveaxis(dense, 0, -1)
-    return PForm.from_dense(dense)
+    return form_from_dense(dense)
 
 
 def bochner_ricci_diagonal_residual(R, w):

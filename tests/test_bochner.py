@@ -48,6 +48,7 @@ from curvkind.operators import act_sym_dense, first_kind_matrix, ricci_scalar
 from curvkind.tensor_core import _dense_positions, canonical_s02_basis, multi_index_array
 from helpers import (
     bochner_ricci_diagonal_residual,
+    form_from_dense,
     form_two_point_dense,
     make_einstein,
     multi_index_positions,
@@ -118,7 +119,7 @@ def test_matrix_units_against_dense_action():
                 continue
             dense = w.to_dense()
             S = rng.standard_normal((n, n))
-            want = PForm.from_dense(act_sym_dense(S, dense)).coeffs
+            want = form_from_dense(act_sym_dense(S, dense)).coeffs
             got = np.einsum("aj,ajc->c", S, X)
             assert np.abs(got - want).max() <= 1e-14 * (1 + np.abs(want).max()), (n, p)
             if n**p > 50_000:
@@ -127,7 +128,7 @@ def test_matrix_units_against_dense_action():
                 for j in range(n):
                     E = np.zeros((n, n))
                     E[a, j] = 1.0
-                    want = PForm.from_dense(act_sym_dense(E, dense)).coeffs
+                    want = form_from_dense(act_sym_dense(E, dense)).coeffs
                     assert np.array_equal(X[a, j], want), (n, p, a, j)
 
 

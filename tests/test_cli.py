@@ -1,10 +1,13 @@
 from collections import Counter
+import contextlib
+import io
 import json
 import os
 from pathlib import Path
 import subprocess
 import sys
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -13,11 +16,14 @@ from curvkind import (
     cluster_eigenvalues,
     constant_curvature,
     curvature_from_spec,
+    perturb_constant,
+    product_sphere,
     random_curvature,
     ric_l_matrix,
 )
 from curvkind import cli, model_spaces, operators, selftest, weights
 from curvkind.cli import main
+from helpers import make_einstein
 
 
 def run_cli(capsys, argv):
@@ -273,11 +279,10 @@ def test_overflowing_input_exit_2(capsys, argv):
     assert err.startswith("error: input out of range: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("scale", [1e154, 1e200, 1e250, 1e305])
+@pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e-13, 1e154, 1e200, 1e250, 1e305])
 def test_large_finite_tensor_scales_through(tmp_path, capsys, scale):
-    # the Einstein defect's squares overflow from about 1e154 on; the reports
-    # must still scale with the input.  Small scales are not checked: at or
-    # below about 1e-12 the absolute tolerances of certify change its verdicts
+    # the Einstein defect's squares would overflow from about 1e154 on, and
+    # every tolerance must shrink with the input: the reports scale with it
     R = random_curvature(5, np.random.default_rng(15))
     commands = (["spectrum", "--operator", "ric_l", "--ric-l-p", "2"], ["certify"], ["analyze"])
     reports = {}
@@ -302,6 +307,75 @@ def test_large_finite_tensor_scales_through(tmp_path, capsys, scale):
     for command in ("certify", "analyze"):
         verdicts = [[c["verdict"] for c in reports[command, f]["certificates"]] for f in (1.0, scale)]
         assert verdicts[0] == verdicts[1]
+
+
+@st.composite
+def scaled_inputs(draw):
+    """A tensor with n <= 8, a binary exponent e in [-1000, 1000], a kappa
+    and a Ric_L degree.  Tensors are seeded random ones, their Einstein
+    projection, the product sphere and the product sphere perturbed by
+    constant curvature."""
+    n = draw(st.integers(3, 8))
+    kind = draw(st.sampled_from(("random", "einstein", "product_sphere", "perturbed")))
+    if kind in ("random", "einstein"):
+        R = random_curvature(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+        R = make_einstein(R) if kind == "einstein" else R
+    else:
+        R = product_sphere(n)
+        if kind == "perturbed":
+            R = perturb_constant(R, draw(st.sampled_from((-0.3, -0.04, 0.5))))
+    kappa = draw(st.sampled_from((None, 0.0, -0.7, -3.0)))
+    return R, draw(st.integers(-1000, 1000)), kappa, draw(st.integers(1, n - 1))
+
+
+# report floats that do not scale with R
+UNITLESS = {"order", "order_upper", "c_p"}
+
+
+def _assert_scaled(unit, scaled, factor, exact, key=None):
+    """scaled has unit's structure, ints, strings and unitless floats; with
+    exact, every other float is factor times its unit value, bit for bit."""
+    assert type(scaled) is type(unit), key
+    if isinstance(unit, dict):
+        assert scaled.keys() == unit.keys()
+        for k in unit:
+            _assert_scaled(unit[k], scaled[k], factor, exact, k)
+    elif isinstance(unit, list):
+        assert len(scaled) == len(unit), key
+        for u, s in zip(unit, scaled):
+            _assert_scaled(u, s, factor, exact, key)
+    elif not isinstance(unit, float) or key in UNITLESS:
+        assert scaled == unit, key
+    elif exact:
+        assert scaled == unit * factor, key
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(scaled_inputs())
+def test_reports_scale_with_binary_powers(case):
+    # 2^e R has every verdict, certificate, k_profile and multiplicity of R;
+    # inside e in [-400, 400] nothing under- or overflows, so every float
+    # of the report is 2^e times that of R
+    R, e, kappa, p = case
+    factor = 2.0**e
+
+    def reports(f):
+        spec = json.dumps({"kind": "dense", "n": R.n, "components": (R.components * f).ravel().tolist()})
+        k = [] if kappa is None else ["--kappa", repr(kappa * f)]
+        out = []
+        for argv in (
+            ["analyze", "--p", "all", *k],
+            ["certify", *k],
+            ["spectrum", "--operator", "first"],
+            ["spectrum", "--operator", "ric_l", "--ric-l-p", str(p)],
+        ):
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text):
+                assert main([*argv, "--model", spec]) == 0
+            out.append(json.loads(text.getvalue()))
+        return out
+
+    _assert_scaled(reports(1.0), reports(factor), factor, abs(e) <= 400)
 
 
 # (argv, terminal width) per call

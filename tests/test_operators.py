@@ -209,6 +209,18 @@ def test_cluster_eigenvalues():
     assert clusters[0][0] == pytest.approx(1.0, abs=1e-8)
 
 
+def test_clusters_survive_binary_scaling():
+    # the gap tolerance is relative to the spectral radius alone, so 2^-30 R
+    # keeps the clusters of R, each mean scaled exactly
+    factor = 2.0**-30
+    for R, count in ((random_curvature(6, np.random.default_rng(41)), 20), (product_sphere(6), 3)):
+        unit = cluster_eigenvalues(Analysis(R).second_kind)
+        assert len(unit) == count
+        assert cluster_eigenvalues(Analysis(R * factor).second_kind) == [
+            (value * factor, mult) for value, mult in unit
+        ]
+
+
 def test_basis_family_trace_identities():
     # diagonal values of R-bar on the off-diagonal family are sectional
     # curvatures; summing over the diagonal family against the closed form

@@ -22,7 +22,13 @@ from curvkind import (
     validate_curvature,
 )
 from curvkind.tensor_core import multi_index_array
-from helpers import random_symmetric, rotate_form, sym_inner, to_dense_by_permutations
+from helpers import (
+    form_from_dense,
+    random_symmetric,
+    rotate_form,
+    sym_inner,
+    to_dense_by_permutations,
+)
 
 
 def test_sort_with_sign():
@@ -51,7 +57,7 @@ def test_pform_norm_matches_dense_extension():
         if p >= 2:
             assert np.allclose(dense, -np.swapaxes(dense, 0, 1))
         assert abs(float(np.sum(dense**2)) - w.norm_sq) <= 1e-12 * (1 + w.norm_sq)
-        back = PForm.from_dense(dense)
+        back = form_from_dense(dense)
         assert np.allclose(back.coeffs, w.coeffs)
 
 
@@ -77,9 +83,9 @@ def test_from_dense_gathers_sorted_coefficients_bitwise():
     for n, p in [(3, 1), (4, 2), (5, 3), (6, 6), (7, 4)]:
         dense = rng.standard_normal((n,) * p)
         coeffs = np.array([dense[idx] for idx in multi_indices(n, p)])
-        assert PForm.from_dense(dense).coeffs.tobytes() == coeffs.tobytes()
+        assert form_from_dense(dense).coeffs.tobytes() == coeffs.tobytes()
     with pytest.raises(ShapeMismatch):
-        PForm.from_dense(np.float64(1.0))
+        form_from_dense(np.float64(1.0))
 
 
 def test_multi_index_array_is_read_only():

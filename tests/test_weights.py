@@ -386,7 +386,7 @@ def test_certify_verdicts_reproducible_from_sums():
                 if "order" in s:
                     assert s["partial_sum"] == partial_sum_by_slices(eigs, s["order"])
                 if c.theorem.endswith("(a)"):
-                    want = s["partial_sum"] > 1e-12 * (1.0 + radius)
+                    want = s["partial_sum"] > 1e-12 * radius
                 elif c.theorem.endswith("(b)"):
                     want = exists_below_by_scan(eigs, s["order_upper"], radius)
                 elif c.theorem == "D-hypothesis":
@@ -454,7 +454,7 @@ def _with_spectrum(ascending, n, einstein):
     spectrum, the scalar curvature its trace implies and an Einstein verdict."""
     scalar = 2.0 * n / (n + 2.0) * float(ascending.sum())
     defect = 0.0 if einstein else float("inf")
-    summary = CurvatureSummary(np.eye(n) * (scalar / n), scalar, defect)
+    summary = CurvatureSummary(np.eye(n) * (scalar / n), scalar, defect, 1.0)
     return SimpleNamespace(n=n, second_kind=ascending, summary=summary)
 
 
@@ -527,6 +527,27 @@ def test_certify_flags_flat():
     certs = certify(Analysis(constant_curvature(4, 0.0)))
     a = _by_theorem(certs, "A")
     assert a.holds and "flat" in a.conclusion
+
+
+def test_tiny_sphere_is_not_flat():
+    # every floor scales with the input, so 1e-13 times the sphere has the
+    # sphere's verdicts: flat means R = 0
+    certs = certify(Analysis(constant_curvature(5, 1.0) * 1e-13))
+    a = _by_theorem(certs, "A")
+    assert a.holds and a.conclusion == "either flat or a rational homology sphere"
+    assert _by_theorem(certs, "B(a)").holds
+    c = [cert for cert in certs if cert.theorem == "C(a)"]
+    assert len(c) == 2 and all(cert.holds for cert in c)
+
+
+def test_tiny_random_tensor_is_not_einstein():
+    # the Einstein test reads max(s, |scal|) with s the unit scale of R
+    R = random_curvature(6, np.random.default_rng(40))
+    tiny = Analysis(R * 1e-13)
+    assert not tiny.summary.is_einstein()
+    unit, scaled = certify(Analysis(R)), certify(tiny)
+    assert len(scaled) == len(unit) == 11
+    assert [c.verdict for c in scaled] == [c.verdict for c in unit]
 
 
 def test_certify_with_kappa_certificate():
