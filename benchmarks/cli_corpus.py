@@ -22,7 +22,10 @@ The corpus has two parts.
 
 A scaling section follows: `certify` and `analyze` on a seeded random
 tensor with n = 5 and 8, its Einstein projection and the product sphere,
-each scaled by 2^e for e in SCALE_EXPONENTS: 60 calls.
+each scaled by 2^e for e in SCALE_EXPONENTS: 60 calls.  Then
+`spectrum --operator ric_l --ric-l-p 1` on the Ricci-flat projection of a
+seeded random tensor with n = 5 and 8 (Ric_L on 1-forms is Ric, roundoff
+around 0), at unit scale and times each 2^e: 12 calls.
 
 Dense files are written to a temporary directory and named by a relative
 path, so the echoed input is the same on every run.
@@ -150,6 +153,18 @@ def _scaled_sources():
     return out
 
 
+def _ricci_flat_sources():
+    """Ricci-flat projections of random tensors, at unit scale and times each 2^e."""
+    rng = np.random.default_rng(19)
+    out = []
+    for n in (5, 8):
+        E = _einstein(random_curvature(n, rng))
+        W = perturb_constant(E, -ricci_scalar(E).scalar / (n * (n - 1)))
+        for e in (0, *SCALE_EXPONENTS):
+            out.append(_write_dense(f"ricci-flat-{n}-{e}", W * 2.0**e))
+    return out
+
+
 def _corpus():
     """Every argv of the corpus, in order."""
     for source, command, fmt, kappa in itertools.product(
@@ -168,6 +183,8 @@ def _corpus():
             yield ["analyze", *source, "--p", "all", *fmt]
     for source, command in itertools.product(_scaled_sources(), COMMANDS):
         yield [*command, *source]
+    for source in _ricci_flat_sources():
+        yield ["spectrum", *source, "--operator", "ric_l", "--ric-l-p", "1"]
 
 
 def _call(argv):

@@ -14,7 +14,7 @@ eigs = ck.spectrum(ck.second_kind_matrix(R))
 
 print(f"--- S^1 x S^{n-1}, n = {n} ---")
 print("second-kind spectrum with multiplicities:")
-for value, mult in ck.cluster_eigenvalues(eigs):
+for value, mult in ck.cluster_eigenvalues(eigs, ck.ricci_scalar(R).scale):
     print(f"  {value:+.6f}  x{mult}")
 
 print("\npartial sums of the smallest eigenvalues:")

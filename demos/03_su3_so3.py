@@ -16,12 +16,12 @@ print("--- SU(3)/SO(3), n = 5 ---")
 print("Einstein with Ric = 3g: defect =", summary.einstein_defect)
 
 print("\nfirst-kind (two-form) spectrum:")
-for value, mult in ck.cluster_eigenvalues(ck.spectrum(ck.first_kind_matrix(R))):
+for value, mult in ck.cluster_eigenvalues(ck.spectrum(ck.first_kind_matrix(R)), summary.scale):
     print(f"  {value:+.6f}  x{mult}")
 
 eigs = ck.spectrum(ck.second_kind_matrix(R))
 print("second-kind spectrum:")
-for value, mult in ck.cluster_eigenvalues(eigs):
+for value, mult in ck.cluster_eigenvalues(eigs, summary.scale):
     print(f"  {value:+.6f}  x{mult}")
 
 profile = ck.k_positivity_profile(eigs)

@@ -75,7 +75,6 @@ from .operators import (
     second_kind_matrix,
     spectrum,
     _rbar_matrix,
-    _symmetry_tol,
 )
 from .tensor_core import (
     PForm,
@@ -83,6 +82,7 @@ from .tensor_core import (
     multi_index_array,
     require_square,
 )
+from .tolerance import SYMMETRY, peak
 
 
 def _frozen(x, dtype):
@@ -661,7 +661,7 @@ def ric_l_spectrum(analysis, p):
     # through the second half of the columns
     A = rows[:, :half]
     B = rows[:, half:][:, ::-1] * sign[:half]
-    tol = _symmetry_tol(rows)
+    tol = SYMMETRY * peak(rows)
     if n % 4:
         return np.repeat(spectrum(A + 1j * B, tol), 2)
     return np.sort(np.concatenate([spectrum(A + B, tol), spectrum(A - B, tol)]))

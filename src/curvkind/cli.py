@@ -63,10 +63,11 @@ def _load_curvature(args):
     return Analysis(R), descriptor
 
 
-def _spectrum_block(eigs):
+def _spectrum_block(a, eigs):
+    """A spectrum of a's tensor and its clusters, which read R's unit scale."""
     return {
         "eigenvalues": [float(v) for v in eigs],
-        "clusters": [[value, mult] for value, mult in cluster_eigenvalues(eigs)],
+        "clusters": [[value, mult] for value, mult in cluster_eigenvalues(eigs, a.scale)],
     }
 
 
@@ -127,8 +128,8 @@ def _analysis_report(a, descriptor, kappa=None, p_mode="half"):
             "scalar": a.summary.scalar,
             "einstein_defect": a.summary.einstein_defect,
         },
-        "second_kind": _spectrum_block(a.second_kind),
-        "first_kind": _spectrum_block(spectrum(a.first_kind)),
+        "second_kind": _spectrum_block(a, a.second_kind),
+        "first_kind": _spectrum_block(a, spectrum(a.first_kind)),
         "per_p": _per_p_rows(a, p_values),
     }
 
@@ -215,7 +216,7 @@ def _cmd_spectrum(args):
     else:
         eigs = ric_l_spectrum(a, args.ric_l_p)
     payload = {"input": descriptor, "n": a.n, "operator": args.operator}
-    payload.update(_spectrum_block(eigs))
+    payload.update(_spectrum_block(a, eigs))
     _emit(payload, _emit_spectrum_table if args.table else None)
     return 0
 

@@ -9,7 +9,7 @@
   basis {e_i ^ e_j}_{i<j}, entries R_{ijkl}.
 * require_symmetric / spectrum / cluster_eigenvalues: the symmetry gate,
   deterministic symmetric (or Hermitian) eigensolve and multiplicity
-  grouping.
+  grouping.  Their floors follow the scale rule of tolerance.
 * Analysis: the three facts about R that the certificates and the Ric_L
   bounds read (summary, first-kind matrix, second-kind spectrum), each
   computed once, when first read.
@@ -20,22 +20,23 @@ scal/2, and the second-kind trace is (n+2)/(2n) * scal.
 
 from dataclasses import dataclass
 from functools import cached_property
-import math
 
 import numpy as np
 
 from .errors import NotSymmetric
 from .tensor_core import CurvatureTensor, canonical_s02_basis, multi_index_array
+from .tolerance import CLUSTER, EINSTEIN, SYMMETRY, peak, unit_scale
 
 
 @dataclass(frozen=True)
 class CurvatureSummary:
     """Ricci tensor, scalar curvature, the Einstein defect |Ric - (scal/n) g|
     and the unit scale of R: the power of two s with 1 <= max|R|/s < 2
-    (s = 1 for R = 0).
+    (s = 1 for R = 0; tolerance.unit_scale).
 
     is_einstein compares the defect with 1e-10 * max(s, |scal|), so the
-    verdict does not change when R is multiplied by a power of two.
+    verdict does not change when R is multiplied by a power of two.  The
+    eigenvalue clusters of every spectrum of R also read s.
     """
 
     ricci: np.ndarray
@@ -48,7 +49,7 @@ class CurvatureSummary:
         return self.ricci.shape[0]
 
     def is_einstein(self):
-        return self.einstein_defect <= 1e-10 * max(self.scale, abs(self.scalar))
+        return self.einstein_defect <= EINSTEIN * max(self.scale, abs(self.scalar))
 
 
 def ricci_scalar(R):
@@ -59,10 +60,8 @@ def ricci_scalar(R):
     power of two is exact, the squares of dev / s cannot overflow, and the
     defect of 2^e R is 2^e times that of R.
     """
-    c = R.components
-    peak = max(float(c.max()), -float(c.min()))
-    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak else 1.0
-    ric = np.einsum("ikjk->ij", c)
+    scale = unit_scale(R.components)
+    ric = np.einsum("ikjk->ij", R.components)
     scal = float(np.trace(ric))
     deviation = ric - (scal / R.n) * np.eye(R.n)
     defect = scale * float(np.linalg.norm(deviation / scale))
@@ -102,15 +101,6 @@ def first_kind_matrix(R):
 _STRIPE = 64
 
 
-def _symmetry_tol(M):
-    """The default threshold of require_symmetric: 1e-12 * max|entry| of M."""
-    if np.iscomplexobj(M):
-        scale = float(np.abs(M).max(initial=0.0))
-    else:
-        scale = max(float(M.max(initial=0.0)), -float(M.min(initial=0.0)))
-    return 1e-12 * scale
-
-
 def require_symmetric(M, symmetry_tol=None):
     """M as a float array, after checking that it is square and symmetric.
 
@@ -125,7 +115,7 @@ def require_symmetric(M, symmetry_tol=None):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {M.shape}")
     if symmetry_tol is None:
-        symmetry_tol = _symmetry_tol(M)
+        symmetry_tol = SYMMETRY * peak(M)
     for s in range(0, len(M), _STRIPE):
         e = s + _STRIPE
         if float(np.abs(M[s:e, s:] - M[s:, s:e].T.conj()).max()) > symmetry_tol:
@@ -144,14 +134,16 @@ def spectral_decomposition(M):
     return np.linalg.eigh(require_symmetric(M))
 
 
-def cluster_eigenvalues(values):
+def cluster_eigenvalues(values, scale):
     """Group sorted eigenvalues into multiplicity clusters.
 
     Returns a list of (mean value, multiplicity); the gap tolerance is
-    1e-7 * spectral radius.
+    1e-7 * (scale + spectral radius).  scale is the unit scale of the input
+    the spectrum came from (Analysis.scale for a spectrum of R), so a
+    spectrum that is roundoff around 0 while R is not stays one cluster.
     """
     values = np.sort(np.asarray(values, dtype=float))
-    tol = 1e-7 * float(np.abs(values).max(initial=0.0))
+    tol = CLUSTER * (scale + peak(values))
     cuts = np.flatnonzero(np.diff(values) > tol) + 1
     # an empty input splits into one empty block, which is no cluster
     return [(float(block.mean()), len(block)) for block in np.split(values, cuts) if len(block)]
@@ -163,8 +155,9 @@ class Analysis:
 
     summary (ricci_scalar), first_kind (first_kind_matrix) and second_kind
     (the ascending spectrum of second_kind_matrix) are each computed at
-    most once, when first read.  Every caller gets the same arrays, so they
-    are read-only.
+    most once, when first read.  scale is R's unit scale, summary.scale
+    without the Ricci contraction: the clusters of every spectrum of R read
+    it.  Every caller gets the same arrays, so they are read-only.
     """
 
     R: CurvatureTensor
@@ -176,6 +169,10 @@ class Analysis:
     @cached_property
     def summary(self):
         return ricci_scalar(self.R)
+
+    @cached_property
+    def scale(self):
+        return unit_scale(self.R.components)
 
     @cached_property
     def first_kind(self):

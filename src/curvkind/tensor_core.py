@@ -19,6 +19,7 @@ import os
 import numpy as np
 
 from .errors import CurvatureSymmetryError, DimensionMismatch, ShapeMismatch
+from .tolerance import SYMMETRY, peak
 
 DEFAULT_DIMENSION_CAP = 12
 
@@ -265,7 +266,7 @@ class CurvatureTensor:
 
     @property
     def max_abs(self):
-        return float(np.abs(self.components).max(initial=0.0))
+        return peak(self.components)
 
     def __add__(self, other):
         if not isinstance(other, CurvatureTensor):
@@ -307,7 +308,7 @@ def validate_curvature(R):
     The tolerance is 1e-12 * max|R| (exact-arithmetic constructions stay far
     below it; genuinely broken tensors are rejected, not repaired).
     """
-    tol = 1e-12 * R.max_abs
+    tol = SYMMETRY * R.max_abs
     report = curvature_symmetry_report(R)
     worst_name = max(report, key=lambda k: report[k][0])
     worst_res, worst_idx = report[worst_name]

@@ -33,6 +33,7 @@ from .errors import (
     POutOfRange,
     VariantPreconditionFailed,
 )
+from .tolerance import NONNEGATIVE, POSITIVE, peak
 
 
 def _bracket(ascending, omega, total):
@@ -197,13 +198,13 @@ class Certificate:
 
 def _positive(value, radius):
     """value > 1e-12 * radius; the one comparison of every positivity verdict."""
-    return value > 1e-12 * radius
+    return value > POSITIVE * radius
 
 
 def _nonnegative(value, radius, floor=0.0):
     """value >= floor up to 1e-10 * radius; the one comparison of every
     nonnegativity verdict, the estimate hypothesis D's included."""
-    return value >= floor - 1e-10 * radius
+    return value >= floor - NONNEGATIVE * radius
 
 
 def k_positivity_profile(eigenvalues):
@@ -214,7 +215,7 @@ def k_positivity_profile(eigenvalues):
     qualifies.
     """
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
-    radius = float(np.abs(eigs).max(initial=0.0))
+    radius = peak(eigs)
     sums = np.cumsum(eigs)
 
     def first(hits):
@@ -256,7 +257,7 @@ def certify(analysis, kappa=None):
     "flat" only when that radius is 0, i.e. R = 0.
     """
     n, eigs = analysis.n, analysis.second_kind
-    radius = float(np.abs(eigs).max(initial=0.0))
+    radius = peak(eigs)
     out = []
 
     def check(theorem, holds, conclusion, sums, p=None):

@@ -16,6 +16,7 @@ from curvkind import (
     first_kind_matrix,
     kulkarni_nomizu,
     multi_indices,
+    perturb_constant,
     ric_l_quadratic,
     ricci_scalar,
     rotate_curvature,
@@ -49,6 +50,13 @@ def make_einstein(R):
     s = ricci_scalar(R)
     ric0 = s.ricci - (s.scalar / R.n) * np.eye(R.n)
     return R + kulkarni_nomizu(ric0, np.eye(R.n)) * (-1.0 / (R.n - 2))
+
+
+def make_ricci_flat(R):
+    """The Einstein projection of R shifted to scalar curvature 0: Ric is 0
+    up to roundoff while R is not (its Weyl part; needs n >= 4)."""
+    E = make_einstein(R)
+    return perturb_constant(E, -ricci_scalar(E).scalar / (R.n * (R.n - 1)))
 
 
 def partial_sum_by_slices(eigenvalues, k):

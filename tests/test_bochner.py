@@ -429,7 +429,7 @@ def test_ric_l_spectrum_middle_degree_split():
                     assert np.abs(split - want).max() <= tol, (name, n, p)
                 if 2 * p == n and n % 4:
                     # * is a complex structure there: every multiplicity is even
-                    assert all(m % 2 == 0 for _, m in cluster_eigenvalues(split)), (name, n)
+                    assert all(m % 2 == 0 for _, m in cluster_eigenvalues(split, a.summary.scale)), (name, n)
 
 
 def _givens(n, angle):

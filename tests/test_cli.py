@@ -23,7 +23,7 @@ from curvkind import (
 )
 from curvkind import cli, model_spaces, operators, selftest, weights
 from curvkind.cli import main
-from helpers import make_einstein
+from helpers import make_einstein, make_ricci_flat
 
 
 def run_cli(capsys, argv):
@@ -309,23 +309,51 @@ def test_large_finite_tensor_scales_through(tmp_path, capsys, scale):
         assert verdicts[0] == verdicts[1]
 
 
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("factor", [1.0, 2.0**-30])
+def test_ricci_flat_ric_l_spectrum_is_one_cluster(tmp_path, capsys, n, factor):
+    # Ric_L on 1-forms is Ric, roundoff around 0 for a Ricci-flat R; its
+    # clusters read R's unit scale, not the spectrum's own radius, so they
+    # stay one of multiplicity n
+    R = make_ricci_flat(random_curvature(n, np.random.default_rng(n))) * factor
+    path = tmp_path / "weyl.json"
+    path.write_text(json.dumps({"kind": "dense", "n": n, "components": R.components.ravel().tolist()}))
+    argv = ["spectrum", "--dense", str(path), "--operator", "ric_l", "--ric-l-p", "1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert max(abs(v) for v in payload["eigenvalues"]) <= 1e-14 * factor
+    assert [m for _, m in payload["clusters"]] == [n]
+
+
 @st.composite
 def scaled_inputs(draw):
-    """A tensor with n <= 8, a binary exponent e in [-1000, 1000], a kappa
-    and a Ric_L degree.  Tensors are seeded random ones, their Einstein
-    projection, the product sphere and the product sphere perturbed by
-    constant curvature."""
+    """A tensor with n <= 8, a binary exponent e in [-1000, 1000], a kappa,
+    a Ric_L degree p >= 2 (degree 1 is always reported) and the largest |e|
+    at which every report float scales exactly.  Tensors are seeded random
+    ones, their Einstein projection, their Ricci-flat projection (n >= 4:
+    Ric, so Ric_L on 1-forms, is roundoff around 0), the product sphere and
+    the product sphere perturbed by constant curvature.
+
+    Floats scale exactly while LAPACK's eigensolvers leave them unscaled,
+    which holds for |e| <= 400 at unit scale.  A Ricci-flat R's Ricci
+    eigenvalues sit near 1e-17 |R|, where the tridiagonal solver starts to
+    rescale its input (below about 1e-122) once e < -350; there the bound
+    is 300."""
     n = draw(st.integers(3, 8))
-    kind = draw(st.sampled_from(("random", "einstein", "product_sphere", "perturbed")))
-    if kind in ("random", "einstein"):
+    kinds = ("random", "einstein", "ricci_flat", "product_sphere", "perturbed")
+    kind = draw(st.sampled_from(kinds if n >= 4 else kinds[:2] + kinds[3:]))
+    if kind in ("random", "einstein", "ricci_flat"):
         R = random_curvature(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
-        R = make_einstein(R) if kind == "einstein" else R
+        if kind != "random":
+            R = (make_einstein if kind == "einstein" else make_ricci_flat)(R)
     else:
         R = product_sphere(n)
         if kind == "perturbed":
             R = perturb_constant(R, draw(st.sampled_from((-0.3, -0.04, 0.5))))
     kappa = draw(st.sampled_from((None, 0.0, -0.7, -3.0)))
-    return R, draw(st.integers(-1000, 1000)), kappa, draw(st.integers(1, n - 1))
+    exact = 300 if kind == "ricci_flat" else 400
+    return R, draw(st.integers(-1000, 1000)), kappa, draw(st.integers(2, n - 1)), exact
 
 
 # report floats that do not scale with R
@@ -354,9 +382,9 @@ def _assert_scaled(unit, scaled, factor, exact, key=None):
 @given(scaled_inputs())
 def test_reports_scale_with_binary_powers(case):
     # 2^e R has every verdict, certificate, k_profile and multiplicity of R;
-    # inside e in [-400, 400] nothing under- or overflows, so every float
-    # of the report is 2^e times that of R
-    R, e, kappa, p = case
+    # inside |e| <= exact nothing under- or overflows, so every float of the
+    # report is 2^e times that of R
+    R, e, kappa, p, exact = case
     factor = 2.0**e
 
     def reports(f):
@@ -367,6 +395,7 @@ def test_reports_scale_with_binary_powers(case):
             ["analyze", "--p", "all", *k],
             ["certify", *k],
             ["spectrum", "--operator", "first"],
+            ["spectrum", "--operator", "ric_l", "--ric-l-p", "1"],
             ["spectrum", "--operator", "ric_l", "--ric-l-p", str(p)],
         ):
             text = io.StringIO()
@@ -375,7 +404,7 @@ def test_reports_scale_with_binary_powers(case):
             out.append(json.loads(text.getvalue()))
         return out
 
-    _assert_scaled(reports(1.0), reports(factor), factor, abs(e) <= 400)
+    _assert_scaled(reports(1.0), reports(factor), factor, abs(e) <= exact)
 
 
 # (argv, terminal width) per call
@@ -567,7 +596,7 @@ def test_ric_l_diagonal_path_matches_assembled(capsys, spec):
     assert code == 0
     payload = json.loads(out)
     assert np.abs(np.array(payload["eigenvalues"]) - full[6]).max() <= tol(6)
-    want = cluster_eigenvalues(full[6])
+    want = cluster_eigenvalues(full[6], a.summary.scale)
     assert [m for _, m in payload["clusters"]] == [m for _, m in want]
     assert np.abs(np.array([v for v, _ in payload["clusters"]])
                   - [v for v, _ in want]).max() <= tol(6)

@@ -204,19 +204,20 @@ def test_spectrum_reconstruction_and_determinism():
 
 
 def test_cluster_eigenvalues():
-    clusters = cluster_eigenvalues([1.0, 1.0 + 1e-9, 2.0, 5.0, 5.0])
+    clusters = cluster_eigenvalues([1.0, 1.0 + 1e-9, 2.0, 5.0, 5.0], 1.0)
     assert [m for _, m in clusters] == [2, 1, 2]
     assert clusters[0][0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_clusters_survive_binary_scaling():
-    # the gap tolerance is relative to the spectral radius alone, so 2^-30 R
-    # keeps the clusters of R, each mean scaled exactly
+    # the gap tolerance is relative to R's unit scale and the spectral
+    # radius, so 2^-30 R keeps the clusters of R, each mean scaled exactly
     factor = 2.0**-30
     for R, count in ((random_curvature(6, np.random.default_rng(41)), 20), (product_sphere(6), 3)):
-        unit = cluster_eigenvalues(Analysis(R).second_kind)
+        unit = cluster_eigenvalues(Analysis(R).second_kind, ricci_scalar(R).scale)
         assert len(unit) == count
-        assert cluster_eigenvalues(Analysis(R * factor).second_kind) == [
+        scaled = Analysis(R * factor)
+        assert cluster_eigenvalues(scaled.second_kind, scaled.summary.scale) == [
             (value * factor, mult) for value, mult in unit
         ]
 
