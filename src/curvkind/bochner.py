@@ -80,16 +80,10 @@ from .tensor_core import (
     PForm,
     canonical_s02_basis,
     multi_index_array,
+    read_only,
     require_square,
 )
 from .tolerance import SYMMETRY, peak
-
-
-def _frozen(x, dtype):
-    """A read-only copy of x in the given dtype (a compact integer one for an index table)."""
-    x = np.asarray(x).astype(dtype)
-    x.flags.writeable = False
-    return x
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +111,7 @@ def _wedge_table(n, q):
     wanted = (1 << idx).sum(axis=1)[:, None] | (1 << np.arange(n))
     found = np.minimum(np.searchsorted(upper_bits[order], wanted), len(order) - 1)
     row = np.where(member, 0, order[found])
-    return _frozen(row, np.int32), _frozen(sign, np.int8)
+    return read_only(row, np.int32), read_only(sign, np.int8)
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +133,7 @@ def _through(n, q, k):
         row = up_row[row[:, d], c]
     hub, g = np.nonzero(sign)
     width = math.comb(n - q, k)
-    return tuple(_frozen(x.reshape(-1, width), x.dtype) for x in (row[hub, g], sign[hub, g], g))
+    return tuple(read_only(x.reshape(-1, width)) for x in (row[hub, g], sign[hub, g], g))
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +156,7 @@ def _ric_l_plan(n, p):
         left = g.ravel()[entry] * math.comb(n, k)
         part = (entry // row.shape[1], sign.ravel()[entry], left, row, sign, g)
         dtypes = (np.int32, np.int8, np.int32, np.int32, np.int8, np.int16)
-        parts.append(tuple(_frozen(x, dtype) for x, dtype in zip(part, dtypes)))
+        parts.append(tuple(read_only(x, dtype) for x, dtype in zip(part, dtypes)))
     return tuple(parts)
 
 
@@ -182,12 +176,12 @@ def _unit_positions(n, p):
     _matrix_units.
     """
     if p == 0:
-        return (_frozen(np.zeros(0), np.intp),) * 3
+        return (read_only(np.zeros(0), np.intp),) * 3
     row, sign, g = _through(n, p - 1, 1)
     flat = (g[:, :, None] * n + g[:, None, :]) * math.comb(n, p) + row[:, :, None]
     source = np.broadcast_to(row[:, None, :], flat.shape)
     units = (flat, source, sign[:, :, None] * sign[:, None, :])
-    return tuple(_frozen(x.ravel(), x.dtype) for x in units)
+    return tuple(read_only(x.ravel()) for x in units)
 
 
 @lru_cache(maxsize=None)
@@ -196,7 +190,7 @@ def _symmetric_pairs(n):
     read-only arrays (i, l, il, li) of length n(n+1)/2: il and li are the
     flat positions i * n + l and l * n + i in an n x n table."""
     i, l = (np.concatenate([np.arange(n), x]) for x in multi_index_array(n, 2).T)
-    return tuple(_frozen(x, np.intp) for x in (i, l, i * n + l, l * n + i))
+    return tuple(read_only(x, np.intp) for x in (i, l, i * n + l, l * n + i))
 
 
 def _matrix_units(w):
@@ -283,9 +277,16 @@ def form_s02_expansion(w):
     )
 
 
+def _same_dimension(R, w):
+    """Refuse a form and a curvature tensor on different dimensions."""
+    if R.n != w.n:
+        raise DimensionMismatch("form and curvature live on different dimensions")
+
+
 @one_blas_thread
 def second_kind_form_term(R, w):
     """g(second-kind(w^{S^2_0}), w^{S^2_0}) via the canonical-basis matrix."""
+    _same_dimension(R, w)
     return float(np.einsum("ab,ab->", second_kind_matrix(R), form_s02_expansion(w).gram()))
 
 
@@ -295,8 +296,7 @@ def ric_l_quadratic(R, w):
     through the Gram of its slices w_{ij...}, i < j: the oracle for
     bochner_decomposition and ric_l_matrix, sharing no table."""
     n, p = R.n, w.p
-    if w.n != n:
-        raise DimensionMismatch("form and curvature live on different dimensions")
+    _same_dimension(R, w)
     if p == 0:
         return 0.0
     summary = ricci_scalar(R)
@@ -462,8 +462,7 @@ def bochner_decomposition(R, w):
     second_kind_form_term and ogiue_tachibana_term are its oracles.
     """
     n, p = R.n, w.p
-    if w.n != n:
-        raise DimensionMismatch("form and curvature live on different dimensions")
+    _same_dimension(R, w)
     summary = ricci_scalar(R)
     norm_sq = w.norm_sq
     if p == 0:
@@ -506,8 +505,7 @@ def ogiue_tachibana_term(R, w):
     is summed over the orderings of each pair.
     """
     n, p = w.n, w.p
-    if R.n != n:
-        raise DimensionMismatch("form and curvature live on different dimensions")
+    _same_dimension(R, w)
     i, l, il, li = _symmetric_pairs(n)
     X = _matrix_units(w).reshape(n * n, -1)
     family = X[il] + X[li]

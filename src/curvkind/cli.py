@@ -103,26 +103,26 @@ def _per_p_rows(a, p_values):
     return rows
 
 
-def _certify_payload(a, descriptor, kappa):
+def _certify_report(a, descriptor, args):
     """The certify report, which the analyze report extends."""
     return {
         "input": descriptor,
         "n": a.n,
         "k_profile": k_positivity_profile(a.second_kind),
-        "certificates": _certificate_dicts(certify(a, kappa)),
+        "certificates": _certificate_dicts(certify(a, args.kappa)),
     }
 
 
-def _analysis_report(a, descriptor, kappa=None, p_mode="half"):
+def _analyze_report(a, descriptor, args):
+    """The certify report, the summary, both spectra and one row per degree
+    of --p: 'half' (1 <= p <= n/2), 'all' (1 <= p < n) or one integer."""
     n = a.n
-    if p_mode == "all":
-        p_values = list(range(1, n))
-    elif p_mode == "half":
-        p_values = list(range(1, n // 2 + 1))
+    if args.p in ("half", "all"):
+        p_values = range(1, n // 2 + 1 if args.p == "half" else n)
     else:
-        p_values = [int(p_mode)]
+        p_values = [int(args.p)]
     return {
-        **_certify_payload(a, descriptor, kappa),
+        **_certify_report(a, descriptor, args),
         "summary": {
             "ricci_eigenvalues": [float(v) for v in np.linalg.eigvalsh(a.summary.ricci)],
             "scalar": a.summary.scalar,
@@ -134,18 +134,14 @@ def _analysis_report(a, descriptor, kappa=None, p_mode="half"):
     }
 
 
-def _emit(payload, table=None):
-    """Print payload as JSON, or through table(payload).  A finite input can
-    still overflow to a report with an infinity or NaN, which JSON cannot
-    hold and the table would state as a result: both exit 2 instead."""
-    try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:
-        _fail(PARSE_ERROR, "input out of range: the report has a non-finite value")
-    if table is None:
-        print(text)
+def _spectrum_report(a, descriptor, args):
+    if args.operator == "second":
+        eigs = a.second_kind
+    elif args.operator == "first":
+        eigs = spectrum(a.first_kind)
     else:
-        table(payload)
+        eigs = ric_l_spectrum(a, args.ric_l_p)
+    return {"input": descriptor, "n": a.n, "operator": args.operator, **_spectrum_block(a, eigs)}
 
 
 def _fmt(x):
@@ -160,8 +156,7 @@ def _emit_analysis_table(report):
     )
     print("Ricci eigenvalues: " + ", ".join(_fmt(v) for v in s["ricci_eigenvalues"]))
     for name in ("second_kind", "first_kind"):
-        clus = ", ".join(f"{_fmt(v)} (x{m})" for v, m in report[name]["clusters"])
-        print(f"{name.replace('_', ' ')} spectrum: {clus}")
+        _emit_spectrum_table(report[name], name.replace("_", " "))
     _emit_k_profile(report["k_profile"])
     print("per-degree table:")
     print("  p   C_p        min eig Ric_L   bounds")
@@ -188,42 +183,34 @@ def _emit_certificate_table(cert_dicts):
         print(f"  {tag:<14} {c['verdict']:<6} {c['conclusion']}  [{sums}]")
 
 
-def _cmd_analyze(args):
-    a, descriptor = _load_curvature(args)
-    report = _analysis_report(a, descriptor, kappa=args.kappa, p_mode=args.p)
-    _emit(report, _emit_analysis_table if args.table else None)
-    return 0
-
-
-def _cmd_certify(args):
-    a, descriptor = _load_curvature(args)
-    payload = _certify_payload(a, descriptor, args.kappa)
-    _emit(payload, _emit_certify_table if args.table else None)
-    return 0
-
-
 def _emit_certify_table(payload):
     _emit_k_profile(payload["k_profile"])
     _emit_certificate_table(payload["certificates"])
 
 
-def _cmd_spectrum(args):
-    a, descriptor = _load_curvature(args)
-    if args.operator == "second":
-        eigs = a.second_kind
-    elif args.operator == "first":
-        eigs = spectrum(a.first_kind)
-    else:
-        eigs = ric_l_spectrum(a, args.ric_l_p)
-    payload = {"input": descriptor, "n": a.n, "operator": args.operator}
-    payload.update(_spectrum_block(a, eigs))
-    _emit(payload, _emit_spectrum_table if args.table else None)
-    return 0
-
-
-def _emit_spectrum_table(payload):
+def _emit_spectrum_table(payload, label=None):
+    """A spectrum's clusters on one line, under label (its operator by default)."""
     clus = ", ".join(f"{_fmt(v)} (x{m})" for v, m in payload["clusters"])
-    print(f"{payload['operator']} spectrum: {clus}")
+    print(f"{label or payload['operator']} spectrum: {clus}")
+
+
+def _cmd_report(args):
+    """analyze, certify and spectrum: load the input, build the subcommand's
+    report (args.report) and print it as JSON, or through args.print_table
+    with --table.  A finite input can still overflow to a report with an
+    infinity or NaN, which JSON cannot hold and the table would state as a
+    result: both exit 2 instead."""
+    a, descriptor = _load_curvature(args)
+    report = args.report(a, descriptor, args)
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        _fail(PARSE_ERROR, "input out of range: the report has a non-finite value")
+    if args.table:
+        args.print_table(report)
+    else:
+        print(text)
+    return 0
 
 
 def _cmd_selftest(args):
@@ -240,7 +227,9 @@ def _cmd_selftest(args):
     return 0 if ok else 1
 
 
-def _add_input_and_format(parser):
+def _add_report(parser, report, print_table):
+    """The input and format options of a report subcommand, and its builder
+    report(a, descriptor, args) and table printer for _cmd_report."""
     # argparse's default pattern knows only "-1" and "-0.5" as negative
     # numbers and takes "-1e-3" for an option; no option of this CLI is
     # spelled like a negative number, so "-<digit>" and "-.<digit>" are
@@ -252,7 +241,7 @@ def _add_input_and_format(parser):
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="table", action="store_false", help="JSON output (default)")
     fmt.add_argument("--table", dest="table", action="store_true", help="human-readable table")
-    parser.set_defaults(table=False)
+    parser.set_defaults(table=False, func=_cmd_report, report=report, print_table=print_table)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -280,23 +269,20 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="full report: spectra, bounds, certificates")
-    _add_input_and_format(analyze)
+    _add_report(analyze, _analyze_report, _emit_analysis_table)
     analyze.add_argument(
         "--p", default="half", help="'half' (default, p <= n/2), 'all', or a single degree"
     )
-    analyze.set_defaults(func=_cmd_analyze)
 
     cert = sub.add_parser("certify", help="hypothesis checks only")
-    _add_input_and_format(cert)
-    cert.set_defaults(func=_cmd_certify)
+    _add_report(cert, _certify_report, _emit_certify_table)
 
     spec = sub.add_parser("spectrum", help="eigenvalues of one induced operator")
-    _add_input_and_format(spec)
+    _add_report(spec, _spectrum_report, _emit_spectrum_table)
     spec.add_argument(
         "--operator", choices=("second", "first", "ric_l"), default="second"
     )
     spec.add_argument("--ric-l-p", dest="ric_l_p", type=int, default=1)
-    spec.set_defaults(func=_cmd_spectrum)
 
     self_test = sub.add_parser("selftest", help="run the randomized identity sweeps")
     self_test.add_argument("--seed", type=int, default=20260114, help="base RNG seed")

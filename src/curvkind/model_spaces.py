@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .tensor_core import CurvatureTensor, check_dimension, dimension_cap, kulkarni_nomizu
+from .tolerance import peak
 
 
 def constant_curvature(n, kappa=1.0):
@@ -84,9 +85,9 @@ def random_curvature(n, rng):
     A = A + np.transpose(A, (2, 3, 0, 1))
     alt = (A + np.transpose(A, (1, 2, 0, 3)) + np.transpose(A, (2, 0, 1, 3))) / 3.0
     R = A - alt
-    peak = float(np.abs(R).max(initial=0.0))
-    if peak > 0.0:
-        R = R * (1.0 / peak)
+    top = peak(R)
+    if top > 0.0:
+        R = R * (1.0 / top)
     return CurvatureTensor(n, R)
 
 

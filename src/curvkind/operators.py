@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotSymmetric
-from .tensor_core import CurvatureTensor, canonical_s02_basis, multi_index_array
+from .tensor_core import CurvatureTensor, canonical_s02_basis, multi_index_array, read_only
 from .tolerance import CLUSTER, EINSTEIN, SYMMETRY, peak, unit_scale
 
 
@@ -176,16 +176,11 @@ class Analysis:
 
     @cached_property
     def first_kind(self):
-        return _read_only(first_kind_matrix(self.R))
+        return read_only(first_kind_matrix(self.R))
 
     @cached_property
     def second_kind(self):
-        return _read_only(spectrum(second_kind_matrix(self.R)))
-
-
-def _read_only(x):
-    x.flags.writeable = False
-    return x
+        return read_only(spectrum(second_kind_matrix(self.R)))
 
 
 def act_sym_dense(S, T):

@@ -39,6 +39,15 @@ def check_dimension(n):
     return int(n)
 
 
+def read_only(x, dtype=None):
+    """x as an array of the given dtype (its own by default), made read-only:
+    the form every cached table and every shared array takes.  x is not
+    copied when it already has that dtype."""
+    x = np.asarray(x, dtype=dtype)
+    x.flags.writeable = False
+    return x
+
+
 def s02_dimension(n):
     """dim of trace-free symmetric 2-tensors: (n-1)(n+2)/2."""
     return (n - 1) * (n + 2) // 2
@@ -59,28 +68,21 @@ def multi_index_array(n, p):
     idx.T (for p = 2 the pairs i < j as i, j = idx.T), is a contiguous index
     array."""
     idx = np.array(multi_indices(n, p), dtype=np.intp).reshape(math.comb(n, p), p)
-    idx = np.asfortranarray(idx)
-    idx.flags.writeable = False
-    return idx
+    return read_only(np.asfortranarray(idx))
 
 
 def sort_with_sign(idx):
     """Sort an index tuple, tracking permutation parity.
 
-    Returns (sign, sorted_tuple); sign is 0 when the tuple has a repeated
-    entry (the corresponding alternating coefficient vanishes).
+    Returns (sign, sorted_tuple); sign is (-1)^(number of inversions), and 0
+    when the tuple has a repeated entry (the corresponding alternating
+    coefficient vanishes).
     """
-    seq = list(idx)
-    sign = 1
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and seq[j - 1] == seq[j]:
-            return 0, None
-    return sign, tuple(seq)
+    seq = tuple(idx)
+    if len(set(seq)) < len(seq):
+        return 0, None
+    inversions = sum(1 for a, b in combinations(seq, 2) if a > b)
+    return 1 - 2 * (inversions % 2), tuple(sorted(seq))
 
 
 @lru_cache(maxsize=None)
@@ -89,9 +91,9 @@ def _signed_permutations(p):
     arrays (perms, signs) of shapes (p!, p) and (p!,)."""
     perms = np.array(list(permutations(range(p))), dtype=np.int8).reshape(math.factorial(p), p)
     a, b = np.triu_indices(p, 1)
-    signs = (1 - 2 * ((perms[:, a] > perms[:, b]).sum(axis=1) % 2)).astype(np.int8)
-    perms.flags.writeable = signs.flags.writeable = False
-    return perms, signs
+    # (-1)^(number of inversions), as in sort_with_sign
+    signs = 1 - 2 * ((perms[:, a] > perms[:, b]).sum(axis=1) % 2)
+    return read_only(perms), read_only(signs, np.int8)
 
 
 @lru_cache(maxsize=None)
@@ -105,8 +107,7 @@ def _dense_positions(n, p):
     at = np.zeros((len(idx), len(perms)), dtype=np.intp)
     for m in range(p):
         at = at * n + idx[:, perms[:, m]]
-    at.flags.writeable = False
-    return at
+    return read_only(at)
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,10 @@ class PForm:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        check_dimension(self.n)
-        expected = math.comb(self.n, self.p)
+        n, p = check_dimension(self.n), self.p
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not 0 <= p <= n:
+            raise ShapeMismatch(f"p-form degree must be an integer 0 <= p <= {n}, got {p!r}")
+        expected = math.comb(n, p)
         c = np.asarray(self.coeffs, dtype=float)
         if c.shape != (expected,):
             raise ShapeMismatch(
@@ -222,8 +225,7 @@ def canonical_s02_basis(n):
     diag = np.where(l > k[:, None], 1.0 / norm[:, None], 0.0)
     diag[k, k] = -m / norm
     out[len(i) :, l, l] = diag
-    out.flags.writeable = False
-    return out
+    return read_only(out)
 
 
 def random_trace_free(n, rng):
@@ -263,10 +265,6 @@ class CurvatureTensor:
     def validate(self):
         validate_curvature(self)
         return self
-
-    @property
-    def max_abs(self):
-        return peak(self.components)
 
     def __add__(self, other):
         if not isinstance(other, CurvatureTensor):
@@ -308,7 +306,7 @@ def validate_curvature(R):
     The tolerance is 1e-12 * max|R| (exact-arithmetic constructions stay far
     below it; genuinely broken tensors are rejected, not repaired).
     """
-    tol = SYMMETRY * R.max_abs
+    tol = SYMMETRY * peak(R.components)
     report = curvature_symmetry_report(R)
     worst_name = max(report, key=lambda k: report[k][0])
     worst_res, worst_idx = report[worst_name]
@@ -337,10 +335,7 @@ def kulkarni_nomizu(h, k):
     """
     h = require_square(h)
     k = require_square(k, n=h.shape[0])
-    R = (
-        np.einsum("ik,jl->ijkl", h, k)
-        + np.einsum("jl,ik->ijkl", h, k)
-        - np.einsum("il,jk->ijkl", h, k)
-        - np.einsum("jk,il->ijkl", h, k)
-    )
+    # A[i, j, k, l] = h_ik k_jl; the other three terms are transposes of it
+    A = np.einsum("ik,jl->ijkl", h, k)
+    R = A + A.transpose(1, 0, 3, 2) - A.transpose(0, 1, 3, 2) - A.transpose(1, 0, 2, 3)
     return CurvatureTensor(h.shape[0], R)

@@ -6,6 +6,7 @@ import pytest
 from curvkind import (
     Analysis,
     CurvatureTensor,
+    DimensionMismatch,
     NotSymmetric,
     POutOfRange,
     PForm,
@@ -526,6 +527,18 @@ def test_ric_l_diagonal_is_the_assembled_diagonal():
 
 
 # --- the decomposition -------------------------------------------------------
+
+
+def test_form_terms_refuse_another_dimension():
+    # the four (R, w) evaluations share one dimension check
+    rng = np.random.default_rng(41)
+    R = random_curvature(4, rng)
+    forms = (PForm(3, 0, [1.0]), PForm.random(3, 2, rng), PForm.random(5, 2, rng))
+    terms = (second_kind_form_term, bochner_decomposition, ogiue_tachibana_term, ric_l_quadratic)
+    for w in forms:
+        for term in terms:
+            with pytest.raises(DimensionMismatch):
+                term(R, w)
 
 
 def test_bochner_flat_everything_zero():

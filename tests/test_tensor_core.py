@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,8 @@ from curvkind import (
     trace_free_project,
     validate_curvature,
 )
-from curvkind.tensor_core import multi_index_array
+from curvkind.tensor_core import _signed_permutations, multi_index_array
+from curvkind.tolerance import peak
 from helpers import (
     form_from_dense,
     random_symmetric,
@@ -36,6 +38,18 @@ def test_sort_with_sign():
     assert sort_with_sign((1, 0, 2)) == (-1, (0, 1, 2))
     assert sort_with_sign((2, 0, 1)) == (1, (0, 1, 2))
     assert sort_with_sign((1, 1, 2)) == (0, None)
+    # every arrangement of up to four entries, repeats included, against the
+    # parities of _signed_permutations
+    for p in range(5):
+        perms, signs = _signed_permutations(p)
+        parity = {tuple(perm): int(sign) for perm, sign in zip(perms.tolist(), signs)}
+        for idx in itertools.product((0, 3, 5, 9), repeat=p):
+            ordered = tuple(sorted(idx))
+            if len(set(idx)) < p:
+                assert sort_with_sign(idx) == (0, None), idx
+            else:
+                ranks = tuple(ordered.index(v) for v in idx)
+                assert sort_with_sign(idx) == (parity[ranks], ordered), idx
 
 
 def test_multi_indices_count():
@@ -183,6 +197,11 @@ def test_shape_mismatch():
             CurvatureTensor(3, R)
         with pytest.raises(ShapeMismatch):
             PForm(4, 2, [0.0, 1.0, bad, 0.0, 0.0, 0.0])
+    # the degree is an integer 0 <= p <= n, and not a bool
+    for p, coeffs in ((5, []), (4, []), (-1, []), (True, [0.0, 1.0, 0.0]), (1.0, [0.0, 1.0, 0.0])):
+        with pytest.raises(ShapeMismatch):
+            PForm(3, p, coeffs)
+    assert PForm(3, np.int64(3), [2.0]).norm_sq == 24.0
 
 
 def test_kulkarni_nomizu_metric_gives_constant_curvature():
@@ -212,6 +231,12 @@ def test_kulkarni_nomizu_random_symmetric_is_valid_curvature():
         h = random_symmetric(n, rng)
         k = random_symmetric(n, rng)
         R = kulkarni_nomizu(h, k)
+        expected = np.zeros((n,) * 4)
+        for a, b, c, d in itertools.product(range(n), repeat=4):
+            expected[a, b, c, d] = (
+                h[a, c] * k[b, d] + h[b, d] * k[a, c] - h[a, d] * k[b, c] - h[b, c] * k[a, d]
+            )
+        assert np.array_equal(R.components, expected)
         # check the three identities directly from the product formula
         A = R.components
         assert np.abs(A + np.einsum("jikl->ijkl", A)).max() < 1e-12
@@ -227,7 +252,7 @@ def test_random_curvature_is_valid_and_generic():
     for n in (3, 4, 5, 6):
         R = random_curvature(n, rng)
         validate_curvature(R)
-        assert R.max_abs == pytest.approx(1.0)
+        assert peak(R.components) == pytest.approx(1.0)
     report = curvature_symmetry_report(random_curvature(4, rng))
     assert set(report) == {
         "antisymmetry_first",
