@@ -135,6 +135,7 @@ def _analyze_report(a, descriptor, args):
 
 
 def _spectrum_report(a, descriptor, args):
+    """The spectrum of --operator (second, first, or Ric_L on --ric-l-p forms)."""
     if args.operator == "second":
         eigs = a.second_kind
     elif args.operator == "first":
