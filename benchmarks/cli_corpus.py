@@ -1,4 +1,5 @@
-"""Hash the output of a fixed corpus of in-process `curvkind` calls.
+"""Hash the output of a fixed corpus of in-process `curvkind` calls, of
+`selftest` and of the demos.
 
 Two trees that print the same bytes for every call print the same digest, so
 a refactor that must not change any report can be checked by running this
@@ -6,7 +7,12 @@ against each tree:
 
     PYTHONPATH=<tree>/src python benchmarks/cli_corpus.py
 
-The corpus has two parts.
+Comparing the four digests of two trees then shows which of the CLI, the
+library, `selftest` and the demos print something else.  The corpus, the
+demos included, is that of the checkout holding this script; only the
+library comes from PYTHONPATH.
+
+The CLI corpus has two parts.
 
 * `certify` and `analyze`, JSON and `--table`, with --kappa absent, negative
   and positive (a positive kappa exits 2), over every model kind (Einstein
@@ -44,7 +50,10 @@ error it raised.
 The output is one JSON object: the number of CLI calls, the bytes of stdout
 and stderr they printed, the sha256 over each call's argv, exit code, stdout
 and stderr, and under "library" the number of library calls and the sha256
-over their outcomes.
+over their outcomes.  "selftest" is the sha256 of what `run_selftest()`
+prints with its default arguments, as `curvkind selftest` does, and "demos"
+the sha256 of the stdout of every script under demos/, each run in its own
+process, in the order of their names.
 """
 
 import contextlib
@@ -53,6 +62,9 @@ import io
 import itertools
 import json
 import os
+from pathlib import Path
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -74,12 +86,14 @@ from curvkind import (
     su3_so3,
 )
 from curvkind.cli import main
+from curvkind.selftest import run_selftest
 
 KAPPAS = (None, -1.0, -0.3, 0.0, 0.5)
 COMMANDS = (("certify",), ("analyze",))
 FORMATS = ((), ("--table",))
 OPERATOR_DIMS = (6, 10, 11, 12)
 SCALE_EXPONENTS = (-400, -45, -30, 60, 400)
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 def _einstein(R):
@@ -254,6 +268,21 @@ def run_library():
     return {"calls": calls, "sha256": digest.hexdigest()}
 
 
+def run_selftest_digest():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        run_selftest()
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def run_demos():
+    digest = hashlib.sha256()
+    for path in DEMOS:
+        done = subprocess.run([sys.executable, str(path)], capture_output=True, check=True)
+        digest.update(done.stdout)
+    return digest.hexdigest()
+
+
 def run():
     digest = hashlib.sha256()
     calls = size = 0
@@ -273,6 +302,8 @@ def run():
         "output_bytes": size,
         "sha256": digest.hexdigest(),
         "library": run_library(),
+        "selftest": run_selftest_digest(),
+        "demos": run_demos(),
     }
 
 

@@ -79,11 +79,12 @@ from .operators import (
 from .tensor_core import (
     PForm,
     canonical_s02_basis,
+    is_degree,
     multi_index_array,
     read_only,
     require_square,
 )
-from .tolerance import SYMMETRY, peak
+from .tolerance import SYMMETRY, peak, residual
 
 
 @lru_cache(maxsize=None)
@@ -349,7 +350,7 @@ def ric_l_matrix(analysis, p):
     it is 0.
     """
     n = analysis.n
-    if not 1 <= p <= n:
+    if not (is_degree(p) and 1 <= p <= n):
         raise POutOfRange(f"need 1 <= p <= n, got p={p}")
     count = math.comb(n, p)
     # at p = n the two sums are scal and -scal: return the exact zero
@@ -403,9 +404,11 @@ def _hodge_table(n, p):
 class BochnerReport:
     """The three-term decomposition of (3/2) g(Ric_L w, w).
 
-    einstein_residual additionally checks the short Einstein form
-    lhs = operator term + p(n-p)/n^2 * scal * |w|^2 and is None when the
-    input is not Einstein.
+    residual is tolerance.residual of the sum of the three terms against
+    lhs, at the scale s |w|^2 (s the unit scale of R), so 2^e R and 2^f w
+    read the residual of R and w.  einstein_residual checks the short
+    Einstein form lhs = operator term + p(n-p)/n^2 * scal * |w|^2 the same
+    way and is None when the input is not Einstein.
     """
 
     lhs: float
@@ -484,12 +487,11 @@ def bochner_decomposition(R, w):
     term_op = _s02_form_term(R, W, G, p) if p < n else 0.0
     term_ricci = (p * (n - 2 * p) / n) * ricci_w
     term_scal = (p**2 / n**2) * summary.scalar * norm_sq
-    residual = abs(lhs - term_op - term_ricci - term_scal) / (1.0 + abs(lhs))
-    einstein_residual = None
-    if summary.is_einstein():
-        short = term_op + (p * (n - p) / n**2) * summary.scalar * norm_sq
-        einstein_residual = abs(lhs - short) / (1.0 + abs(lhs))
-    return BochnerReport(lhs, term_op, term_ricci, term_scal, residual, einstein_residual)
+    scale = summary.scale * norm_sq
+    three_terms = residual(term_op + term_ricci + term_scal, lhs, scale)
+    short = term_op + (p * (n - p) / n**2) * summary.scalar * norm_sq
+    einstein = residual(short, lhs, scale) if summary.is_einstein() else None
+    return BochnerReport(lhs, term_op, term_ricci, term_scal, three_terms, einstein)
 
 
 @one_blas_thread
@@ -543,7 +545,9 @@ def ric_l_apply_dense(R, T):
 
 
 def general_tensor_bochner_check(R, T):
-    """Residual of the decomposition for a general (0,p)-tensor, p in {2,3}.
+    """Residual of the decomposition for a general (0,p)-tensor, p in {2,3},
+    as tolerance.residual of the right side against the left at the scale
+    s |T|^2, s the unit scale of R.
 
     Beyond the three p-form terms the right side carries the correction
 
@@ -591,7 +595,7 @@ def general_tensor_bochner_check(R, T):
                 + np.einsum("kjil,ijM,klM->", R.components, Tm, Tm)
             )
     rhs = term_op + term_ricci + term_scal + extra
-    return abs(lhs - rhs) / (1.0 + abs(lhs))
+    return residual(rhs, lhs, summary.scale * norm_sq)
 
 
 def _is_diagonal(X):
@@ -645,7 +649,7 @@ def ric_l_spectrum(analysis, p):
       one spectrum.
     """
     n = analysis.n
-    if not 1 <= p < n:
+    if not (is_degree(p) and 1 <= p < n):
         # p = n is ric_l_matrix's exact zero; other p raise POutOfRange there
         return spectrum(ric_l_matrix(analysis, p))
     if _is_diagonal(analysis.summary.ricci) and _is_diagonal(analysis.first_kind):

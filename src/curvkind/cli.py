@@ -238,7 +238,6 @@ def _add_report(parser, report, print_table):
     parser._negative_number_matcher = re.compile(r"-\.?\d")
     parser.add_argument("--model", help="inline model-spec JSON")
     parser.add_argument("--dense", help="path to a dense-components JSON file")
-    parser.add_argument("--kappa", type=float, default=None, help="estimate hypothesis level")
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="table", action="store_false", help="JSON output (default)")
     fmt.add_argument("--table", dest="table", action="store_true", help="human-readable table")
@@ -277,6 +276,9 @@ def build_parser():
 
     cert = sub.add_parser("certify", help="hypothesis checks only")
     _add_report(cert, _certify_report, _emit_certify_table)
+    # only the certificates read kappa
+    for reporter in (analyze, cert):
+        reporter.add_argument("--kappa", type=float, default=None, help="estimate hypothesis level")
 
     spec = sub.add_parser("spectrum", help="eigenvalues of one induced operator")
     _add_report(spec, _spectrum_report, _emit_spectrum_table)

@@ -3,8 +3,12 @@ acceptance suite.
 
 Each entry of CHECKS is (name, residuals, tol).  residuals(rng, draws, n_max)
 yields one number per case it evaluates, and the entry passes when the
-largest is at most tol.  One-sided checks yield signed margins, so their
-worst value shows the real slack.  The random sweeps run `draws` cases per
+largest is at most tol.  Identity checks yield tolerance.residual at a
+scale their inputs carry: s, the unit scale of R, for an identity in R;
+|w|^2 for one in a form w; s |w|^2 for one in both.  So their values do not
+move when R or w is rescaled by a power of two.  One-sided checks yield
+signed margins, relative to |w|^2 where a form enters, so their worst
+value shows the real slack.  The random sweeps run `draws` cases per
 n = 3..n_max (per (n, p) for the form identities, 5 * draws in all for the
 single weight bound and the bracket); the model checks are deterministic
 and run n = 3..8 whatever n_max is.
@@ -33,6 +37,7 @@ from .model_spaces import (
 )
 from .operators import Analysis, first_kind_matrix, ricci_scalar, second_kind_matrix, spectrum
 from .tensor_core import PForm, canonical_s02_basis, random_trace_free, validate_curvature
+from .tolerance import residual, unit_scale
 from .weights import k_partial_sum, min_weighted_sum, ric_l_lower_bounds
 
 MODEL_DIMS = range(3, 9)
@@ -67,9 +72,10 @@ def _trace_identities(rng, draws, n_max):
         for _ in range(draws):
             R = random_curvature(n, rng)
             validate_curvature(R)
-            s = ricci_scalar(R).scalar
-            yield abs(np.trace(second_kind_matrix(R)) - (n + 2) / (2 * n) * s) / (1 + abs(s))
-            yield abs(np.trace(first_kind_matrix(R)) - s / 2) / (1 + abs(s))
+            summary = ricci_scalar(R)
+            scal = summary.scalar
+            yield residual(np.trace(second_kind_matrix(R)), (n + 2) / (2 * n) * scal, summary.scale)
+            yield residual(np.trace(first_kind_matrix(R)), scal / 2, summary.scale)
 
 
 def _unit_sphere(rng, draws, n_max):
@@ -85,8 +91,8 @@ def _decomposition(rng, draws, n_max):
 
 def _ogiue_tachibana(rng, draws, n_max):
     for R, w in _random_pairs(rng, draws, n_max):
-        term = second_kind_form_term(R, w)
-        yield abs(ogiue_tachibana_term(R, w) - term) / (1.0 + abs(term))
+        scale = unit_scale(R.components) * w.norm_sq
+        yield residual(ogiue_tachibana_term(R, w), second_kind_form_term(R, w), scale)
 
 
 def _total_weight(rng, draws, n_max):
@@ -95,7 +101,7 @@ def _total_weight(rng, draws, n_max):
             for _ in range(draws if 0 < p < n else 5):
                 w = PForm.random(n, p, rng)
                 target = p * (n - p) / n * (n + 2) / 2 * w.norm_sq
-                yield abs(form_s02_expansion(w).total - target) / (1.0 + target)
+                yield residual(form_s02_expansion(w).total, target, w.norm_sq)
 
 
 def _single_weight(rng, draws, n_max):
@@ -105,7 +111,7 @@ def _single_weight(rng, draws, n_max):
         p = int(rng.integers(1, n))
         w = PForm.random(n, p, rng)
         excess = act_sym_on_form(random_trace_free(n, rng), w).norm_sq - p * (n - p) / n * w.norm_sq
-        yield excess / min(1.0, w.norm_sq)
+        yield excess / w.norm_sq
 
 
 def _bracket(rng, draws, n_max):

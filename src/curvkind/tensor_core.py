@@ -39,6 +39,12 @@ def check_dimension(n):
     return int(n)
 
 
+def is_degree(p):
+    """Whether p can be a form degree: an int or a numpy integer, not a bool.
+    Every entry point that takes a degree reads this before its range."""
+    return isinstance(p, (int, np.integer)) and not isinstance(p, bool)
+
+
 def read_only(x, dtype=None):
     """x as an array of the given dtype (its own by default), made read-only:
     the form every cached table and every shared array takes.  x is not
@@ -124,7 +130,7 @@ class PForm:
 
     def __post_init__(self):
         n, p = check_dimension(self.n), self.p
-        if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not 0 <= p <= n:
+        if not (is_degree(p) and 0 <= p <= n):
             raise ShapeMismatch(f"p-form degree must be an integer 0 <= p <= {n}, got {p!r}")
         expected = math.comb(n, p)
         c = np.asarray(self.coeffs, dtype=float)

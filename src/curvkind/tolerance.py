@@ -12,7 +12,15 @@ of R.  The scales are:
   as CurvatureSummary.scale, for the Einstein test and the eigenvalue
   clusters.  A spectrum can be roundoff around 0 while R is not (Ric_L on
   1-forms of a Ricci-flat R), so those two floors read R's scale, not only
-  the spectrum's own.
+  the spectrum's own;
+* s |w|^2, s the unit scale of R, for the residual of an identity in R
+  and a form w (s |T|^2 for a general tensor T); s for one in R alone and
+  |w|^2 for one in w alone.  residual(value, expected, scale) =
+  |value - expected| / (|expected| + scale) then reads the same under
+  R -> 2^e R and w -> 2^f w.
+
+CAPACITY and JUST_UNDER are not floors: they are unitless slacks on a
+ratio of weights and on a partial-sum order.
 """
 
 import math
@@ -29,6 +37,10 @@ NONNEGATIVE = 1e-10
 EINSTEIN = 1e-10
 # a gap between eigenvalues splits a cluster above CLUSTER * (s + radius)
 CLUSTER = 1e-7
+# a total weight fits omega * N eigenvalues up to omega * N * (1 + CAPACITY)
+CAPACITY = 1e-12
+# the point just under an order k of a partial sum is k * (1 - JUST_UNDER)
+JUST_UNDER = 1e-12
 
 
 def peak(x):
@@ -44,3 +56,11 @@ def unit_scale(x):
     Dividing by s is exact, and 2^e x has unit scale 2^e s."""
     top = peak(x)
     return math.ldexp(1.0, math.frexp(top)[1] - 1) if top else 1.0
+
+
+def residual(value, expected, scale):
+    """|value - expected| / (|expected| + scale), 0 when the two are equal:
+    the one residual of every identity check, relative to the size of the
+    expected side and to a scale the input carries (see above)."""
+    gap = abs(value - expected)
+    return gap / (abs(expected) + scale) if gap else 0.0

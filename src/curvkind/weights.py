@@ -33,7 +33,8 @@ from .errors import (
     POutOfRange,
     VariantPreconditionFailed,
 )
-from .tolerance import NONNEGATIVE, POSITIVE, peak
+from .tensor_core import is_degree
+from .tolerance import CAPACITY, JUST_UNDER, NONNEGATIVE, POSITIVE, peak
 
 
 def _bracket(ascending, omega, total):
@@ -68,7 +69,7 @@ def min_weighted_sum(eigenvalues, omega, total):
         raise InfeasibleWeights(f"total weight must be nonnegative, got {total}")
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
     N = len(eigs)
-    if total > omega * N * (1.0 + 1e-12):
+    if total > omega * N * (1.0 + CAPACITY):
         raise InfeasibleWeights(
             f"total weight {total} exceeds capacity {omega * N} of {N} eigenvalues"
         )
@@ -102,7 +103,7 @@ def constants(n, p):
     c_p = 3/2 * n(n+2) p(n-p) / (n^2 p - n p^2 - 2np + 2n^2 + 2n - 4p); the
     Einstein threshold is 3n/2 * (n+2)/(n+4).
     """
-    if not (isinstance(p, (int, np.integer)) and 1 <= p and 2 * p <= n):
+    if not (is_degree(p) and 1 <= p and 2 * p <= n):
         raise POutOfRange(f"need integer 1 <= p <= n/2, got p={p}, n={n}")
     n, p = int(n), int(p)
     denom_improved = n**2 * p - n * p**2 - 2 * n * p + 2 * n**2 + 2 * n - 4 * p
@@ -131,7 +132,7 @@ def ricci_lower_bounds(analysis, p):
     outside 1 <= p <= n raises POutOfRange.
     """
     n, eigs, scal = analysis.n, analysis.second_kind, analysis.summary.scalar
-    if not (isinstance(p, (int, np.integer)) and 1 <= p <= n):
+    if not (is_degree(p) and 1 <= p <= n):
         raise POutOfRange(f"need integer 1 <= p <= n, got p={p}, n={n}")
     if p == 1:
         improved = (n - 1.0) / (n + 1.0) * _bracket(eigs, 1.0, float(n)) + scal / (n * (n + 1.0))
@@ -236,7 +237,7 @@ def _exists_below(eigs, threshold, radius):
     last grid point, and only those two are evaluated.
     """
     integers = range(1, min(len(eigs), math.ceil(threshold)))
-    just_under = threshold * (1.0 - 1e-12)
+    just_under = threshold * (1.0 - JUST_UNDER)
     last = [just_under] if 1.0 <= just_under <= len(eigs) else integers[-1:]
     ends = [float(k) for k in (*integers[:1], *last)]
     return any(_nonnegative(_bracket(eigs, 1.0, k), radius) for k in ends)

@@ -581,6 +581,44 @@ def test_bochner_einstein_short_form():
             assert rep.einstein_residual <= 1e-9
 
 
+def test_residuals_invariant_under_binary_scaling():
+    # every residual is relative to s |w|^2 (s |T|^2), s the unit scale of R,
+    # so 2^e R and 2^f w read the residuals of R and w bit for bit
+    rng = np.random.default_rng(31)
+    n = 5
+    R = random_curvature(n, rng)
+    E = make_einstein(R)
+    forms = [PForm.random(n, p, rng) for p in range(1, n)]
+    tensors = [rng.standard_normal((n, n)), rng.standard_normal((n, n, n))]
+
+    def residuals(e, f):
+        out = []
+        for w in forms:
+            w = PForm(n, w.p, w.coeffs * 2.0**f)
+            out.append(bochner_decomposition(R * 2.0**e, w).residual)
+            out.append(bochner_decomposition(E * 2.0**e, w).einstein_residual)
+        out += [general_tensor_bochner_check(R * 2.0**e, T * 2.0**f) for T in tensors]
+        return out
+
+    base = residuals(0, 0)
+    assert 0.0 < max(base) <= 1e-12
+    for e in (-400, -40, 40, 400):
+        for f in (-20, 20):
+            assert residuals(e, f) == base, (e, f)
+
+
+def test_decomposition_residual_catches_one_percent_at_every_scale(monkeypatch):
+    # a 1 % error in the operator term reads as such at any scale of R: the
+    # residual is relative to s |w|^2, not to an absolute 1
+    rng = np.random.default_rng(32)
+    R = random_curvature(6, rng)
+    w = PForm.random(6, 2, rng)
+    term = bochner._s02_form_term
+    monkeypatch.setattr(bochner, "_s02_form_term", lambda *args: 1.01 * term(*args))
+    for e in (0, -20, -43):
+        assert bochner_decomposition(R * 2.0**e, w).residual >= 1e-3, e
+
+
 def test_bochner_lhs_against_both_oracles():
     rng = np.random.default_rng(24)
     for n in range(2, 10):

@@ -210,6 +210,9 @@ ARGPARSE_ERRORS = {
     # the list of choices after it is spelled differently across Python versions
     "unknown-subcommand": (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
     "unknown-option": (["spectrum", "--model", SU3, "--bogus"], "unrecognized arguments: --bogus"),
+    # only the certificates read kappa
+    "spectrum-kappa": (["spectrum", "--kappa", "5", "--model", '{"kind":"product_sphere","n":3}'],
+                       "unrecognized arguments: --kappa 5"),
 }
 
 

@@ -24,6 +24,7 @@ from curvkind import (
     ric_l_lower_bound,
     ric_l_lower_bounds,
     ric_l_matrix,
+    ric_l_spectrum,
     ricci_lower_bounds,
     ricci_scalar,
     second_kind_matrix,
@@ -221,6 +222,26 @@ def test_constants_out_of_range():
         constants(6, 4)
     with pytest.raises(POutOfRange):
         constants(6, 0)
+
+
+def test_degree_is_an_integer_and_not_a_bool():
+    # every entry point that takes a degree reads tensor_core.is_degree, as
+    # PForm does: a float or a bool is refused, not passed to math.comb
+    rng = np.random.default_rng(33)
+    for R in (random_curvature(6, rng), product_sphere(6)):
+        a = Analysis(R)
+        entries = (
+            lambda p: constants(6, p),
+            lambda p: ricci_lower_bounds(a, p),
+            lambda p: ric_l_lower_bounds(a, p),
+            lambda p: ric_l_matrix(a, p),
+            lambda p: ric_l_spectrum(a, p),
+        )
+        for entry in entries:
+            for p in (2.0, 2.5, True):
+                with pytest.raises(POutOfRange):
+                    entry(p)
+            np.testing.assert_equal(entry(np.int64(2)), entry(2))
 
 
 # --- Ricci and curvature-term bounds -----------------------------------------
