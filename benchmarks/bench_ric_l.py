@@ -1,5 +1,5 @@
-"""Timings of the Ric_L assembly, its symmetry gate and its spectrum at the
-CLI cap.
+"""Timings of the Ric_L assembly, its symmetry gate, its spectrum and its
+smallest eigenvalue alone at the CLI cap.
 
 Run from the repository root:
 
@@ -12,7 +12,11 @@ self-dual blocks of half the size (n = 0 mod 4) or one Hermitian matrix of
 half the size (n = 2 mod 4).  The spectrum is timed on the random tensor,
 whose Ric_L is irreducible, and on product_sphere(n) and a perturbed
 constant-curvature tensor, whose Ric and first-kind matrix are diagonal, so
-that ric_l_spectrum assembles no matrix at all.  (14, 7) lies above the
+that ric_l_spectrum assembles no matrix at all.  ric_l_lowest, which
+`analyze` reads, is timed beside ric_l_spectrum on the same cases: it solves
+each block for its smallest eigenvalue alone (LAPACK ?syevr through
+_blas.lowest_eigenvalue), and on the diagonal path takes a minimum where
+ric_l_spectrum sorts.  (14, 7) lies above the
 CLI's dimension cap, which the library functions do not check.  The
 assembly reads index tables cached per (n, p); the cold case clears every
 cache of the modules it reads before each round, and times the degrees
@@ -31,6 +35,7 @@ from curvkind import (
     perturb_constant,
     product_sphere,
     random_curvature,
+    ric_l_lowest,
     ric_l_matrix,
     ric_l_spectrum,
     tensor_core,
@@ -81,3 +86,10 @@ def test_require_symmetric(benchmark, tensors):
 def test_ric_l_spectrum(benchmark, tensors, kind, n, p):
     R = tensors[n] if kind == "random" else MODELS[kind](n)
     benchmark(lambda: ric_l_spectrum(Analysis(R), p))
+
+
+@pytest.mark.parametrize("kind", ["random", *MODELS])
+@pytest.mark.parametrize("n, p", SPECTRUM_CASES)
+def test_ric_l_lowest(benchmark, tensors, kind, n, p):
+    R = tensors[n] if kind == "random" else MODELS[kind](n)
+    benchmark(lambda: ric_l_lowest(Analysis(R), p))

@@ -14,6 +14,7 @@ from .bochner import (
     general_tensor_bochner_check,
     ogiue_tachibana_term,
     ric_l_apply_dense,
+    ric_l_lowest,
     ric_l_matrix,
     ric_l_quadratic,
     ric_l_spectrum,

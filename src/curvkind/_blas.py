@@ -1,4 +1,6 @@
-"""One BLAS thread for the small contractions of the p-form functions.
+"""numpy's own BLAS and LAPACK, reached through ctypes: one BLAS thread for
+the small contractions of the p-form functions, and the smallest eigenvalue
+of a symmetric matrix alone.
 
 numpy hands every matrix product to its BLAS.  OpenBLAS splits a GEMM of
 more than 64^3 multiply-adds over its worker threads, and after each such
@@ -14,11 +16,22 @@ outermost wrapped call returns.  The count is process-wide: a product
 another thread starts meanwhile also runs on one thread.  OpenBLAS is found
 through numpy's own extension module; with any other BLAS the wrapper does
 nothing.
+
+lowest_eigenvalue returns the smallest eigenvalue of a symmetric or
+Hermitian matrix through the LAPACKE that numpy's wheels carry, ?syevr with
+RANGE = 'I' and IL = IU = 1: after the tridiagonal reduction it bisects for
+that one eigenvalue, where np.linalg.eigvalsh (?syevd) computes all N of
+them.  It works in place on the caller's matrix, so it also saves the copy
+eigvalsh makes.  Without those symbols it calls eigvalsh.
 """
 
 import ctypes
 from functools import lru_cache, wraps
 import threading
+
+import numpy as np
+
+from .tolerance import unit_scale
 
 # (get, set) of the thread count: the names in numpy's wheels, then the
 # names of a system OpenBLAS
@@ -27,16 +40,32 @@ _SYMBOLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
+# LAPACKE's column-major layout, and ?syevr's symbols in numpy's wheels,
+# where every lapack_int is 64 bits
+_COLUMN_MAJOR = 102
+_SYEVR = {
+    np.dtype(np.float64): "scipy_LAPACKE_dsyevr64_",
+    np.dtype(np.complex128): "scipy_LAPACKE_zheevr64_",
+}
+
 
 @lru_cache(maxsize=None)
-def _openblas_threads():
-    """(get, set) of the thread count of numpy's OpenBLAS, or None."""
+def _numpy_library():
+    """numpy's extension module as a ctypes library, or None."""
     try:
         from numpy._core import _multiarray_umath
 
         # symbols are looked up in the module and in the libraries it loaded
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        return ctypes.CDLL(_multiarray_umath.__file__)
     except (ImportError, OSError):
+        return None
+
+
+@lru_cache(maxsize=None)
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's OpenBLAS, or None."""
+    lib = _numpy_library()
+    if lib is None:
         return None
     for get_name, set_name in _SYMBOLS:
         get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
@@ -76,3 +105,64 @@ def one_blas_thread(fn):
                     put(_found)
 
     return serial
+
+
+@lru_cache(maxsize=None)
+def _syevr(dtype):
+    """LAPACKE's ?syevr (?heevr for complex) for float64 or complex128, or None."""
+    solve = getattr(_numpy_library(), _SYEVR[dtype], None)
+    if solve is not None:
+        flag, i64, real, out = ctypes.c_char, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+        # layout, jobz, range, uplo, n, a, lda; vl, vu, il, iu, abstol; m, w, z, ldz, isuppz
+        solve.argtypes = [
+            *(ctypes.c_int, flag, flag, flag, i64, out, i64),
+            *(real, real, i64, i64, real),
+            *(out, out, out, i64, out),
+        ]
+        solve.restype = i64
+    return solve
+
+
+def lowest_eigenvalue(M):
+    """The smallest eigenvalue of a symmetric (or Hermitian) matrix, which it
+    overwrites: np.linalg.eigvalsh(M)[0] within N eps |M|_2, the backward
+    error bound of either solve.
+
+    M must be a writable, C-contiguous float64 or complex128 square array;
+    anything else raises ValueError.  As eigvalsh does, it reads the lower
+    triangle of M, which column-major LAPACK sees as the upper one.
+    ?syevr rescales a matrix of norm above about 1e77 by a factor that is
+    not a power of two (eigvalsh, the fallback, one above about 1e146), so
+    M is divided by its unit scale first, which is exact: 2^e M then gives
+    exactly 2^e times the eigenvalue of M.  The bisection runs to
+    LAPACK's default tolerance (ABSTOL = 0), eps times the norm of the
+    tridiagonal form.  A failed solve raises LinAlgError.
+    """
+    if not (
+        isinstance(M, np.ndarray)
+        and M.dtype in _SYEVR
+        and M.ndim == 2
+        and M.shape[0] == M.shape[1]
+        and M.flags.c_contiguous
+        and M.flags.writeable
+    ):
+        raise ValueError("need a writable, C-contiguous, square float64 or complex128 array")
+    scale = unit_scale(M)
+    M /= scale
+    solve = _syevr(M.dtype)
+    if solve is None:
+        return float(np.linalg.eigvalsh(M)[0]) * scale
+    n = len(M)
+    found = np.zeros(1, np.int64)
+    w = np.empty(n)
+    z = np.empty(1, M.dtype)
+    support = np.empty(2, np.int64)
+    # eigenvalues only, the first through the first, no eigenvector workspace
+    info = solve(
+        *(_COLUMN_MAJOR, b"N", b"I", b"U", n, M.ctypes.data, n),
+        *(0.0, 0.0, 1, 1, 0.0),
+        *(found.ctypes.data, w.ctypes.data, z.ctypes.data, 1, support.ctypes.data),
+    )
+    if info != 0 or found[0] != 1:
+        raise np.linalg.LinAlgError(f"?syevr failed with info={info}")
+    return float(w[0]) * scale

@@ -17,13 +17,15 @@ and Ric_L, in the Weitzenboeck form
 through (p-1)- and (p-2)-forms: p(n-p+1) + C(p,2) C(n-p+2,2) terms per row
 of its matrix.  The Hodge star reads _hodge_table(n, p).
 
-ric_l_spectrum assembles only what its solve reads.  When Ric and the
-first-kind matrix are diagonal, so is Ric_L, and its diagonal is summed in
-closed form with no matrix at all.  In the middle degree 2p = n, Ric_L
-commutes with the Hodge star, and only the rows of the half basis H (the
-p-tuples containing 0) are assembled: the spectrum is that of A + B and
-A - B for n = 0 (mod 4), and that of the Hermitian A + iB, each eigenvalue
-taken twice, for n = 2 (mod 4).
+ric_l_spectrum and ric_l_lowest assemble only what their solve reads
+(_ric_l_blocks).  When Ric and the first-kind matrix are diagonal, so is
+Ric_L, and its diagonal is summed in closed form with no matrix at all.  In
+the middle degree 2p = n, Ric_L commutes with the Hodge star, and only the
+rows of the half basis H (the p-tuples containing 0) are assembled: the
+spectrum is that of A + B and A - B for n = 0 (mod 4), and that of the
+Hermitian A + iB, each eigenvalue taken twice, for n = 2 (mod 4).
+ric_l_spectrum solves every block whole; ric_l_lowest, which analyze reads,
+solves each for its smallest eigenvalue alone.
 
 bochner_decomposition and form_two_point read w through the same wedges
 (_opened); the n^p dense form, with ric_l_quadratic, is their oracle.
@@ -66,11 +68,12 @@ import math
 
 import numpy as np
 
-from ._blas import one_blas_thread
+from ._blas import lowest_eigenvalue, one_blas_thread
 from .errors import DimensionMismatch, POutOfRange
 from .operators import (
     act_sym_dense,
     first_kind_matrix,
+    require_symmetric,
     ricci_scalar,
     second_kind_matrix,
     spectrum,
@@ -623,15 +626,18 @@ def _ric_l_diagonal(analysis, p):
     return diag
 
 
-def ric_l_spectrum(analysis, p):
-    """Ascending eigenvalues of ric_l_matrix(analysis, p).
-
-    Only what the solve reads is assembled:
+def _ric_l_blocks(analysis, p):
+    """Yield what the solve of degree p reads, 1 <= p < n, as pairs (block,
+    times): the spectrum of ric_l_matrix(analysis, p) is that of the blocks
+    together, each eigenvalue taken `times` times.  Each matrix yielded is
+    fresh and has passed the symmetry gate, so a caller may solve it in
+    place; the next one is assembled only when the caller asks for it.
 
     * When Ric and F = analysis.first_kind have no nonzero entry off their
       diagonals (a constant-curvature tensor, S^1 x S^{n-1} and their
-      perturbations), M is diagonal and its spectrum is _ric_l_diagonal,
-      sorted: no matrix, no symmetry gate and no eigensolve.
+      perturbations), M is diagonal: the block is _ric_l_diagonal, a 1-D
+      array of the eigenvalues themselves, with no matrix, no symmetry gate
+      and no eigensolve.
     * In the middle degree 2p = n, Ric_L commutes with the Hodge star, and
       in the basis of H followed by the signed complements of H,
 
@@ -640,30 +646,71 @@ def ric_l_spectrum(analysis, p):
       where H is the first half of the sorted basis, the p-tuples that
       contain 0, and (J^c, sign_J) comes from _hodge_table.  So only the
       rows of H are assembled.  For n = 0 (mod 4), ** = +1, B is symmetric
-      and the spectrum is that of A + B and A - B.  For n = 2 (mod 4),
-      ** = -1, B is antisymmetric, M is the real form of the Hermitian
-      A + iB, and each of its eigenvalues is taken twice.  Each matrix
-      solved passes the symmetry gate against 1e-12 * max|M[H, :]|, which
-      holds A and B to the same threshold.
-    * Every other degree solves the whole matrix.  Degrees p and n-p share
-      one spectrum.
+      and the blocks are A + B and A - B.  For n = 2 (mod 4), ** = -1, B is
+      antisymmetric, M is the real form of the Hermitian A + iB, the one
+      block, and each of its eigenvalues is taken twice.  Each block passes
+      the symmetry gate against 1e-12 * max|M[H, :]|, which holds A and B
+      to the same threshold.
+    * Every other degree yields the whole matrix.
+    """
+    n = analysis.n
+    if _is_diagonal(analysis.summary.ricci) and _is_diagonal(analysis.first_kind):
+        yield _ric_l_diagonal(analysis, p), 1
+    elif 2 * p != n:
+        yield require_symmetric(ric_l_matrix(analysis, p)), 1
+    else:
+        half = math.comb(n, p) // 2
+        rows = _ric_l_rows(analysis, p, half)
+        _, sign = _hodge_table(n, p)
+        # complementing reverses the sorted order, so J^c runs backwards
+        # through the second half of the columns
+        A = rows[:, :half]
+        B = rows[:, half:][:, ::-1] * sign[:half]
+        tol = SYMMETRY * peak(rows)
+        if n % 4:
+            yield require_symmetric(A + 1j * B, tol), 2
+        else:
+            yield require_symmetric(A + B, tol), 1
+            yield require_symmetric(A - B, tol), 1
+
+
+def _block_spectrum(pair):
+    """The ascending spectrum of one (block, times) of _ric_l_blocks."""
+    block, times = pair
+    return np.repeat(np.sort(block) if block.ndim == 1 else np.linalg.eigvalsh(block), times)
+
+
+def _block_lowest(pair):
+    """The smallest eigenvalue of one (block, times) of _ric_l_blocks, solved
+    in place."""
+    block, _ = pair
+    return float(block.min()) if block.ndim == 1 else lowest_eigenvalue(block)
+
+
+def ric_l_spectrum(analysis, p):
+    """Ascending eigenvalues of ric_l_matrix(analysis, p).
+
+    Only what the solve reads is assembled (_ric_l_blocks): the closed-form
+    diagonal is sorted, and every matrix block is solved with
+    np.linalg.eigvalsh.  Degrees p and n-p share one spectrum.
     """
     n = analysis.n
     if not (is_degree(p) and 1 <= p < n):
         # p = n is ric_l_matrix's exact zero; other p raise POutOfRange there
         return spectrum(ric_l_matrix(analysis, p))
-    if _is_diagonal(analysis.summary.ricci) and _is_diagonal(analysis.first_kind):
-        return np.sort(_ric_l_diagonal(analysis, p))
-    if 2 * p != n:
-        return spectrum(ric_l_matrix(analysis, p))
-    half = math.comb(n, p) // 2
-    rows = _ric_l_rows(analysis, p, half)
-    _, sign = _hodge_table(n, p)
-    # complementing reverses the sorted order, so J^c runs backwards
-    # through the second half of the columns
-    A = rows[:, :half]
-    B = rows[:, half:][:, ::-1] * sign[:half]
-    tol = SYMMETRY * peak(rows)
-    if n % 4:
-        return np.repeat(spectrum(A + 1j * B, tol), 2)
-    return np.sort(np.concatenate([spectrum(A + B, tol), spectrum(A - B, tol)]))
+    # map keeps no block once it is solved, so one block is alive at a time
+    spectra = list(map(_block_spectrum, _ric_l_blocks(analysis, p)))
+    return spectra[0] if len(spectra) == 1 else np.sort(np.concatenate(spectra))
+
+
+def ric_l_lowest(analysis, p):
+    """The smallest eigenvalue of ric_l_matrix(analysis, p): ric_l_spectrum's
+    first, within N eps |M|_2 (and exactly on the closed-form diagonal,
+    whose minimum is taken with no sort).  Each matrix block of
+    _ric_l_blocks is solved in place for that one eigenvalue
+    (_blas.lowest_eigenvalue).
+    """
+    n = analysis.n
+    if not (is_degree(p) and 1 <= p < n):
+        return float(ric_l_spectrum(analysis, p)[0])
+    return min(map(_block_lowest, _ric_l_blocks(analysis, p)))

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bochner import ric_l_spectrum
+from .bochner import ric_l_lowest, ric_l_spectrum
 from .errors import CurvatureSymmetryError, CurvkindError, ShapeMismatch
 from .model_spaces import curvature_from_spec
 from .operators import Analysis, cluster_eigenvalues, spectrum
@@ -94,7 +94,7 @@ def _per_p_rows(a, p_values):
     for p in p_values:
         key = min(p, n - p) if 0 < p < n else p
         if key not in minima:
-            minima[key] = float(ric_l_spectrum(a, key)[0])
+            minima[key] = ric_l_lowest(a, key)
         row = {"p": p, "ric_l_min_eigenvalue": minima[key]}
         if 2 * p <= n:
             row["c_p"] = constants(n, p).c_p

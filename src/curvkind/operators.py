@@ -144,9 +144,13 @@ def cluster_eigenvalues(values, scale):
     """
     values = np.sort(np.asarray(values, dtype=float))
     tol = CLUSTER * (scale + peak(values))
-    cuts = np.flatnonzero(np.diff(values) > tol) + 1
-    # an empty input splits into one empty block, which is no cluster
-    return [(float(block.mean()), len(block)) for block in np.split(values, cuts) if len(block)]
+    ends = [*(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), len(values)]
+    # a singleton's mean is its value: only a cluster of two or more is averaged
+    return [
+        (float(values[start] if stop - start == 1 else values[start:stop].mean()), stop - start)
+        for start, stop in zip([0, *ends], ends)
+        if stop > start
+    ]
 
 
 @dataclass(frozen=True)

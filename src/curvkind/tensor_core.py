@@ -293,16 +293,22 @@ def curvature_symmetry_report(R):
     """
     A = R.components
     checks = {
-        "antisymmetry_first": A + np.transpose(A, (1, 0, 2, 3)),
-        "antisymmetry_second": A + np.transpose(A, (0, 1, 3, 2)),
-        "pair_symmetry": A - np.transpose(A, (2, 3, 0, 1)),
-        "first_bianchi": A + np.transpose(A, (1, 2, 0, 3)) + np.transpose(A, (2, 0, 1, 3)),
+        "antisymmetry_first": (np.add, (1, 0, 2, 3)),
+        "antisymmetry_second": (np.add, (0, 1, 3, 2)),
+        "pair_symmetry": (np.subtract, (2, 3, 0, 1)),
+        "first_bianchi": (np.add, (1, 2, 0, 3), (2, 0, 1, 3)),
     }
+    # every residual is summed into one buffer, term by term, and its
+    # absolute value taken in place
+    res = np.empty_like(A)
     report = {}
-    for name, res in checks.items():
-        flat = np.abs(res)
-        worst = np.unravel_index(int(np.argmax(flat)), flat.shape)
-        report[name] = (float(flat[worst]), tuple(int(q) for q in worst))
+    for name, (op, *axes) in checks.items():
+        op(A, A.transpose(axes[0]), out=res)
+        for more in axes[1:]:
+            np.add(res, A.transpose(more), out=res)
+        np.abs(res, out=res)
+        worst = np.unravel_index(int(np.argmax(res)), res.shape)
+        report[name] = (float(res[worst]), tuple(int(q) for q in worst))
     return report
 
 

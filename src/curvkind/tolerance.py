@@ -19,8 +19,7 @@ of R.  The scales are:
   |value - expected| / (|expected| + scale) then reads the same under
   R -> 2^e R and w -> 2^f w.
 
-CAPACITY and JUST_UNDER are not floors: they are unitless slacks on a
-ratio of weights and on a partial-sum order.
+CAPACITY is not a floor: it is a unitless slack on a ratio of weights.
 """
 
 import math
@@ -39,8 +38,6 @@ EINSTEIN = 1e-10
 CLUSTER = 1e-7
 # a total weight fits omega * N eigenvalues up to omega * N * (1 + CAPACITY)
 CAPACITY = 1e-12
-# the point just under an order k of a partial sum is k * (1 - JUST_UNDER)
-JUST_UNDER = 1e-12
 
 
 def peak(x):

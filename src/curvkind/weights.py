@@ -34,7 +34,7 @@ from .errors import (
     VariantPreconditionFailed,
 )
 from .tensor_core import is_degree
-from .tolerance import CAPACITY, JUST_UNDER, NONNEGATIVE, POSITIVE, peak
+from .tolerance import CAPACITY, NONNEGATIVE, POSITIVE, peak
 
 
 def _bracket(ascending, omega, total):
@@ -134,6 +134,8 @@ def ricci_lower_bounds(analysis, p):
     n, eigs, scal = analysis.n, analysis.second_kind, analysis.summary.scalar
     if not (is_degree(p) and 1 <= p <= n):
         raise POutOfRange(f"need integer 1 <= p <= n, got p={p}, n={n}")
+    # a numpy integer p would make every bound a numpy float
+    p = int(p)
     if p == 1:
         improved = (n - 1.0) / (n + 1.0) * _bracket(eigs, 1.0, float(n)) + scal / (n * (n + 1.0))
         return {"improved": improved, "weak": _bracket(eigs, 1.0, n - 1.0)}
@@ -150,8 +152,8 @@ def ric_l_lower_bounds(analysis, p):
     Each is a prefactor times the bracket minimum of the second-kind spectrum
     at (W, S).  A degree outside 1 <= p <= n/2 raises POutOfRange (constants).
     """
-    n = analysis.n
-    c = constants(n, p)
+    c = constants(analysis.n, p)
+    n, p = c.n, c.p
     brackets = {
         "improved": (2.0 / 3.0, c.omega_improved, c.total),
         "weak": (2.0 / 3.0, c.omega_weak, c.total),
@@ -229,18 +231,18 @@ def k_positivity_profile(eigenvalues):
 
 
 def _exists_below(eigs, threshold, radius):
-    """Whether some k' < threshold has a nonnegative partial sum.
+    """Whether some order k' in [1, min(threshold, N)) has a nonnegative
+    partial sum f(k').
 
-    The scanned grid is the integers below the threshold plus a point just
-    under it.  The partial sum is convex in k (its slopes are the ascending
-    eigenvalues), so its largest value on the grid is at the first or the
-    last grid point, and only those two are evaluated.
+    f is convex with f(0) = 0, so with C = min(threshold, N) > 1 such a k'
+    exists exactly when f(1) = l_1 >= 0 or f(C) > 0: when l_1 < 0, f lies
+    below the chord from 0 to C, which is negative on [1, C) unless
+    f(C) > 0.  f(C) = 0 does not count, as no order below C reaches it.
     """
-    integers = range(1, min(len(eigs), math.ceil(threshold)))
-    just_under = threshold * (1.0 - JUST_UNDER)
-    last = [just_under] if 1.0 <= just_under <= len(eigs) else integers[-1:]
-    ends = [float(k) for k in (*integers[:1], *last)]
-    return any(_nonnegative(_bracket(eigs, 1.0, k), radius) for k in ends)
+    order = min(threshold, len(eigs))
+    return order > 1 and (
+        _nonnegative(eigs[0], radius) or _positive(_bracket(eigs, 1.0, order), radius)
+    )
 
 
 def certify(analysis, kappa=None):

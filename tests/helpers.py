@@ -1,5 +1,6 @@
 """Shared test utilities."""
 
+from fractions import Fraction
 from itertools import permutations
 import math
 
@@ -12,6 +13,7 @@ from curvkind import (
     ShapeMismatch,
     act_sym_dense,
     canonical_s02_basis,
+    constant_curvature,
     constants,
     first_kind_matrix,
     kulkarni_nomizu,
@@ -25,7 +27,7 @@ from curvkind import (
     sort_with_sign,
 )
 from curvkind.bochner import _unit_positions
-from curvkind.tensor_core import multi_index_array, require_square
+from curvkind.tensor_core import CurvatureTensor, multi_index_array, require_square
 
 
 def sym_inner(A, B):
@@ -39,6 +41,23 @@ def rbar_apply(R, h):
     sphere."""
     h = require_square(h, n=R.n)
     return np.einsum("iklj,kl->ij", R.components, h)
+
+
+def complex_projective(m):
+    """The Fubini-Study curvature of CP^m on R^{2m}, holomorphic sectional
+    curvature 4: the unit sphere's tensor plus
+    J_ik J_jl - J_il J_jk + 2 J_ij J_kl, J the standard complex structure
+    (J e_{2a} = e_{2a+1}).  Ric = 2(m+1) g."""
+    n = 2 * m
+    J = np.zeros((n, n))
+    J[1::2, 0::2] = np.eye(m)
+    J -= J.T
+    JJ = (
+        np.einsum("ik,jl->ijkl", J, J)
+        - np.einsum("il,jk->ijkl", J, J)
+        + 2 * np.einsum("ij,kl->ijkl", J, J)
+    )
+    return CurvatureTensor(n, constant_curvature(n).components + JJ)
 
 
 def make_einstein(R):
@@ -133,15 +152,26 @@ def ric_l_bound_by_variant(analysis, p, variant):
 
 
 def exists_below_by_scan(eigs, threshold, radius):
-    """Whether some k' < threshold has a partial sum >= -1e-10 * radius, over
-    every integer below the threshold and a point just under it: an oracle for
-    weights._exists_below, which evaluates only the first and last of them."""
-    N = len(eigs)
-    grid = [float(k) for k in range(1, min(N, math.ceil(threshold)))]
-    just_under = threshold * (1.0 - 1e-12)
-    if 1.0 <= just_under <= N:
-        grid.append(just_under)
-    return any(partial_sum_by_slices(eigs, k) >= -1e-10 * radius for k in grid)
+    """Whether some order k' in [1, min(threshold, N)) has a partial sum
+    >= -1e-10 * radius, in exact rational arithmetic on the given floats.
+
+    The partial sum is linear between consecutive integers, so over that
+    half-open range it is largest at an integer or near the open end C,
+    where it approaches its value at C without reaching it: that limit
+    counts only when it is positive, > 1e-12 * radius.  An oracle for
+    weights._exists_below, which reads l_1 and the end alone, by convexity.
+    """
+    eigs = [Fraction(x) for x in np.sort(np.asarray(eigs, dtype=float))]
+    end = min(Fraction(threshold), len(eigs))
+
+    def partial(k):
+        m = math.floor(k)
+        return sum(eigs[:m], Fraction(0)) + (k - m) * (eigs[m] if m < len(eigs) else 0)
+
+    floor = -Fraction(1e-10) * Fraction(radius)
+    if any(partial(k) >= floor for k in range(1, math.ceil(end))):
+        return True
+    return end > 1 and partial(end) > Fraction(1e-12) * Fraction(radius)
 
 
 def positivity_profile_by_loop(eigenvalues):

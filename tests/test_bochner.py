@@ -25,6 +25,7 @@ from curvkind import (
     random_curvature,
     random_trace_free,
     ric_l_apply_dense,
+    ric_l_lowest,
     ric_l_matrix,
     ric_l_quadratic,
     ric_l_spectrum,
@@ -431,6 +432,38 @@ def test_ric_l_spectrum_middle_degree_split():
                 if 2 * p == n and n % 4:
                     # * is a complex structure there: every multiplicity is even
                     assert all(m % 2 == 0 for _, m in cluster_eigenvalues(split, a.summary.scale)), (name, n)
+
+
+def test_ric_l_lowest_is_the_first_eigenvalue():
+    # ric_l_lowest solves each block of ric_l_spectrum for its smallest
+    # eigenvalue alone: the spectrum's first within N eps |M|_2, the backward
+    # error bound of both solves, and exactly it on the closed-form diagonal,
+    # for every degree up to the CLI cap
+    rng = np.random.default_rng(19)
+    for n in range(3, 13):
+        cases = {"random": random_curvature(n, rng), "product_sphere": product_sphere(n)}
+        if n >= 4:
+            cases.update(_reducible_models(n, rng))
+        if n == 5:
+            cases["su3_so3"] = su3_so3()
+        for name, R in cases.items():
+            a = Analysis(R)
+            diagonal = not any(np.count_nonzero(X - np.diag(np.diag(X)))
+                               for X in (a.first_kind, a.summary.ricci))
+            for p in range(1, n):
+                eigs = ric_l_spectrum(a, p)
+                got = ric_l_lowest(a, p)
+                assert type(got) is float
+                if diagonal:
+                    assert got == eigs[0], (name, n, p)
+                else:
+                    bound = len(eigs) * np.finfo(float).eps * np.abs(eigs).max()
+                    assert abs(got - eigs[0]) <= bound, (name, n, p)
+            # p = n is the exact zero; p outside 1..n is refused
+            assert ric_l_lowest(a, n) == 0.0
+            for p in (0, n + 1):
+                with pytest.raises(POutOfRange):
+                    ric_l_lowest(a, p)
 
 
 def _givens(n, angle):

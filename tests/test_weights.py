@@ -1,3 +1,4 @@
+from dataclasses import is_dataclass
 from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from curvkind import (
     random_curvature,
     ric_l_lower_bound,
     ric_l_lower_bounds,
+    ric_l_lowest,
     ric_l_matrix,
     ric_l_spectrum,
     ricci_lower_bounds,
@@ -33,6 +35,7 @@ from curvkind import (
 )
 from curvkind.weights import _exists_below
 from helpers import (
+    complex_projective,
     exists_below_by_scan,
     make_einstein,
     min_weighted_sum_by_slices,
@@ -227,8 +230,13 @@ def test_constants_out_of_range():
 def test_degree_is_an_integer_and_not_a_bool():
     # every entry point that takes a degree reads tensor_core.is_degree, as
     # PForm does: a float or a bool is refused, not passed to math.comb
+    # a numpy integer gives the values, and the types, of a Python int
+    def types(value):
+        fields = value if isinstance(value, dict) else vars(value) if is_dataclass(value) else {"": value}
+        return {key: type(v) for key, v in fields.items()}
+
     rng = np.random.default_rng(33)
-    for R in (random_curvature(6, rng), product_sphere(6)):
+    for R in (random_curvature(6, rng), product_sphere(6), constant_curvature(6, 1.0)):
         a = Analysis(R)
         entries = (
             lambda p: constants(6, p),
@@ -236,12 +244,14 @@ def test_degree_is_an_integer_and_not_a_bool():
             lambda p: ric_l_lower_bounds(a, p),
             lambda p: ric_l_matrix(a, p),
             lambda p: ric_l_spectrum(a, p),
+            lambda p: ric_l_lowest(a, p),
         )
         for entry in entries:
             for p in (2.0, 2.5, True):
                 with pytest.raises(POutOfRange):
                     entry(p)
             np.testing.assert_equal(entry(np.int64(2)), entry(2))
+            assert types(entry(np.int64(2))) == types(entry(2))
 
 
 # --- Ricci and curvature-term bounds -----------------------------------------
@@ -385,6 +395,22 @@ def test_certify_su3_so3():
     assert b.sums["order"] == pytest.approx(35 / 6)
 
 
+def test_b_certificates_fail_at_an_exact_threshold():
+    # CP^2 has second-kind spectrum {-2 x3, 4 x6}: its partial sum 4k - 18 is
+    # negative for every k < 9/2, the Einstein order and C_2 at n = 4, and 0
+    # at 9/2, so neither B(b) nor C(b) at p = 2 holds (CP^2 is not flat and
+    # b_2 = 1); the (c) checks at the order itself hold.  S^1 x S^3 has
+    # l_1 = -1/2 and a partial sum of exactly 0 at 9/2 as well.
+    cp2 = Analysis(complex_projective(2))
+    np.testing.assert_allclose(cp2.second_kind, [-2.0] * 3 + [4.0] * 6, atol=1e-13)
+    certs = certify(cp2)
+    assert constants(4, 2).c_p == constants(4, 1).n_einstein == 4.5
+    assert not _by_theorem(certs, "B(b)").holds
+    assert not _by_theorem(certs, "C(b)", 2).holds
+    assert _by_theorem(certs, "B(c)").holds and _by_theorem(certs, "C(c)", 2).holds
+    assert not _by_theorem(certify(Analysis(product_sphere(4))), "C(b)", 2).holds
+
+
 def test_certify_verdicts_reproducible_from_sums():
     rng = np.random.default_rng(14)
     tensors = [
@@ -448,8 +474,8 @@ def spectra_and_thresholds(draw):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(spectra_and_thresholds())
 def test_two_point_scan_and_cumulative_profile_match_full_scans(case):
-    # the partial sum is convex in k, so the two ends of the scanned grid
-    # decide what the scan of every grid point decides
+    # the partial sum is convex in k with value 0 at k = 0, so l_1 and its
+    # value at the order decide what the exact scan of every order decides
     eigs, threshold = case
     radius = float(np.abs(eigs).max(initial=0.0))
     assert _exists_below(eigs, threshold, radius) == exists_below_by_scan(eigs, threshold, radius)
