@@ -18,9 +18,11 @@ each block for its smallest eigenvalue alone (LAPACK ?syevr through
 _blas.lowest_eigenvalue), and on the diagonal path takes a minimum where
 ric_l_spectrum sorts.  (14, 7) lies above the
 CLI's dimension cap, which the library functions do not check.  The
-assembly reads index tables cached per (n, p); the cold case clears every
-cache of the modules it reads before each round, and times the degrees
-1..6 that `analyze --p half` assembles at n = 12.  Every round reads a
+assembly reads one signed principal block of Ric or -2F per (p-k)-tuple,
+k = 1, 2, its indices from the wedge tables _through(n, p-k, k), which are
+cached and read no curvature; the cold case clears every cache of the
+modules it reads before each round, and times the degrees 1..6 that
+`analyze --p half` assembles at n = 12.  Every round reads a
 fresh Analysis, so each timing includes the Ricci tensor and the
 first-kind matrix that the assembly reads.
 """

@@ -40,7 +40,6 @@ n = 6
 analysis = ck.Analysis(ck.random_curvature(n, np.random.default_rng(1)))
 for p in (1, 2, 3):
     exact = ck.ric_l_spectrum(analysis, p)[0]
-    weak = ck.ric_l_lower_bound(analysis, p, "weak")
-    improved = ck.ric_l_lower_bound(analysis, p, "improved")
-    print(f"  p={p}: exact min eig {exact:+.4f}   weak bound {weak:+.4f}   "
-          f"improved bound {improved:+.4f}")
+    bounds = ck.ric_l_lower_bounds(analysis, p)
+    print(f"  p={p}: exact min eig {exact:+.4f}   weak bound {bounds['weak']:+.4f}   "
+          f"improved bound {bounds['improved']:+.4f}")

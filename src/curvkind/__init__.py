@@ -6,14 +6,11 @@ __version__ = "0.1.0"
 
 from .bochner import (
     BochnerReport,
-    FormS02Expansion,
     act_sym_on_form,
     bochner_decomposition,
     form_s02_expansion,
     form_two_point,
-    general_tensor_bochner_check,
     ogiue_tachibana_term,
-    ric_l_apply_dense,
     ric_l_lowest,
     ric_l_matrix,
     ric_l_quadratic,
@@ -42,12 +39,10 @@ from .model_spaces import (
 from .operators import (
     Analysis,
     CurvatureSummary,
-    act_sym_dense,
     cluster_eigenvalues,
     first_kind_matrix,
     ricci_scalar,
     second_kind_matrix,
-    spectral_decomposition,
     spectrum,
 )
 from .tensor_core import (
@@ -59,7 +54,6 @@ from .tensor_core import (
     kulkarni_nomizu,
     multi_indices,
     random_trace_free,
-    rotate_curvature,
     s02_dimension,
     sort_with_sign,
     trace_free_project,
@@ -73,7 +67,6 @@ from .weights import (
     k_partial_sum,
     k_positivity_profile,
     min_weighted_sum,
-    ric_l_lower_bound,
     ric_l_lower_bounds,
     ricci_lower_bounds,
 )

@@ -14,8 +14,9 @@ and Ric_L, in the Weitzenboeck form
 
     Ric_L = sum_{i,j} Ric_ij e_i ^ i_j - 2 sum_{a<b, c<d} R_abcd e_a ^ e_b ^ i_d i_c,
 
-through (p-1)- and (p-2)-forms: p(n-p+1) + C(p,2) C(n-p+2,2) terms per row
-of its matrix.  The Hodge star reads _hodge_table(n, p).
+through (p-1)- and (p-2)-forms: for each (p-k)-tuple K, k = 1 and 2, one
+signed principal block of Ric or -2F on the rows e_G ^ e_K, every index
+read from _through(n, p-k, k).  The Hodge star reads _hodge_table(n, p).
 
 ric_l_spectrum and ric_l_lowest assemble only what their solve reads
 (_ric_l_blocks).  When Ric and the first-kind matrix are diagonal, so is
@@ -41,8 +42,7 @@ with E_aj = e_a ^ i_j the matrix unit on p-forms (_matrix_units, one
 scatter through _unit_positions): act_sym_on_form contracts S with it, the
 expansion's canonical-basis rows and the Ogiue-Tachibana family are sums of
 its rows.  None of the tables (_wedge_table, _through, _unit_positions,
-_symmetric_pairs, _ric_l_plan) reads curvature; each is cached and
-read-only.
+_symmetric_pairs) reads curvature; each is cached and read-only.
 
 The five evaluations on one p-form (form_s02_expansion,
 second_kind_form_term, bochner_decomposition, ogiue_tachibana_term and
@@ -71,7 +71,6 @@ import numpy as np
 from ._blas import lowest_eigenvalue, one_blas_thread
 from .errors import DimensionMismatch, POutOfRange
 from .operators import (
-    act_sym_dense,
     first_kind_matrix,
     require_symmetric,
     ricci_scalar,
@@ -138,30 +137,6 @@ def _through(n, q, k):
     hub, g = np.nonzero(sign)
     width = math.comb(n - q, k)
     return tuple(read_only(x.reshape(-1, width)) for x in (row[hub, g], sign[hub, g], g))
-
-
-@lru_cache(maxsize=None)
-def _ric_l_plan(n, p):
-    """The index plan of ric_l_matrix for degree p, 1 <= p < n; it reads no curvature.
-
-    One part per k in {1, 2} with k <= p, the wedges through the
-    (p-k)-forms, as read-only arrays (hub, left_sign, left, row, sign, g).
-    (row, sign, g) is _through(n, p-k, k), one row per K.  Row I of the
-    p-forms is the row of C(p,k) of those entries; hub[I] and left_sign[I]
-    give their K and sign, and left[I] their G times C(n,k), the offset of
-    G's row in the flattened k-th factor (Ric or -2F).  K, rows and left
-    are int32, g is int16 and signs are int8.
-    """
-    count = math.comb(n, p)
-    parts = []
-    for k in (1, 2)[:p]:
-        row, sign, g = _through(n, p - k, k)
-        entry = np.argsort(row, axis=None, kind="stable").reshape(count, -1)
-        left = g.ravel()[entry] * math.comb(n, k)
-        part = (entry // row.shape[1], sign.ravel()[entry], left, row, sign, g)
-        dtypes = (np.int32, np.int8, np.int32, np.int32, np.int8, np.int16)
-        parts.append(tuple(read_only(x, dtype) for x, dtype in zip(part, dtypes)))
-    return tuple(parts)
 
 
 @lru_cache(maxsize=None)
@@ -338,10 +313,9 @@ def ric_l_matrix(analysis, p):
       -2 F[alpha, beta]    at the row of e_beta ^ e_K,  K = I \\ alpha,
 
     each times the two wedge signs: p(n-p+1) + C(p,2) C(n-p+2,2) terms per
-    row, 462 at (12, 6).  They are gathered for a block of rows at a time,
-    about 2^16 terms, and summed into the block's rows with one bincount;
-    the index plan, _ric_l_plan(n, p), is cached.  Entrywise, with I, J
-    increasing p-tuples,
+    row, 462 at (12, 6).  Read the other way round, each (p-k)-tuple K
+    carries one signed principal block of the k-th factor, on the rows
+    e_G ^ e_K (_ric_l_rows).  Entrywise, with I, J increasing p-tuples,
 
       M[I,I] = sum_{i in I} Ric_ii - 2 sum_{a<b in I} R_{abab}
       M[I,J] = s * (Ric_ab - 2 sum_{c in I cap J} R_{acbc})   (|I^J| = p-1)
@@ -362,27 +336,52 @@ def ric_l_matrix(analysis, p):
     return _ric_l_rows(analysis, p, count)
 
 
+def _ric_l_factors(analysis, p):
+    """Yield (k, X, _through(n, p-k, k)) for k = 1 and then k = 2, k <= p,
+    with X the k-th factor of ric_l_matrix: Ric, then -2F."""
+    factors = (analysis.summary.ricci, -2.0 * analysis.first_kind)
+    for k, X in zip((1, 2)[:p], factors):
+        yield k, X, _through(analysis.n, p - k, k)
+
+
 def _ric_l_rows(analysis, p, end):
-    """The first `end` rows of ric_l_matrix(analysis, p), 1 <= p < n."""
+    """The first `end` rows of ric_l_matrix(analysis, p), 1 <= p < n; `end`
+    is C(n,p), or half of it in the middle degree 2p = n.
+
+    For each (p-k)-tuple K, with (r, s, g) its row of _through(n, p-k, k),
+    the k-th factor X adds s_a s_b X[g_a, g_b] to M[r_a, r_b].  One chunk
+    of K at a time, one take reads [X, -X, X] at u_a + v_b, u = g C(n,k)
+    and v = g each moved on by X.size where the sign is -1, and one
+    np.add.at adds it at r_a C(n,p) + r_b.  K runs ascending and k = 1
+    comes before k = 2, so each entry sums its terms in one fixed order.
+
+    The rows of H (end = C(n,p)/2), the p-tuples containing 0, are all the
+    rows of a K containing 0, the first C(n-1, p-k-1) tuples, and the first
+    C(n-p+k-1, k-1) rows of every other K, those whose G contains 0.
+    """
     n = analysis.n
     count = math.comb(n, p)
     M = np.zeros((end, count))
-    plan = _ric_l_plan(n, p)
-    factors = (analysis.summary.ricci.ravel(), -2.0 * analysis.first_kind.ravel())
-    per_row = sum(hub.shape[1] * row.shape[1] for hub, _, _, row, _, _ in plan)
-    rows = max(1, 2**16 // per_row)
-    for start in range(0, end, rows):
-        stop = min(start + rows, end)
-        offset = np.arange(stop - start)[:, None, None] * count
-        targets, terms = [], []
-        for (hub, left_sign, left, row, sign, g), X in zip(plan, factors):
-            K = hub[start:stop]
-            targets.append((offset + row[K]).ravel())
-            pair_sign = left_sign[start:stop, :, None] * sign[K]
-            terms.append((pair_sign * X.take(left[start:stop, :, None] + g[K])).ravel())
-        M[start:stop] = np.bincount(
-            np.concatenate(targets), np.concatenate(terms), minlength=(stop - start) * count
-        ).reshape(stop - start, count)
+    for k, X, (row, sign, g) in _ric_l_factors(analysis, p):
+        row = row.astype(np.intp)
+        flip = np.where(sign < 0, X.size, 0)
+        u = g * math.comb(n, k) + flip
+        v = g + flip
+        signed = np.concatenate([X.ravel(), -X.ravel(), X.ravel()])
+        width = row.shape[1]
+        if end == count:
+            spans = [(0, len(row), width)]
+        else:
+            with_zero = math.comb(n - 1, p - k - 1) if p > k else 0
+            spans = [(0, with_zero, width), (with_zero, len(row), math.comb(n - p + k - 1, k - 1))]
+        for first, last, kept in spans:
+            step = max(1, 2**16 // (kept * width))
+            for start in range(first, last, step):
+                K = slice(start, min(start + step, last))
+                at = u[K, :kept, None] + v[K, None, :]
+                to = row[K, :kept, None] * count + row[K, None, :]
+                # np.add.at takes its fast path only on a 1-D index
+                np.add.at(M.reshape(-1), to.ravel(), signed.take(at.ravel()))
     return M
 
 
@@ -526,81 +525,6 @@ def ogiue_tachibana_term(R, w):
     return 0.25 * float(np.vdot(rsum, gram))
 
 
-def ric_l_apply_dense(R, T):
-    """Slot-wise curvature action on a dense (0,p)-tensor:
-
-        (Ric_L T)_{i_1..i_p} = (Ric T)_{i_1..i_p}
-            - sum_{m != s} sum_{j,q} R_{i_m j i_s q} T_{.. j@m .. q@s ..}.
-
-    Agrees with ric_l_quadratic under the tensor inner product when T is
-    alternating; used as the independent oracle for the assembled matrix.
-    """
-    T = np.asarray(T, dtype=float)
-    p = T.ndim
-    out = act_sym_dense(ricci_scalar(R).ricci, T)
-    for m in range(p):
-        for s in range(p):
-            if m == s:
-                continue
-            tmp = np.tensordot(T, R.components, axes=([m, s], [1, 3]))
-            out -= np.moveaxis(tmp, (-2, -1), (m, s))
-    return out
-
-
-def general_tensor_bochner_check(R, T):
-    """Residual of the decomposition for a general (0,p)-tensor, p in {2,3},
-    as tolerance.residual of the right side against the left at the scale
-    s |T|^2, s the unit scale of R.
-
-    Beyond the three p-form terms the right side carries the correction
-
-        sum_{r != s} sum_{ijkl} (R_{kijl} + R_{kjil})
-            sum_I T_{..i@r..j@s..} T_{..k@r..l@s..},
-
-    which vanishes identically on alternating tensors.  The Ricci term is
-    summed over the slot carrying the contraction; on alternating tensors
-    every slot contributes equally, recovering the factor p of the form
-    decomposition.
-    """
-    T = np.asarray(T, dtype=float)
-    p = T.ndim
-    n = R.n
-    if p not in (2, 3):
-        raise POutOfRange(f"general check implemented for p in {{2, 3}}, got {p}")
-    if T.shape != (n,) * p:
-        raise DimensionMismatch(f"tensor shape {T.shape} does not match n={n}")
-
-    summary = ricci_scalar(R)
-    norm_sq = float(np.sum(T * T))
-    lhs = 1.5 * float(np.sum(ric_l_apply_dense(R, T) * T))
-
-    basis = canonical_s02_basis(n)
-    acts = np.stack([act_sym_dense(S, T) for S in basis])
-    gram = np.einsum("aX,bX->ab", acts.reshape(len(basis), -1), acts.reshape(len(basis), -1))
-    term_op = float(np.einsum("ab,ab->", second_kind_matrix(R), gram))
-
-    term_ricci = 0.0
-    for m in range(p):
-        flat = np.moveaxis(T, m, 0).reshape(n, -1)
-        term_ricci += ((n - 2 * p) / n) * float(
-            np.einsum("ij,ij->", summary.ricci, flat @ flat.T)
-        )
-    term_scal = (p**2 / n**2) * summary.scalar * norm_sq
-
-    extra = 0.0
-    for r in range(p):
-        for s in range(p):
-            if r == s:
-                continue
-            Tm = np.moveaxis(T, (r, s), (0, 1)).reshape(n, n, -1)
-            extra += float(
-                np.einsum("kijl,ijM,klM->", R.components, Tm, Tm)
-                + np.einsum("kjil,ijM,klM->", R.components, Tm, Tm)
-            )
-    rhs = term_op + term_ricci + term_scal + extra
-    return residual(rhs, lhs, summary.scale * norm_sq)
-
-
 def _is_diagonal(X):
     """True when the square X has no nonzero entry off its diagonal."""
     return np.count_nonzero(X) == np.count_nonzero(X.diagonal())
@@ -611,18 +535,13 @@ def _ric_l_diagonal(analysis, p):
 
       M[I,I] = sum_{i in I} Ric_ii - 2 sum_{a<b in I} F_{ab,ab}.
 
-    It is read off _ric_l_plan: in part k the term of row I that pairs G with
-    itself sits at left + left // C(n,k) of the flattened factor, with sign
-    +1.  Adding those terms column by column, k = 1 before k = 2, is the
-    order in which _ric_l_rows' bincount adds them to M[I,I], so each entry
+    Each K adds the diagonal of its block, X[g, g] at its rows r, in the
+    order of _ric_l_rows (K ascending, k = 1 before k = 2), so each entry
     equals the assembled one bit for bit.
     """
-    n = analysis.n
-    factors = (analysis.summary.ricci.ravel(), -2.0 * analysis.first_kind.ravel())
-    diag = np.zeros(math.comb(n, p))
-    for k, (_, _, left, _, _, _), X in zip((1, 2), _ric_l_plan(n, p), factors):
-        for column in (left + left // math.comb(n, k)).T:
-            diag += X[column]
+    diag = np.zeros(math.comb(analysis.n, p))
+    for _, X, (row, _, g) in _ric_l_factors(analysis, p):
+        np.add.at(diag, row.ravel(), X.diagonal()[g.ravel()])
     return diag
 
 

@@ -129,11 +129,6 @@ def spectrum(M, symmetry_tol=None):
     return np.linalg.eigvalsh(require_symmetric(M, symmetry_tol))
 
 
-def spectral_decomposition(M):
-    """Eigenvalues and orthonormal eigenvectors (columns), ascending."""
-    return np.linalg.eigh(require_symmetric(M))
-
-
 def cluster_eigenvalues(values, scale):
     """Group sorted eigenvalues into multiplicity clusters.
 
@@ -185,13 +180,3 @@ class Analysis:
     @cached_property
     def second_kind(self):
         return read_only(spectrum(second_kind_matrix(self.R)))
-
-
-def act_sym_dense(S, T):
-    """(S T)_{i_1..i_k} = sum_m sum_j S_{i_m j} T_{i_1..j..i_k} on dense arrays."""
-    S = np.asarray(S, dtype=float)
-    T = np.asarray(T, dtype=float)
-    out = np.zeros_like(T)
-    for m in range(T.ndim):
-        out += np.moveaxis(np.tensordot(T, S, axes=([m], [1])), -1, m)
-    return out

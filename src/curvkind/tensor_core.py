@@ -147,12 +147,6 @@ class PForm:
     def norm_sq(self):
         return math.factorial(self.p) * float(np.dot(self.coeffs, self.coeffs))
 
-    def inner(self, other):
-        """Tensor inner product <w, h> = p! * sum over sorted indices."""
-        if (self.n, self.p) != (other.n, other.p):
-            raise DimensionMismatch("forms live on different spaces")
-        return math.factorial(self.p) * float(np.dot(self.coeffs, other.coeffs))
-
     def to_dense(self):
         """Full n^p component array of the antisymmetric extension, one
         scatter through the cached positions _dense_positions(n, p); entries
@@ -329,13 +323,6 @@ def validate_curvature(R):
             report=report,
         )
     return report
-
-
-def rotate_curvature(R, Q):
-    """Components of R in the rotated orthonormal frame f_i = sum_a Q_{ai} e_a."""
-    Q = require_square(Q, n=R.n)
-    Rr = np.einsum("abcd,ai,bj,ck,dl->ijkl", R.components, Q, Q, Q, Q, optimize=True)
-    return CurvatureTensor(R.n, Rr)
 
 
 def kulkarni_nomizu(h, k):

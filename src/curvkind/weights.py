@@ -168,14 +168,6 @@ def ric_l_lower_bounds(analysis, p):
     }
 
 
-def ric_l_lower_bound(analysis, p, variant):
-    """The entry `variant` of ric_l_lower_bounds(analysis, p)."""
-    bounds = ric_l_lower_bounds(analysis, p)
-    if variant not in bounds:
-        raise VariantPreconditionFailed(f"{variant!r} does not apply at p={p}; use {list(bounds)}")
-    return bounds[variant]
-
-
 # ---------------------------------------------------------------------------
 # certificates
 

@@ -7,11 +7,12 @@ import math
 import numpy as np
 
 from curvkind import (
+    DimensionMismatch,
     InfeasibleWeights,
     KOutOfRange,
+    POutOfRange,
     PForm,
     ShapeMismatch,
-    act_sym_dense,
     canonical_s02_basis,
     constant_curvature,
     constants,
@@ -21,13 +22,14 @@ from curvkind import (
     perturb_constant,
     ric_l_quadratic,
     ricci_scalar,
-    rotate_curvature,
     second_kind_form_term,
     second_kind_matrix,
     sort_with_sign,
 )
 from curvkind.bochner import _unit_positions
+from curvkind.operators import require_symmetric
 from curvkind.tensor_core import CurvatureTensor, multi_index_array, require_square
+from curvkind.tolerance import residual
 
 
 def sym_inner(A, B):
@@ -417,3 +419,105 @@ def quadratic_form_identity_check(R, T):
     gram = np.array([[float(np.sum(a * b)) for b in acts] for a in acts])
     rhs = float(np.einsum("ab,ab->", gram, second_kind_matrix(R)))
     return abs(lhs - rhs) / (1.0 + abs(lhs))
+
+
+# --- dense oracles -----------------------------------------------------------
+# Slot-wise evaluations on dense (0,p)-tensors and whole eigendecompositions:
+# independent of the wedge tables, so they check the library's table paths.
+
+
+def act_sym_dense(S, T):
+    """(S T)_{i_1..i_k} = sum_m sum_j S_{i_m j} T_{i_1..j..i_k} on dense arrays."""
+    S = np.asarray(S, dtype=float)
+    T = np.asarray(T, dtype=float)
+    out = np.zeros_like(T)
+    for m in range(T.ndim):
+        out += np.moveaxis(np.tensordot(T, S, axes=([m], [1])), -1, m)
+    return out
+
+
+def ric_l_apply_dense(R, T):
+    """Slot-wise curvature action on a dense (0,p)-tensor:
+
+        (Ric_L T)_{i_1..i_p} = (Ric T)_{i_1..i_p}
+            - sum_{m != s} sum_{j,q} R_{i_m j i_s q} T_{.. j@m .. q@s ..}.
+
+    Agrees with ric_l_quadratic under the tensor inner product when T is
+    alternating; used as the independent oracle for the assembled matrix.
+    """
+    T = np.asarray(T, dtype=float)
+    p = T.ndim
+    out = act_sym_dense(ricci_scalar(R).ricci, T)
+    for m in range(p):
+        for s in range(p):
+            if m == s:
+                continue
+            tmp = np.tensordot(T, R.components, axes=([m, s], [1, 3]))
+            out -= np.moveaxis(tmp, (-2, -1), (m, s))
+    return out
+
+
+def general_tensor_bochner_check(R, T):
+    """Residual of the decomposition for a general (0,p)-tensor, p in {2,3},
+    as tolerance.residual of the right side against the left at the scale
+    s |T|^2, s the unit scale of R.
+
+    Beyond the three p-form terms the right side carries the correction
+
+        sum_{r != s} sum_{ijkl} (R_{kijl} + R_{kjil})
+            sum_I T_{..i@r..j@s..} T_{..k@r..l@s..},
+
+    which vanishes identically on alternating tensors.  The Ricci term is
+    summed over the slot carrying the contraction; on alternating tensors
+    every slot contributes equally, recovering the factor p of the form
+    decomposition.
+    """
+    T = np.asarray(T, dtype=float)
+    p = T.ndim
+    n = R.n
+    if p not in (2, 3):
+        raise POutOfRange(f"general check implemented for p in {{2, 3}}, got {p}")
+    if T.shape != (n,) * p:
+        raise DimensionMismatch(f"tensor shape {T.shape} does not match n={n}")
+
+    summary = ricci_scalar(R)
+    norm_sq = float(np.sum(T * T))
+    lhs = 1.5 * float(np.sum(ric_l_apply_dense(R, T) * T))
+
+    basis = canonical_s02_basis(n)
+    acts = np.stack([act_sym_dense(S, T) for S in basis])
+    gram = np.einsum("aX,bX->ab", acts.reshape(len(basis), -1), acts.reshape(len(basis), -1))
+    term_op = float(np.einsum("ab,ab->", second_kind_matrix(R), gram))
+
+    term_ricci = 0.0
+    for m in range(p):
+        flat = np.moveaxis(T, m, 0).reshape(n, -1)
+        term_ricci += ((n - 2 * p) / n) * float(
+            np.einsum("ij,ij->", summary.ricci, flat @ flat.T)
+        )
+    term_scal = (p**2 / n**2) * summary.scalar * norm_sq
+
+    extra = 0.0
+    for r in range(p):
+        for s in range(p):
+            if r == s:
+                continue
+            Tm = np.moveaxis(T, (r, s), (0, 1)).reshape(n, n, -1)
+            extra += float(
+                np.einsum("kijl,ijM,klM->", R.components, Tm, Tm)
+                + np.einsum("kjil,ijM,klM->", R.components, Tm, Tm)
+            )
+    rhs = term_op + term_ricci + term_scal + extra
+    return residual(rhs, lhs, summary.scale * norm_sq)
+
+
+def spectral_decomposition(M):
+    """Eigenvalues and orthonormal eigenvectors (columns), ascending."""
+    return np.linalg.eigh(require_symmetric(M))
+
+
+def rotate_curvature(R, Q):
+    """Components of R in the rotated orthonormal frame f_i = sum_a Q_{ai} e_a."""
+    Q = require_square(Q, n=R.n)
+    Rr = np.einsum("abcd,ai,bj,ck,dl->ijkl", R.components, Q, Q, Q, Q, optimize=True)
+    return CurvatureTensor(R.n, Rr)

@@ -17,22 +17,18 @@ from curvkind import (
     constant_curvature,
     form_s02_expansion,
     form_two_point,
-    general_tensor_bochner_check,
     kulkarni_nomizu,
     ogiue_tachibana_term,
     perturb_constant,
     product_sphere,
     random_curvature,
     random_trace_free,
-    ric_l_apply_dense,
     ric_l_lowest,
     ric_l_matrix,
     ric_l_quadratic,
     ric_l_spectrum,
-    rotate_curvature,
     second_kind_form_term,
     second_kind_matrix,
-    spectral_decomposition,
     spectrum,
     su3_so3,
 )
@@ -40,25 +36,31 @@ from curvkind.bochner import (
     _hodge_table,
     _matrix_units,
     _ric_l_diagonal,
-    _ric_l_plan,
+    _ric_l_rows,
     _symmetric_pairs,
     _through,
     _unit_positions,
     _wedge_table,
 )
-from curvkind.operators import act_sym_dense, first_kind_matrix, ricci_scalar
+from curvkind.operators import first_kind_matrix, ricci_scalar
 from curvkind.tensor_core import _dense_positions, canonical_s02_basis, multi_index_array
 from helpers import (
+    act_sym_dense,
     bochner_ricci_diagonal_residual,
     form_from_dense,
     form_two_point_dense,
+    general_tensor_bochner_check,
     make_einstein,
     multi_index_positions,
     ogiue_tachibana_family,
     ogiue_tachibana_long_double,
     ogiue_tachibana_stacked,
+    random_symmetric,
+    ric_l_apply_dense,
     ric_l_by_derivations,
+    rotate_curvature,
     s02_expansion_stacked,
+    spectral_decomposition,
 )
 
 
@@ -258,7 +260,7 @@ def test_ric_l_matrix_matches_quadratic_form():
 
 def test_ric_l_matrix_against_slotwise_oracle():
     rng = np.random.default_rng(10)
-    # (10, 5): 252 rows span several row blocks, the last one partial
+    # (10, 5): a middle degree, assembled whole here
     for n, p in [(4, 2), (5, 3), (6, 3), (5, 4), (7, 5), (4, 4), (10, 5)]:
         R = random_curvature(n, rng)
         M = ric_l_matrix(Analysis(R), p)
@@ -311,7 +313,8 @@ def test_wedge_table_signs_and_anticommutation():
 def test_cached_tables_are_read_only():
     row, sign = _wedge_table(5, 2)
     assert row.dtype == np.int32 and sign.dtype == np.int8
-    arrays = [row, sign] + [x for part in _ric_l_plan(6, 3) for x in part]
+    # the tables ric_l_matrix(., 3) reads at n = 6
+    arrays = [row, sign] + [x for k in (1, 2) for x in _through(6, 3 - k, k)]
     for x in arrays:
         with pytest.raises(ValueError):
             x.flat[0] = 0
@@ -557,6 +560,19 @@ def test_ric_l_diagonal_is_the_assembled_diagonal():
             a = Analysis(R)
             for p in range(1, n):
                 assert np.array_equal(_ric_l_diagonal(a, p), ric_l_matrix(a, p).diagonal())
+
+
+def test_ric_l_half_rows_are_the_first_rows():
+    # the rows of H, the p-tuples containing 0: every row of a K containing
+    # 0 and the rows of each other K whose G contains 0
+    rng = np.random.default_rng(22)
+    for n in range(2, 13, 2):
+        h, k = (random_symmetric(n, rng) for _ in range(2))
+        for R in (random_curvature(n, rng), kulkarni_nomizu(h, k)):
+            a = Analysis(R)
+            p = n // 2
+            half = math.comb(n, p) // 2
+            assert np.array_equal(_ric_l_rows(a, p, half), ric_l_matrix(a, p)[:half]), n
 
 
 # --- the decomposition -------------------------------------------------------

@@ -15,7 +15,6 @@ from curvkind import (
     ricci_scalar,
     s02_dimension,
     second_kind_matrix,
-    spectral_decomposition,
     spectrum,
     su3_so3,
 )
@@ -29,6 +28,7 @@ from helpers import (
     random_symmetric,
     rbar_apply,
     rbar_full_matrix,
+    spectral_decomposition,
 )
 
 

@@ -16,7 +16,6 @@ from curvkind import (
     multi_indices,
     random_curvature,
     random_trace_free,
-    rotate_curvature,
     s02_dimension,
     sort_with_sign,
     trace_free_project,
@@ -27,6 +26,7 @@ from curvkind.tolerance import peak
 from helpers import (
     form_from_dense,
     random_symmetric,
+    rotate_curvature,
     rotate_form,
     sym_inner,
     to_dense_by_permutations,

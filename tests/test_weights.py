@@ -22,7 +22,6 @@ from curvkind import (
     perturb_constant,
     product_sphere,
     random_curvature,
-    ric_l_lower_bound,
     ric_l_lower_bounds,
     ric_l_lowest,
     ric_l_matrix,
@@ -288,14 +287,14 @@ def test_ric_l_bound_sphere_einstein_exact():
     for n in (4, 5, 6):
         a = Analysis(constant_curvature(n, 1.0))
         for p in range(1, n // 2 + 1):
-            bound = ric_l_lower_bound(a, p, "einstein")
+            bound = ric_l_lower_bounds(a, p)["einstein"]
             assert bound == pytest.approx(p * (n - p), rel=1e-12)
 
 
 def test_ric_l_bound_flat_zero():
     a = Analysis(constant_curvature(5, 0.0))
     for variant in ("weak", "improved", "one_form"):
-        assert ric_l_lower_bound(a, 1, variant) == 0.0
+        assert ric_l_lower_bounds(a, 1)[variant] == 0.0
 
 
 def test_ric_l_bound_soundness_random():
@@ -307,7 +306,7 @@ def test_ric_l_bound_soundness_random():
                 low = float(spectrum(ric_l_matrix(a, p))[0])
                 variants = ["weak", "improved"] + (["one_form"] if p == 1 else [])
                 for variant in variants:
-                    assert ric_l_lower_bound(a, p, variant) <= low + 1e-9
+                    assert ric_l_lower_bounds(a, p)[variant] <= low + 1e-9
 
 
 def test_ric_l_bound_soundness_einstein():
@@ -317,24 +316,22 @@ def test_ric_l_bound_soundness_einstein():
         a = Analysis(R)
         for p in (1, 2):
             low = float(spectrum(ric_l_matrix(a, p))[0])
-            assert ric_l_lower_bound(a, p, "einstein") <= low + 1e-9
+            assert ric_l_lower_bounds(a, p)["einstein"] <= low + 1e-9
 
 
 def test_ric_l_bound_preconditions():
+    # a variant that does not apply is absent from the table, and a degree
+    # above n/2 has no table
     a = Analysis(product_sphere(5))  # not Einstein
-    with pytest.raises(VariantPreconditionFailed):
-        ric_l_lower_bound(a, 1, "einstein")
-    with pytest.raises(VariantPreconditionFailed):
-        ric_l_lower_bound(a, 2, "one_form")
+    assert list(ric_l_lower_bounds(a, 1)) == ["improved", "one_form", "weak"]
+    assert list(ric_l_lower_bounds(a, 2)) == ["improved", "weak"]
     with pytest.raises(POutOfRange):
-        ric_l_lower_bound(a, 3, "weak")
-    with pytest.raises(VariantPreconditionFailed):
-        ric_l_lower_bound(a, 1, "strong")
+        ric_l_lower_bounds(a, 3)
 
 
 def test_ric_l_bounds_table_keys_and_values():
     # the table holds exactly the bounds that apply, each equal bit for bit
-    # to its own expression and to ric_l_lower_bound
+    # to its own expression
     rng = np.random.default_rng(15)
     tensors = [constant_curvature(n, 1.0) for n in (3, 6, 8)] + [su3_so3()]
     tensors += [product_sphere(n) for n in (4, 5, 8)]
@@ -351,8 +348,9 @@ def test_ric_l_bounds_table_keys_and_values():
             want = ["improved", "weak"] + ["one_form"] * (p == 1) + ["einstein"] * einstein
             assert list(bounds) == sorted(want)
             for variant, value in bounds.items():
-                assert value == ric_l_lower_bound(a, p, variant)
                 assert value == ric_l_bound_by_variant(a, p, variant)
+            # a fresh Analysis of R reads the same table
+            assert ric_l_lower_bounds(Analysis(R), p) == bounds
     assert einstein_seen == 10
 
 
