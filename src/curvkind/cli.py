@@ -24,7 +24,7 @@ from .bochner import ric_l_lowest, ric_l_spectrum
 from .errors import CurvatureSymmetryError, CurvkindError, ShapeMismatch
 from .model_spaces import curvature_from_spec
 from .operators import Analysis, cluster_eigenvalues, spectrum
-from .tensor_core import validate_curvature
+from .tensor_core import dimension_cap, validate_curvature
 from .weights import certify, constants, k_positivity_profile, ric_l_lower_bounds
 
 CLOSED_OUTPUT, PARSE_ERROR, VALIDATION_ERROR = 1, 2, 3
@@ -53,8 +53,9 @@ def _load_curvature(args):
                 raise ShapeMismatch(f"a --dense file holds kind 'dense', not {kind!r}; use --model")
             descriptor = {"kind": "dense", "path": args.dense, "n": spec.get("n")}
         R = curvature_from_spec(spec)
-    # ValueError covers bad JSON, CurvkindError and unconvertible numbers
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    # ValueError covers bad JSON, CurvkindError and unconvertible numbers;
+    # RecursionError a spec or list nested deeper than Python's stack
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         _fail(PARSE_ERROR, f"cannot build curvature tensor: {exc}")
     try:
         validate_curvature(R)
@@ -224,6 +225,10 @@ def _cmd_selftest(args):
     if args.n_max < 4:
         # estimate soundness sweeps n = 4..n_max
         _fail(PARSE_ERROR, f"--n-max must be at least 4, got {args.n_max}")
+    if args.n_max > dimension_cap():
+        # the sweeps build forms of C(n_max, n_max/2) coefficients
+        _fail(PARSE_ERROR, f"--n-max {args.n_max} exceeds the soft cap {dimension_cap()} "
+              "(set CURVKIND_NMAX to raise it)")
     ok = run_selftest(seed=args.seed, seeds=args.seeds, n_max=args.n_max)
     return 0 if ok else 1
 

@@ -44,10 +44,6 @@ class CurvatureSummary:
     einstein_defect: float
     scale: float
 
-    @property
-    def n(self):
-        return self.ricci.shape[0]
-
     def is_einstein(self):
         return self.einstein_defect <= EINSTEIN * max(self.scale, abs(self.scalar))
 
@@ -105,9 +101,10 @@ def require_symmetric(M, symmetry_tol=None):
     """M as a float array, after checking that it is square and symmetric.
 
     A complex M is kept complex and checked to be Hermitian.  Raises
-    NotSymmetric when the asymmetry exceeds 1e-12 * max|entry|.  The upper
-    triangle is compared with the lower one stripe of rows at a time, so no
-    temporary is as large as M.
+    NotSymmetric when the asymmetry exceeds symmetry_tol, by default
+    1e-12 * max|entry|; the middle-degree Hodge blocks of Ric_L pass one
+    threshold for both halves.  The upper triangle is compared with the
+    lower one stripe of rows at a time, so no temporary is as large as M.
     """
     M = np.asarray(M)
     if not np.iscomplexobj(M):
@@ -123,10 +120,10 @@ def require_symmetric(M, symmetry_tol=None):
     return M
 
 
-def spectrum(M, symmetry_tol=None):
+def spectrum(M):
     """Ascending eigenvalues of a symmetric or Hermitian matrix (gated by
     require_symmetric)."""
-    return np.linalg.eigvalsh(require_symmetric(M, symmetry_tol))
+    return np.linalg.eigvalsh(require_symmetric(M))
 
 
 def cluster_eigenvalues(values, scale):

@@ -171,12 +171,6 @@ class PForm:
         return cls(n, p, coeffs)
 
     @classmethod
-    def unit_wedge(cls, n, idx):
-        """Unit-norm wedge basis element: wedge(idx) / sqrt(p!)."""
-        w = cls.wedge(n, idx)
-        return cls(n, w.p, w.coeffs / math.sqrt(math.factorial(w.p)))
-
-    @classmethod
     def random(cls, n, p, rng):
         return cls(n, p, rng.standard_normal(math.comb(n, p)))
 
@@ -243,9 +237,9 @@ def random_trace_free(n, rng):
 class CurvatureTensor:
     """Dense (0,4)-tensor R_{ijkl} with the algebraic curvature symmetries.
 
-    Construction validates nothing; call validate() (or build through the
-    model constructors) before trusting an instance.  Invalid input is
-    rejected by validate(), never silently symmetrized.
+    Construction validates nothing; call validate_curvature(R) (or build
+    through the model constructors) before trusting an instance.  Invalid
+    input is rejected by validate_curvature(R), never silently symmetrized.
     """
 
     n: int
@@ -261,10 +255,6 @@ class CurvatureTensor:
         if not np.isfinite(R).all():
             raise ShapeMismatch("curvature tensor has a non-finite component")
         object.__setattr__(self, "components", R.reshape((n, n, n, n)))
-
-    def validate(self):
-        validate_curvature(self)
-        return self
 
     def __add__(self, other):
         if not isinstance(other, CurvatureTensor):

@@ -88,14 +88,6 @@ class Constants:
     omega_weak: float
     n_einstein: float
 
-    @property
-    def omega_gap(self):
-        """omega_weak - omega_improved = 2(n-2p)/(n(n+2)).
-
-        Computed from the integer numerators so the identity is exact in
-        floating point (direct subtraction of the two weights cancels)."""
-        return (2 * self.n - 4 * self.p) / (self.n * (self.n + 2))
-
 
 def constants(n, p):
     """Thresholds for degree p on dimension n (1 <= p <= n/2).

@@ -147,8 +147,8 @@ def test_criterion_11_constants():
     for n in range(4, 30):
         for p in range(1, n // 2 + 1):
             c = constants(n, p)
-            assert c.omega_gap == 2 * (n - 2 * p) / (n * (n + 2))
-            assert abs((c.omega_weak - c.omega_improved) - c.omega_gap) <= 1e-15
+            gap = 2 * (n - 2 * p) / (n * (n + 2))
+            assert abs((c.omega_weak - c.omega_improved) - gap) <= 1e-15
     report(
         "criterion 11: closed forms for C_2/C_4/C_5, monotonicity, midpoint value, "
         f"integrality only at n=8, highest-weight gap (worst {worst:.2e})"

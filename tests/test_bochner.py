@@ -31,6 +31,7 @@ from curvkind import (
     second_kind_matrix,
     spectrum,
     su3_so3,
+    validate_curvature,
 )
 from curvkind.bochner import (
     _hodge_table,
@@ -487,9 +488,11 @@ def test_ric_l_spectrum_diagonal_curvature(monkeypatch):
         models["rotated"] = Analysis(rotate_curvature(product_sphere(n), _givens(n, 1e-3)))
         # validation tolerates a one-sided asymmetry that F does not read
         # (F reads R_ijkl for i < j, k < l only) but Ric does: Ric_12 != 0
-        one_sided = product_sphere(n).components.copy()
-        one_sided[1, 0, 2, 0] = 1e-14
-        models["one_sided"] = Analysis(CurvatureTensor(n, one_sided).validate())
+        components = product_sphere(n).components.copy()
+        components[1, 0, 2, 0] = 1e-14
+        one_sided = CurvatureTensor(n, components)
+        validate_curvature(one_sided)
+        models["one_sided"] = Analysis(one_sided)
         for name, a in models.items():
             # at n = 4 the random_sum is a sum of two surfaces: diagonal too
             diagonal = not any(np.count_nonzero(X - np.diag(np.diag(X)))

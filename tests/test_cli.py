@@ -145,6 +145,11 @@ MALFORMED = {
     "dense-file-other-kind": ("--dense", '{"kind": "su3_so3"}', None),
     "nmax-not-a-number": ("--model", '{"kind":"product_sphere","n":4}', "abc"),
     "n-fractional": ("--model", '{"kind":"product_sphere","n":5.7}', None),
+    # nested deeper than Python's stack: a RecursionError, not a traceback
+    "model-nested-3000": ("--model", '{"kind":"perturbed","kappa":0,"base":' * 3000
+                          + '{"kind":"su3_so3"}' + "}" * 3000, None),
+    "dense-file-nested-3000": ("--dense", '{"n":2,"components":' + "[" * 3000 + "0"
+                               + "]" * 3000 + "}", None),
 }
 
 
@@ -668,6 +673,24 @@ def test_selftest_too_small_exit_2(capsys, flag):
     code, out, err = run_cli(capsys, ["selftest", *flag])
     assert code == 2 and out == ""
     assert err.startswith("error:") and f"got {flag[1]}" in err
+
+
+@pytest.mark.parametrize("nmax, n_max, cap", [(None, 13, 12), ("5", 6, 5)], ids=["default", "env"])
+def test_selftest_above_the_cap_exit_2(capsys, monkeypatch, nmax, n_max, cap):
+    if nmax is None:
+        monkeypatch.delenv("CURVKIND_NMAX", raising=False)
+    else:
+        monkeypatch.setenv("CURVKIND_NMAX", nmax)
+
+    def refuse(**kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(selftest, "run_selftest", refuse)
+    code, out, err = run_cli(capsys, ["selftest", "--n-max", str(n_max)])
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: --n-max {n_max} exceeds the soft cap {cap} (set CURVKIND_NMAX to raise it)\n"
+    )
 
 
 def test_selftest_negative_seed_exit_2(capsys):

@@ -113,11 +113,11 @@ def test_multi_index_array_is_read_only():
         idx[0, 0] = 1
 
 
-def test_wedge_and_unit_wedge():
+def test_wedge_sign_and_norm():
     w = PForm.wedge(4, (1, 0))
     assert w.coeffs[multi_indices(4, 2).index((0, 1))] == -1.0
-    u = PForm.unit_wedge(5, (0, 2, 4))
-    assert abs(u.norm_sq - 1.0) < 1e-15
+    # |e^0 ^ e^2 ^ e^4|^2 = p! under the full-tensor inner product
+    assert PForm.wedge(5, (0, 2, 4)).norm_sq == 6.0
 
 
 def test_rotate_form_preserves_norm_and_composes():

@@ -203,11 +203,12 @@ def test_constants_midpoint_and_monotonicity():
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_constants_omega_gap():
+def test_constants_highest_weight_gap():
     for n in range(4, 30):
         for p in range(1, n // 2 + 1):
             c = constants(n, p)
-            assert c.omega_gap == pytest.approx(2 * (n - 2 * p) / (n * (n + 2)), abs=1e-16)
+            gap = c.omega_weak - c.omega_improved
+            assert gap == pytest.approx(2 * (n - 2 * p) / (n * (n + 2)), abs=1e-15)
 
 
 def test_constants_einstein_integer_only_at_8():
