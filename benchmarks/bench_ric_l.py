@@ -16,7 +16,11 @@ that ric_l_spectrum assembles no matrix at all.  ric_l_lowest, which
 `analyze` reads, is timed beside ric_l_spectrum on the same cases: it solves
 each block for its smallest eigenvalue alone (LAPACK ?syevr through
 _blas.lowest_eigenvalue), and on the diagonal path takes a minimum where
-ric_l_spectrum sorts.  (14, 7) lies above the
+ric_l_spectrum sorts.  ric_l_minima, the call `analyze --p half` makes, is
+timed over p = 1..n/2 at n = 11 and 12 on the random tensor and on a random
+Kulkarni-Nomizu product: its degrees run on parallel lanes, as many as the
+cores allow and the split needs (two at these n), each solve on one
+OpenBLAS thread.  (14, 7) lies above the
 CLI's dimension cap, which the library functions do not check.  The
 assembly reads one signed principal block of Ric or -2F per (p-k)-tuple,
 k = 1, 2, its indices from the wedge tables _through(n, p-k, k), which are
@@ -34,11 +38,13 @@ from curvkind import (
     Analysis,
     bochner,
     constant_curvature,
+    kulkarni_nomizu,
     perturb_constant,
     product_sphere,
     random_curvature,
     ric_l_lowest,
     ric_l_matrix,
+    ric_l_minima,
     ric_l_spectrum,
     tensor_core,
 )
@@ -95,3 +101,15 @@ def test_ric_l_spectrum(benchmark, tensors, kind, n, p):
 def test_ric_l_lowest(benchmark, tensors, kind, n, p):
     R = tensors[n] if kind == "random" else MODELS[kind](n)
     benchmark(lambda: ric_l_lowest(Analysis(R), p))
+
+
+def _kn_product(n, rng):
+    h, k = (rng.standard_normal((n, n)) for _ in range(2))
+    return kulkarni_nomizu(h + h.T, k + k.T)
+
+
+@pytest.mark.parametrize("kind", ["random", "kn_product"])
+@pytest.mark.parametrize("n", [11, 12])
+def test_ric_l_minima(benchmark, tensors, kind, n):
+    R = tensors[n] if kind == "random" else _kn_product(n, np.random.default_rng(n))
+    benchmark(lambda: ric_l_minima(Analysis(R), range(1, n // 2 + 1)))

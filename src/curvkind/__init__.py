@@ -13,6 +13,7 @@ from .bochner import (
     ogiue_tachibana_term,
     ric_l_lowest,
     ric_l_matrix,
+    ric_l_minima,
     ric_l_quadratic,
     ric_l_spectrum,
     second_kind_form_term,

@@ -13,9 +13,11 @@ keeps every core busy and its latency follows whatever else the host runs.
 one_blas_thread wraps a function so that OpenBLAS runs its products on the
 calling thread alone, and puts back the thread count it found when the
 outermost wrapped call returns.  The count is process-wide: a product
-another thread starts meanwhile also runs on one thread.  OpenBLAS is found
-through numpy's own extension module; with any other BLAS the wrapper does
-nothing.
+another thread starts meanwhile also runs on one thread.  The lanes of
+bochner.ric_l_minima rely on this: each runs its solves on its own thread,
+with no OpenBLAS worker beside it, and gets the same bits on any lane.
+OpenBLAS is found through numpy's own extension module; with any other BLAS
+the wrapper does nothing.
 
 lowest_eigenvalue returns the smallest eigenvalue of a symmetric or
 Hermitian matrix through the LAPACKE that numpy's wheels carry, ?syevr with

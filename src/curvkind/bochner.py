@@ -18,15 +18,17 @@ through (p-1)- and (p-2)-forms: for each (p-k)-tuple K, k = 1 and 2, one
 signed principal block of Ric or -2F on the rows e_G ^ e_K, every index
 read from _through(n, p-k, k).  The Hodge star reads _hodge_table(n, p).
 
-ric_l_spectrum and ric_l_lowest assemble only what their solve reads
+ric_l_spectrum and ric_l_minima assemble only what their solve reads
 (_ric_l_blocks).  When Ric and the first-kind matrix are diagonal, so is
 Ric_L, and its diagonal is summed in closed form with no matrix at all.  In
 the middle degree 2p = n, Ric_L commutes with the Hodge star, and only the
 rows of the half basis H (the p-tuples containing 0) are assembled: the
 spectrum is that of A + B and A - B for n = 0 (mod 4), and that of the
 Hermitian A + iB, each eigenvalue taken twice, for n = 2 (mod 4).
-ric_l_spectrum solves every block whole; ric_l_lowest, which analyze reads,
-solves each for its smallest eigenvalue alone.
+ric_l_spectrum solves every block whole.  ric_l_minima, which analyze
+reads, solves each block for its smallest eigenvalue alone, and its degrees
+on parallel lanes, each solve on one OpenBLAS thread (_lanes);
+ric_l_lowest is its one-degree case.
 
 bochner_decomposition and form_two_point read w through the same wedges
 (_opened); the n^p dense form, with ric_l_quadratic, is their oracle.
@@ -62,9 +64,12 @@ and it decomposes as
                         + p^2/n^2 scal |w|^2.
 """
 
+import contextvars
 from dataclasses import dataclass
 from functools import lru_cache
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -530,6 +535,12 @@ def _is_diagonal(X):
     return np.count_nonzero(X) == np.count_nonzero(X.diagonal())
 
 
+def _diagonal_ric_l(analysis):
+    """True when Ric and F = analysis.first_kind have no nonzero entry off
+    their diagonals, so that Ric_L is diagonal in every degree."""
+    return _is_diagonal(analysis.summary.ricci) and _is_diagonal(analysis.first_kind)
+
+
 def _ric_l_diagonal(analysis, p):
     """The diagonal of ric_l_matrix(analysis, p), 1 <= p < n:
 
@@ -569,28 +580,37 @@ def _ric_l_blocks(analysis, p):
       antisymmetric, M is the real form of the Hermitian A + iB, the one
       block, and each of its eigenvalues is taken twice.  Each block passes
       the symmetry gate against 1e-12 * max|M[H, :]|, which holds A and B
-      to the same threshold.
+      to the same threshold.  B is formed in place of the columns it is read
+      from, and the rows are dropped before the last block is solved, so at
+      most the rows and one block are alive.
     * Every other degree yields the whole matrix.
     """
     n = analysis.n
-    if _is_diagonal(analysis.summary.ricci) and _is_diagonal(analysis.first_kind):
+    if _diagonal_ric_l(analysis):
         yield _ric_l_diagonal(analysis, p), 1
     elif 2 * p != n:
         yield require_symmetric(ric_l_matrix(analysis, p)), 1
     else:
         half = math.comb(n, p) // 2
         rows = _ric_l_rows(analysis, p, half)
+        tol = SYMMETRY * peak(rows)
         _, sign = _hodge_table(n, p)
+        A, B = rows[:, :half], rows[:, half:]
         # complementing reverses the sorted order, so J^c runs backwards
         # through the second half of the columns
-        A = rows[:, :half]
-        B = rows[:, half:][:, ::-1] * sign[:half]
-        tol = SYMMETRY * peak(rows)
+        B[:] = B[:, ::-1] * sign[:half]
         if n % 4:
-            yield require_symmetric(A + 1j * B, tol), 2
+            H = np.empty((half, half), complex)
+            H.real = A
+            # + 0.0 turns B's -0.0 into +0.0, as A + 1j * B does
+            np.add(B, 0.0, out=H.imag)
+            del rows, A, B
+            yield require_symmetric(H, tol), 2
         else:
             yield require_symmetric(A + B, tol), 1
-            yield require_symmetric(A - B, tol), 1
+            D = A - B
+            del rows, A, B
+            yield require_symmetric(D, tol), 1
 
 
 def _block_spectrum(pair):
@@ -622,14 +642,99 @@ def ric_l_spectrum(analysis, p):
     return spectra[0] if len(spectra) == 1 else np.sort(np.concatenate(spectra))
 
 
-def ric_l_lowest(analysis, p):
-    """The smallest eigenvalue of ric_l_matrix(analysis, p): ric_l_spectrum's
-    first, within N eps |M|_2 (and exactly on the closed-form diagonal,
-    whose minimum is taken with no sort).  Each matrix block of
-    _ric_l_blocks is solved in place for that one eigenvalue
-    (_blas.lowest_eigenvalue).
-    """
-    n = analysis.n
-    if not (is_degree(p) and 1 <= p < n):
+def _solve_cost(n, p):
+    """Sum of N^3 over the matrix blocks of degree p: C(n,p)^3, and two blocks
+    of half that size in the middle degree."""
+    count = math.comb(n, p)
+    return 2 * (count // 2) ** 3 if 2 * p == n else count**3
+
+
+def _usable_cores():
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _lanes(costs, cores):
+    """Split the degrees of costs {p: cost} over lanes, each a list of
+    degrees: largest first, each to the least loaded lane (LPT), on the
+    fewest lanes whose longest lane is the largest degree alone, and at most
+    `cores` of them.  The first lane holds the largest degree."""
+    order = sorted(costs, key=costs.get, reverse=True)
+    for count in range(1, max(1, cores) + 1):
+        lanes, loads = [[] for _ in range(count)], [0] * count
+        for p in order:
+            least = loads.index(min(loads))
+            lanes[least].append(p)
+            loads[least] += costs[p]
+        if max(loads) == costs[order[0]]:
+            break
+    return [lane for lane in lanes if lane]
+
+
+def _lowest(analysis, p):
+    """The smallest eigenvalue of degree p: the minimum over the blocks of
+    _ric_l_blocks, each solved in place; ric_l_spectrum's first outside
+    1 <= p < n."""
+    if not (is_degree(p) and 1 <= p < analysis.n):
         return float(ric_l_spectrum(analysis, p)[0])
     return min(map(_block_lowest, _ric_l_blocks(analysis, p)))
+
+
+def _run_lane(analysis, lane, found, failed):
+    """Solve each degree of one lane into found, or its error into failed."""
+    for p in lane:
+        try:
+            found[p] = _lowest(analysis, p)
+        except Exception as exc:
+            failed[p] = exc
+
+
+@one_blas_thread
+def ric_l_minima(analysis, degrees):
+    """{p: the smallest eigenvalue of ric_l_matrix(analysis, p)} for each p of
+    degrees: ric_l_spectrum's first, within N eps |M|_2 (and exactly on the
+    closed-form diagonal, whose minimum is taken with no sort).  Each matrix
+    block of _ric_l_blocks is solved in place for that one eigenvalue
+    (_blas.lowest_eigenvalue), with OpenBLAS on one thread.
+
+    The degrees are independent, so they run on parallel lanes, each of
+    which assembles, gates and solves its own (_lanes, weighted by
+    _solve_cost).  The calling thread runs the lane of the largest degree;
+    every other lane is a thread started and joined within the call, in a
+    copy of the caller's context, so it sees the caller's np.errstate.  With
+    Ric_L diagonal, or one matrix degree, everything runs on the calling
+    thread.  On one OpenBLAS thread each value depends only on its input,
+    not on the lanes.  Every lane is joined before the call returns or
+    raises; a degree that fails raises its error, that of the first failing
+    degree in the order given, as a loop over them would.
+    """
+    n = analysis.n
+    degrees = list(dict.fromkeys(degrees))
+    solved = [p for p in degrees if is_degree(p) and 1 <= p < n]
+    lanes = [degrees]
+    if len(solved) > 1 and not _diagonal_ric_l(analysis):
+        costs = {p: _solve_cost(n, p) if p in solved else 0 for p in degrees}
+        lanes = _lanes(costs, _usable_cores())
+    found, failed = {}, {}
+    threads = []
+    try:
+        for lane in lanes[1:]:
+            args = (_run_lane, analysis, lane, found, failed)
+            threads.append(threading.Thread(target=contextvars.copy_context().run, args=args))
+            threads[-1].start()
+        _run_lane(analysis, lanes[0], found, failed)
+    finally:
+        for thread in threads:
+            thread.join()
+    for p in degrees:
+        if p in failed:
+            raise failed[p]
+    return {p: found[p] for p in degrees}
+
+
+def ric_l_lowest(analysis, p):
+    """The smallest eigenvalue of ric_l_matrix(analysis, p):
+    ric_l_minima of that one degree."""
+    return ric_l_minima(analysis, (p,))[p]

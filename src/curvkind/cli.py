@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bochner import ric_l_lowest, ric_l_spectrum
+from ._blas import one_blas_thread
+from .bochner import ric_l_minima, ric_l_spectrum
 from .errors import CurvatureSymmetryError, CurvkindError, ShapeMismatch
 from .model_spaces import curvature_from_spec
 from .operators import Analysis, cluster_eigenvalues, spectrum
@@ -87,15 +88,13 @@ def _certificate_dicts(certs):
 def _per_p_rows(a, p_values):
     n = a.n
     # Ric_L commutes with the Hodge star, so p and n-p share one spectrum
-    # (test_ric_l_poincare_duality): solve each class {p, n-p} once.  Degrees
-    # outside 1 <= p < n keep their own key, so p = n solves the zero matrix
-    # and an out-of-range p is reported as requested.
-    minima = {}
+    # (test_ric_l_poincare_duality): solve each class {p, n-p} once, all in
+    # one call.  Degrees outside 1 <= p < n keep their own key, so p = n
+    # solves the zero matrix and an out-of-range p is reported as requested.
+    keys = [min(p, n - p) if 0 < p < n else p for p in p_values]
+    minima = ric_l_minima(a, keys)
     rows = []
-    for p in p_values:
-        key = min(p, n - p) if 0 < p < n else p
-        if key not in minima:
-            minima[key] = ric_l_lowest(a, key)
+    for p, key in zip(p_values, keys):
         row = {"p": p, "ric_l_min_eigenvalue": minima[key]}
         if 2 * p <= n:
             row["c_p"] = constants(n, p).c_p
@@ -114,9 +113,13 @@ def _certify_report(a, descriptor, args):
     }
 
 
+@one_blas_thread
 def _analyze_report(a, descriptor, args):
     """The certify report, the summary, both spectra and one row per degree
-    of --p: 'half' (1 <= p <= n/2), 'all' (1 <= p < n) or one integer."""
+    of --p: 'half' (1 <= p <= n/2), 'all' (1 <= p < n) or one integer.  It
+    runs on one OpenBLAS thread, so no BLAS worker spins beside the parallel
+    Ric_L solves (bochner.ric_l_minima), and no bit depends on the thread
+    count OpenBLAS was given or on the cores."""
     n = a.n
     if args.p in ("half", "all"):
         p_values = range(1, n // 2 + 1 if args.p == "half" else n)

@@ -103,6 +103,10 @@ MODEL_KINDS = (
     "dense",
 )
 
+# base levels a perturbed spec may nest: the report echoes the spec, indented
+# one step per level, so its size grows with the square of the depth
+MAX_NESTING = 64
+
 
 def _capped(n):
     """check_dimension(n), refused above dimension_cap() before any n^4
@@ -152,7 +156,8 @@ def curvature_from_spec(spec):
     {"kind": "dense", "n": int, "components": flat row-major list of n^4
     reals in index order (i, j, k, l), 1-based in prose, 0-based in the
     array}.  n must be an integer no larger than dimension_cap(), which is
-    checked before the tensor is built.  Raises ShapeMismatch / ValueError
+    checked before the tensor is built, and a perturbed spec nests at most
+    MAX_NESTING base levels.  Raises ShapeMismatch / ValueError
     on malformed input; the result is *not* validated here (see
     validate_curvature).
     """
@@ -171,6 +176,13 @@ def curvature_from_spec(spec):
         _capped(len(h))
         return kulkarni_nomizu(h, _numbers(spec["k"], "every entry of k"))
     if kind == "perturbed":
+        depth, inner = 0, spec
+        while isinstance(inner, dict) and inner.get("kind") == "perturbed":
+            depth, inner = depth + 1, inner.get("base")
+        if depth > MAX_NESTING:
+            raise ShapeMismatch(
+                f"a perturbed spec nests at most {MAX_NESTING} base levels, got {depth}"
+            )
         base = curvature_from_spec(spec["base"])
         return perturb_constant(base, _number(spec["kappa"], "kappa"))
     if kind == "dense":

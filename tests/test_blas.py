@@ -1,16 +1,24 @@
 """curvkind._blas: the p-form functions run their products on one OpenBLAS
 thread and put the thread count back, and lowest_eigenvalue is the first
-eigenvalue of eigvalsh."""
+eigenvalue of eigvalsh.  analyze, whose Ric_L degrees run on parallel lanes
+(bochner.ric_l_minima), prints the same bits whatever the cores and the
+OpenBLAS thread count, and its lanes leave no thread behind."""
 
+import contextlib
+import io
+import json
 import math
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from curvkind import PForm, bochner, random_curvature
+from curvkind import Analysis, PForm, bochner, product_sphere, random_curvature
 from curvkind import _blas
 from curvkind._blas import _openblas_threads, lowest_eigenvalue, one_blas_thread
+from curvkind.cli import main
+from curvkind.errors import NotSymmetric
 from curvkind.tensor_core import read_only
 
 FORM_FUNCTIONS = (
@@ -159,3 +167,151 @@ def test_lowest_eigenvalue_refuses_what_it_cannot_overwrite():
             lowest_eigenvalue(bad)
     assert np.array_equal(kept, M)
     assert lowest_eigenvalue(M) == pytest.approx((5 - math.sqrt(5)) / 2, rel=1e-15)
+
+
+def _analyze(argv):
+    """(exit code or raised error, stdout, stderr) of one in-process analyze."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = main(["analyze", *argv])
+        except SystemExit as exc:
+            outcome = exc.code
+        except Exception as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, out.getvalue(), err.getvalue()
+
+
+def _dense_file(tmp_path, n, seed):
+    R = random_curvature(n, np.random.default_rng(seed))
+    path = tmp_path / f"dense-{n}.json"
+    path.write_text(json.dumps({"n": n, "components": R.components.ravel().tolist()}))
+    return str(path)
+
+
+# at this seed, n = 10 and 12 each print two per_p rows whose last bits
+# differ between one and two OpenBLAS threads when the whole report follows
+# the thread count it is given
+DETERMINISM_SEED = 7
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_analyze_bits_depend_on_the_input_alone(n, count, monkeypatch, tmp_path):
+    # n = 8 and 12 solve two Hodge blocks in the middle degree, n = 10 one
+    # Hermitian block; every n runs two lanes on two or more cores
+    _, put = _openblas_threads()
+    source = ["--dense", _dense_file(tmp_path, n, DETERMINISM_SEED)]
+    printed = set()
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(bochner, "_usable_cores", lambda: cores)
+        for threads in (1, 2):
+            put(threads)
+            code, out, _ = _analyze([*source, "--p", "all"])
+            assert code == 0
+            printed.add(out)
+    assert len(printed) == 1
+    rows = json.loads(printed.pop())["per_p"]
+    for p in range(1, n):
+        _, out, _ = _analyze([*source, "--p", str(p)])
+        assert json.dumps(json.loads(out)["per_p"]) == json.dumps([rows[p - 1]]), p
+
+
+def _failing_solve(monkeypatch, sizes, error, seen=None):
+    """Patch the solve to raise error(<size>) on a block of one of sizes."""
+    original = bochner.lowest_eigenvalue
+
+    def solve(M):
+        if seen is not None:
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+        if len(M) in sizes:
+            raise error(f"no solve at size {len(M)}")
+        return original(M)
+
+    monkeypatch.setattr(bochner, "lowest_eigenvalue", solve)
+
+
+# at n = 12 the lanes are [5] on the calling thread and [6, 4, 3, 2, 1]
+# beside it; a degree's matrix has C(12, p) rows, and 462 in the middle degree
+SIZES = {3: 220, 4: 495, 5: 792}
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, NotSymmetric])
+@pytest.mark.parametrize("failing", [(4,), (4, 5), (3, 4)], ids=str)
+def test_lanes_fail_as_the_serial_loop(error, failing, count, monkeypatch, tmp_path):
+    # the first failing degree reports its error, as one loop over them
+    # would: exit 2 and one line for a CurvkindError, the error itself
+    # otherwise; every lane is joined and the thread count put back
+    source = ["--dense", _dense_file(tmp_path, 12, DETERMINISM_SEED), "--p", "half"]
+    _failing_solve(monkeypatch, {SIZES[p] for p in failing}, error)
+    outcomes = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(bochner, "_usable_cores", lambda: cores)
+        before = threading.active_count()
+        outcomes[cores] = _analyze(source)
+        assert threading.active_count() == before
+        assert count() == 2
+    assert outcomes[1] == outcomes[2]
+    message = f"no solve at size {SIZES[min(failing)]}"
+    if error is NotSymmetric:
+        assert outcomes[2] == (2, "", f"error: {message}\n")
+    else:
+        assert outcomes[2] == ((error, message), "", "")
+
+
+def test_lanes_see_the_callers_errstate_and_leave_no_thread(count, monkeypatch, tmp_path):
+    source = ["--dense", _dense_file(tmp_path, 11, DETERMINISM_SEED), "--p", "half"]
+    seen = []
+    _failing_solve(monkeypatch, set(), np.linalg.LinAlgError, seen)
+    monkeypatch.setattr(bochner, "_usable_cores", lambda: 2)
+    before = threading.active_count()
+    assert _analyze(source)[0] == 0
+    assert threading.active_count() == before
+    assert count() == 2
+    on_lanes = [state for on_main, state in seen if not on_main]
+    assert on_lanes and all(state["over"] == "raise" for state in on_lanes)
+    assert np.geterr()["over"] != "raise"
+
+
+def test_one_matrix_degree_or_a_diagonal_ric_l_starts_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lane was started")
+
+    monkeypatch.setattr(bochner.threading, "Thread", refuse)
+    monkeypatch.setattr(bochner, "_usable_cores", lambda: 2)
+    diagonal = Analysis(product_sphere(12))
+    assert len(bochner.ric_l_minima(diagonal, range(1, 12))) == 11
+    a = Analysis(random_curvature(9, np.random.default_rng(2)))
+    assert list(bochner.ric_l_minima(a, (4, 9))) == [4, 9]
+
+
+def test_more_lanes_than_cores_under_fast_switching(monkeypatch):
+    # degrees 1..9 at n = 10 split over three lanes, on a host of any size;
+    # with the interpreter switching threads every microsecond, no lane
+    # loses a degree or moves a bit
+    a = Analysis(random_curvature(10, np.random.default_rng(5)))
+    costs = {p: bochner._solve_cost(10, p) for p in range(1, 10)}
+    assert len(bochner._lanes(costs, 3)) == 3
+    monkeypatch.setattr(bochner, "_usable_cores", lambda: 1)
+    serial = bochner.ric_l_minima(a, costs)
+    monkeypatch.setattr(bochner, "_usable_cores", lambda: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert bochner.ric_l_minima(a, costs) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_lanes_split_largest_first(n):
+    # the fewest lanes whose longest is the largest degree alone: two at
+    # every n, and one when one core is usable
+    costs = {p: bochner._solve_cost(n, p) for p in range(1, n // 2 + 1)}
+    largest = max(costs, key=costs.get)
+    lanes = bochner._lanes(costs, 4)
+    assert lanes[0] == [largest]
+    assert sorted(p for lane in lanes for p in lane) == sorted(costs)
+    assert max(sum(costs[p] for p in lane) for lane in lanes) == costs[largest]
+    assert len(lanes) == 2
+    assert bochner._lanes(costs, 1) == [sorted(costs, key=costs.get, reverse=True)]

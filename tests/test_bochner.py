@@ -24,6 +24,7 @@ from curvkind import (
     random_curvature,
     random_trace_free,
     ric_l_lowest,
+    ric_l_minima,
     ric_l_matrix,
     ric_l_quadratic,
     ric_l_spectrum,
@@ -468,6 +469,23 @@ def test_ric_l_lowest_is_the_first_eigenvalue():
             for p in (0, n + 1):
                 with pytest.raises(POutOfRange):
                     ric_l_lowest(a, p)
+
+
+def test_ric_l_minima_is_ric_l_lowest_of_each_degree(monkeypatch):
+    # one call over many degrees, on two lanes, reads the same bits as one
+    # call per degree; repeated degrees are solved once, p = n is the exact
+    # zero, and a degree outside 1..n is refused
+    monkeypatch.setattr(bochner, "_usable_cores", lambda: 2)
+    rng = np.random.default_rng(23)
+    for n in (6, 9, 11):
+        a = Analysis(random_curvature(n, rng))
+        degrees = [*range(1, n + 1), 2]
+        got = ric_l_minima(a, degrees)
+        assert list(got) == list(range(1, n + 1))
+        assert got == {p: ric_l_lowest(a, p) for p in got}
+        assert got[n] == 0.0
+        with pytest.raises(POutOfRange):
+            ric_l_minima(a, [1, 2, n + 1])
 
 
 def _givens(n, angle):

@@ -145,6 +145,9 @@ MALFORMED = {
     "dense-file-other-kind": ("--dense", '{"kind": "su3_so3"}', None),
     "nmax-not-a-number": ("--model", '{"kind":"product_sphere","n":4}', "abc"),
     "n-fractional": ("--model", '{"kind":"product_sphere","n":5.7}', None),
+    # one base level above the limit
+    "model-nested-65": ("--model", '{"kind":"perturbed","kappa":0,"base":' * 65
+                        + '{"kind":"su3_so3"}' + "}" * 65, None),
     # nested deeper than Python's stack: a RecursionError, not a traceback
     "model-nested-3000": ("--model", '{"kind":"perturbed","kappa":0,"base":' * 3000
                           + '{"kind":"su3_so3"}' + "}" * 3000, None),
@@ -164,6 +167,19 @@ def test_malformed_input_exit_2(tmp_path, capsys, monkeypatch, flag, text, nmax)
     code, out, err = run_cli(capsys, ["analyze", flag, text])
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_perturbed_nesting_limit(capsys):
+    # the report echoes the spec indented, one step per base level: 64 levels
+    # are read, and a deeper chain is refused before any output
+    def chain(depth):
+        return '{"kind":"perturbed","kappa":0,"base":' * depth + '{"kind":"su3_so3"}' + "}" * depth
+
+    code, out, _ = run_cli(capsys, ["certify", "--model", chain(64)])
+    assert code == 0 and json.loads(out)["n"] == 5
+    message = "a perturbed spec nests at most 64 base levels, got 300"
+    assert run_cli(capsys, ["certify", "--model", chain(300)]) == (
+        2, "", f"error: cannot build curvature tensor: {message}\n")
 
 
 SU3 = '{"kind":"su3_so3"}'
