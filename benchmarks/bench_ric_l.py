@@ -18,9 +18,9 @@ each block for its smallest eigenvalue alone (LAPACK ?syevr through
 _blas.lowest_eigenvalue), and on the diagonal path takes a minimum where
 ric_l_spectrum sorts.  ric_l_minima, the call `analyze --p half` makes, is
 timed over p = 1..n/2 at n = 11 and 12 on the random tensor and on a random
-Kulkarni-Nomizu product: its degrees run on parallel lanes, as many as the
-cores allow and the split needs (two at these n), each solve on one
-OpenBLAS thread.  (14, 7) lies above the
+Kulkarni-Nomizu product: its degrees run on two lanes, the costliest on
+one and the rest on the other, each solve on one OpenBLAS thread.
+(14, 7) lies above the
 CLI's dimension cap, which the library functions do not check.  The
 assembly reads one signed principal block of Ric or -2F per (p-k)-tuple,
 k = 1, 2, its indices from the wedge tables _through(n, p-k, k), which are

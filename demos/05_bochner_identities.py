@@ -36,7 +36,8 @@ print("  total          :", exp.total)
 print("  closed form    :", p * (n - p) / n * (n + 2) / 2 * w.norm_sq)
 
 print("\nPoincare duality at the algebraic level: Ric_L spectra at p and n-p")
+# ric_l_spectrum solves p and n-p as one class, so the two matrices are
+# solved here one by one
 analysis = ck.Analysis(R)
-a = ck.ric_l_spectrum(analysis, p)
-b = ck.ric_l_spectrum(analysis, n - p)
+a, b = (ck.spectrum(ck.ric_l_matrix(analysis, k)) for k in (p, n - p))
 print("  max |spectrum(p) - spectrum(n-p)| =", np.abs(a - b).max())

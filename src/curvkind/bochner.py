@@ -18,17 +18,18 @@ through (p-1)- and (p-2)-forms: for each (p-k)-tuple K, k = 1 and 2, one
 signed principal block of Ric or -2F on the rows e_G ^ e_K, every index
 read from _through(n, p-k, k).  The Hodge star reads _hodge_table(n, p).
 
-ric_l_spectrum and ric_l_minima assemble only what their solve reads
+Ric_L commutes with the Hodge star, so degrees p and n-p share one
+spectrum: ric_l_spectrum and ric_l_minima solve each Hodge class
+min(p, n-p) once (_hodge_class), and assemble only what their solve reads
 (_ric_l_blocks).  When Ric and the first-kind matrix are diagonal, so is
 Ric_L, and its diagonal is summed in closed form with no matrix at all.  In
-the middle degree 2p = n, Ric_L commutes with the Hodge star, and only the
-rows of the half basis H (the p-tuples containing 0) are assembled: the
-spectrum is that of A + B and A - B for n = 0 (mod 4), and that of the
-Hermitian A + iB, each eigenvalue taken twice, for n = 2 (mod 4).
-ric_l_spectrum solves every block whole.  ric_l_minima, which analyze
-reads, solves each block for its smallest eigenvalue alone, and its degrees
-on parallel lanes, each solve on one OpenBLAS thread (_lanes);
-ric_l_lowest is its one-degree case.
+the middle degree 2p = n only the rows of the half basis H (the p-tuples
+containing 0) are assembled: the spectrum is that of A + B and A - B for
+n = 0 (mod 4), and that of the Hermitian A + iB, each eigenvalue taken
+twice, for n = 2 (mod 4).  ric_l_spectrum solves every block whole.
+ric_l_minima, which analyze reads, solves each block for its smallest
+eigenvalue alone, its classes on two lanes, each solve on one OpenBLAS
+thread; ric_l_lowest is its one-degree case.
 
 bochner_decomposition and form_two_point read w through the same wedges
 (_opened); the n^p dense form, with ric_l_quadratic, is their oracle.
@@ -626,16 +627,24 @@ def _block_lowest(pair):
     return float(block.min()) if block.ndim == 1 else lowest_eigenvalue(block)
 
 
+def _hodge_class(n, p):
+    """The degree solved for p: min(p, n-p) for 0 < p < n, since Ric_L
+    commutes with the Hodge star and degrees p and n-p share one spectrum
+    (test_ric_l_poincare_duality); p itself otherwise, so p = n solves
+    ric_l_matrix's exact zero and any other p raises POutOfRange there."""
+    return min(p, n - p) if is_degree(p) and 0 < p < n else p
+
+
 def ric_l_spectrum(analysis, p):
     """Ascending eigenvalues of ric_l_matrix(analysis, p).
 
-    Only what the solve reads is assembled (_ric_l_blocks): the closed-form
-    diagonal is sorted, and every matrix block is solved with
-    np.linalg.eigvalsh.  Degrees p and n-p share one spectrum.
+    Degrees p and n-p are solved as one (_hodge_class), and only what the
+    solve reads is assembled (_ric_l_blocks): the closed-form diagonal is
+    sorted, and every matrix block is solved with np.linalg.eigvalsh.
     """
     n = analysis.n
+    p = _hodge_class(n, p)
     if not (is_degree(p) and 1 <= p < n):
-        # p = n is ric_l_matrix's exact zero; other p raise POutOfRange there
         return spectrum(ric_l_matrix(analysis, p))
     # map keeps no block once it is solved, so one block is alive at a time
     spectra = list(map(_block_spectrum, _ric_l_blocks(analysis, p)))
@@ -643,8 +652,11 @@ def ric_l_spectrum(analysis, p):
 
 
 def _solve_cost(n, p):
-    """Sum of N^3 over the matrix blocks of degree p: C(n,p)^3, and two blocks
-    of half that size in the middle degree."""
+    """Sum of N^3 over the matrix blocks of degree p, 1 <= p <= n/2: C(n,p)^3,
+    and two blocks of half that size in the middle degree.  For n <= 15, in
+    any set of these degrees the costliest costs at least all the others
+    together (test_lanes_split_largest_first), so on two lanes, that degree
+    alone and the rest, it alone sets the time."""
     count = math.comb(n, p)
     return 2 * (count // 2) ** 3 if 2 * p == n else count**3
 
@@ -654,23 +666,6 @@ def _usable_cores():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _lanes(costs, cores):
-    """Split the degrees of costs {p: cost} over lanes, each a list of
-    degrees: largest first, each to the least loaded lane (LPT), on the
-    fewest lanes whose longest lane is the largest degree alone, and at most
-    `cores` of them.  The first lane holds the largest degree."""
-    order = sorted(costs, key=costs.get, reverse=True)
-    for count in range(1, max(1, cores) + 1):
-        lanes, loads = [[] for _ in range(count)], [0] * count
-        for p in order:
-            least = loads.index(min(loads))
-            lanes[least].append(p)
-            loads[least] += costs[p]
-        if max(loads) == costs[order[0]]:
-            break
-    return [lane for lane in lanes if lane]
 
 
 def _lowest(analysis, p):
@@ -695,43 +690,44 @@ def _run_lane(analysis, lane, found, failed):
 def ric_l_minima(analysis, degrees):
     """{p: the smallest eigenvalue of ric_l_matrix(analysis, p)} for each p of
     degrees: ric_l_spectrum's first, within N eps |M|_2 (and exactly on the
-    closed-form diagonal, whose minimum is taken with no sort).  Each matrix
-    block of _ric_l_blocks is solved in place for that one eigenvalue
-    (_blas.lowest_eigenvalue), with OpenBLAS on one thread.
+    closed-form diagonal, whose minimum is taken with no sort).  Each class
+    of _hodge_class is solved once, each of its matrix blocks in place for
+    that one eigenvalue (_blas.lowest_eigenvalue), with OpenBLAS on one
+    thread.
 
-    The degrees are independent, so they run on parallel lanes, each of
-    which assembles, gates and solves its own (_lanes, weighted by
-    _solve_cost).  The calling thread runs the lane of the largest degree;
-    every other lane is a thread started and joined within the call, in a
-    copy of the caller's context, so it sees the caller's np.errstate.  With
-    Ric_L diagonal, or one matrix degree, everything runs on the calling
-    thread.  On one OpenBLAS thread each value depends only on its input,
-    not on the lanes.  Every lane is joined before the call returns or
-    raises; a degree that fails raises its error, that of the first failing
-    degree in the order given, as a loop over them would.
+    The classes are independent, so with two or more usable cores they run
+    on two lanes, each of which assembles, gates and solves its own: the
+    calling thread takes the class of largest _solve_cost, and one thread,
+    started and joined within the call in a copy of the caller's context
+    (so it sees the caller's np.errstate), takes the rest, largest first.
+    With Ric_L diagonal, or one matrix class, everything runs on the
+    calling thread.  On one OpenBLAS thread each value depends only on its
+    input, not on the lanes.  Every lane is joined before the call returns
+    or raises; a degree that fails raises its error, that of the first
+    failing degree in the order given, as a loop over them would.
     """
     n = analysis.n
-    degrees = list(dict.fromkeys(degrees))
-    solved = [p for p in degrees if is_degree(p) and 1 <= p < n]
-    lanes = [degrees]
-    if len(solved) > 1 and not _diagonal_ric_l(analysis):
-        costs = {p: _solve_cost(n, p) if p in solved else 0 for p in degrees}
-        lanes = _lanes(costs, _usable_cores())
+    classes = {p: _hodge_class(n, p) for p in degrees}
+    lanes = [list(dict.fromkeys(classes.values()))]
+    solved = [p for p in lanes[0] if is_degree(p) and 1 <= p < n]
+    if len(solved) > 1 and _usable_cores() > 1 and not _diagonal_ric_l(analysis):
+        solved.sort(key=lambda p: _solve_cost(n, p), reverse=True)
+        lanes = [solved[:1], solved[1:] + [p for p in lanes[0] if p not in solved]]
     found, failed = {}, {}
-    threads = []
+    thread = None
     try:
-        for lane in lanes[1:]:
-            args = (_run_lane, analysis, lane, found, failed)
-            threads.append(threading.Thread(target=contextvars.copy_context().run, args=args))
-            threads[-1].start()
+        if len(lanes) > 1:
+            args = (_run_lane, analysis, lanes[1], found, failed)
+            thread = threading.Thread(target=contextvars.copy_context().run, args=args)
+            thread.start()
         _run_lane(analysis, lanes[0], found, failed)
     finally:
-        for thread in threads:
+        if thread is not None:
             thread.join()
-    for p in degrees:
+    for p in classes.values():
         if p in failed:
             raise failed[p]
-    return {p: found[p] for p in degrees}
+    return {p: found[q] for p, q in classes.items()}
 
 
 def ric_l_lowest(analysis, p):

@@ -5,8 +5,8 @@ Subcommands: analyze, certify, spectrum, selftest.  Input is either
 --model '<json>' (the model-spec vocabulary of model_spaces) or
 --dense <path> pointing at {"n": int, "components": [n^4 floats]} in
 row-major (i, j, k, l) order.  Exit codes: 1 when a selftest check fails or
-the reader closes stdout, 2 for unparsable input, 3 when the tensor fails
-the curvature-symmetry validation.
+the reader closes stdout, 2 for unparsable input or a failed eigensolve, 3
+when the tensor fails the curvature-symmetry validation.
 """
 
 import argparse
@@ -86,18 +86,12 @@ def _certificate_dicts(certs):
 
 
 def _per_p_rows(a, p_values):
-    n = a.n
-    # Ric_L commutes with the Hodge star, so p and n-p share one spectrum
-    # (test_ric_l_poincare_duality): solve each class {p, n-p} once, all in
-    # one call.  Degrees outside 1 <= p < n keep their own key, so p = n
-    # solves the zero matrix and an out-of-range p is reported as requested.
-    keys = [min(p, n - p) if 0 < p < n else p for p in p_values]
-    minima = ric_l_minima(a, keys)
+    minima = ric_l_minima(a, p_values)
     rows = []
-    for p, key in zip(p_values, keys):
-        row = {"p": p, "ric_l_min_eigenvalue": minima[key]}
-        if 2 * p <= n:
-            row["c_p"] = constants(n, p).c_p
+    for p in p_values:
+        row = {"p": p, "ric_l_min_eigenvalue": minima[p]}
+        if 2 * p <= a.n:
+            row["c_p"] = constants(a.n, p).c_p
             row["bounds"] = ric_l_lower_bounds(a, p)
         rows.append(row)
     return rows
@@ -113,13 +107,9 @@ def _certify_report(a, descriptor, args):
     }
 
 
-@one_blas_thread
 def _analyze_report(a, descriptor, args):
     """The certify report, the summary, both spectra and one row per degree
-    of --p: 'half' (1 <= p <= n/2), 'all' (1 <= p < n) or one integer.  It
-    runs on one OpenBLAS thread, so no BLAS worker spins beside the parallel
-    Ric_L solves (bochner.ric_l_minima), and no bit depends on the thread
-    count OpenBLAS was given or on the cores."""
+    of --p: 'half' (1 <= p <= n/2), 'all' (1 <= p < n) or one integer."""
     n = a.n
     if args.p in ("half", "all"):
         p_values = range(1, n // 2 + 1 if args.p == "half" else n)
@@ -199,12 +189,16 @@ def _emit_spectrum_table(payload, label=None):
     print(f"{label or payload['operator']} spectrum: {clus}")
 
 
+@one_blas_thread
 def _cmd_report(args):
     """analyze, certify and spectrum: load the input, build the subcommand's
     report (args.report) and print it as JSON, or through args.print_table
     with --table.  A finite input can still overflow to a report with an
     infinity or NaN, which JSON cannot hold and the table would state as a
-    result: both exit 2 instead."""
+    result: both exit 2 instead.  It runs on one OpenBLAS thread, so no BLAS
+    worker spins beside the parallel Ric_L solves (bochner.ric_l_minima),
+    and no bit depends on the thread count OpenBLAS was given or on the
+    cores."""
     a, descriptor = _load_curvature(args)
     report = args.report(a, descriptor, args)
     try:
@@ -322,7 +316,8 @@ def main(argv=None):
         # a closed stdout raises here, not at the interpreter's exit
         sys.stdout.flush()
         return code
-    except CurvkindError as exc:
+    # LinAlgError: an eigensolve that did not converge
+    except (CurvkindError, np.linalg.LinAlgError) as exc:
         _fail(PARSE_ERROR, str(exc))
     except FloatingPointError as exc:
         _fail(PARSE_ERROR, f"input out of range: {exc}")

@@ -488,6 +488,25 @@ def test_ric_l_minima_is_ric_l_lowest_of_each_degree(monkeypatch):
             ric_l_minima(a, [1, 2, n + 1])
 
 
+def test_ric_l_minima_solves_each_hodge_class_once(monkeypatch):
+    # degrees p and n-p share one spectrum: one call over 1..n-1 assembles
+    # and solves each class min(p, n-p) once, and reads one value for both
+    monkeypatch.setattr(bochner, "_usable_cores", lambda: 2)
+    blocks = bochner._ric_l_blocks
+    solved = []
+    monkeypatch.setattr(bochner, "_ric_l_blocks",
+                        lambda a, p: solved.append(p) or blocks(a, p))
+    rng = np.random.default_rng(29)
+    for n in (3, 4, 7, 10, 11):
+        a = Analysis(random_curvature(n, rng))
+        solved.clear()
+        got = ric_l_minima(a, range(1, n))
+        assert sorted(solved) == list(range(1, n // 2 + 1)), n
+        assert list(got) == list(range(1, n))
+        for p in range(1, n):
+            assert got[p] == got[n - p], (n, p)
+
+
 def _givens(n, angle):
     Q = np.eye(n)
     Q[:2, :2] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]

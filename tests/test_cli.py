@@ -598,6 +598,23 @@ def test_spectrum_operators(capsys):
     assert payload["clusters"][0][0] == pytest.approx(4.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_ric_l_spectrum_of_p_and_n_minus_p_print_the_same_bytes(tmp_path, capsys, n):
+    # degrees p and n-p are one Hodge class, solved once, so the two
+    # commands print the same stdout on a random dense tensor
+    R = random_curvature(n, np.random.default_rng(100 + n))
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"n": n, "components": R.components.ravel().tolist()}))
+    for p in range(1, n // 2 + 1):
+        printed = set()
+        for degree in (p, n - p):
+            code, out, _ = run_cli(capsys, ["spectrum", "--dense", str(path), "--operator",
+                                            "ric_l", "--ric-l-p", str(degree)])
+            assert code == 0
+            printed.add(out)
+        assert len(printed) == 1, (n, p)
+
+
 DIAGONAL_12 = [
     '{"kind":"product_sphere","n":12}',
     '{"kind":"perturbed","base":{"kind":"constant_curvature","n":12,"kappa":1.3},"kappa":-0.4}',
