@@ -12,9 +12,10 @@ self-dual blocks of half the size (n = 0 mod 4) or one Hermitian matrix of
 half the size (n = 2 mod 4).  The spectrum is timed on the random tensor,
 whose Ric_L is irreducible, and on product_sphere(n) and a perturbed
 constant-curvature tensor, whose Ric and first-kind matrix are diagonal, so
-that ric_l_spectrum assembles no matrix at all.  ric_l_lowest, which
-`analyze` reads, is timed beside ric_l_spectrum on the same cases: it solves
-each block for its smallest eigenvalue alone (LAPACK ?syevr through
+that ric_l_spectrum assembles no matrix at all.  The smallest eigenvalue
+of one degree, ric_l_minima(Analysis(R), (p,)), as `analyze --p <p>` reads
+it, is timed beside ric_l_spectrum on the same cases: it solves each block
+for its smallest eigenvalue alone (LAPACK ?syevr through
 _blas.lowest_eigenvalue), and on the diagonal path takes a minimum where
 ric_l_spectrum sorts.  ric_l_minima, the call `analyze --p half` makes, is
 timed over p = 1..n/2 at n = 11 and 12 on the random tensor and on a random
@@ -42,7 +43,6 @@ from curvkind import (
     perturb_constant,
     product_sphere,
     random_curvature,
-    ric_l_lowest,
     ric_l_matrix,
     ric_l_minima,
     ric_l_spectrum,
@@ -100,7 +100,7 @@ def test_ric_l_spectrum(benchmark, tensors, kind, n, p):
 @pytest.mark.parametrize("n, p", SPECTRUM_CASES)
 def test_ric_l_lowest(benchmark, tensors, kind, n, p):
     R = tensors[n] if kind == "random" else MODELS[kind](n)
-    benchmark(lambda: ric_l_lowest(Analysis(R), p))
+    benchmark(lambda: ric_l_minima(Analysis(R), (p,)))
 
 
 def _kn_product(n, rng):

@@ -11,7 +11,6 @@ from .bochner import (
     form_s02_expansion,
     form_two_point,
     ogiue_tachibana_term,
-    ric_l_lowest,
     ric_l_matrix,
     ric_l_minima,
     ric_l_quadratic,

@@ -19,17 +19,20 @@ signed principal block of Ric or -2F on the rows e_G ^ e_K, every index
 read from _through(n, p-k, k).  The Hodge star reads _hodge_table(n, p).
 
 Ric_L commutes with the Hodge star, so degrees p and n-p share one
-spectrum: ric_l_spectrum and ric_l_minima solve each Hodge class
-min(p, n-p) once (_hodge_class), and assemble only what their solve reads
-(_ric_l_blocks).  When Ric and the first-kind matrix are diagonal, so is
-Ric_L, and its diagonal is summed in closed form with no matrix at all.  In
-the middle degree 2p = n only the rows of the half basis H (the p-tuples
-containing 0) are assembled: the spectrum is that of A + B and A - B for
-n = 0 (mod 4), and that of the Hermitian A + iB, each eigenvalue taken
-twice, for n = 2 (mod 4).  ric_l_spectrum solves every block whole.
-ric_l_minima, which analyze reads, solves each block for its smallest
-eigenvalue alone, its classes on two lanes, each solve on one OpenBLAS
-thread; ric_l_lowest is its one-degree case.
+spectrum: ric_l_matrix, ric_l_spectrum and ric_l_minima read one degree
+rule, _hodge_class, which refuses any p outside 1..n and maps the rest to
+the class min(p, n-p).  Class 0 is p = n, where Ric_L is 0, as on the
+functions that n-forms are dual to.  The two solves solve each class once
+and assemble only what it reads (_ric_l_blocks).  When Ric and the
+first-kind matrix are diagonal, so is Ric_L, and its diagonal is summed in
+closed form with no matrix at all.  In the middle degree 2p = n only the
+rows of the half basis H (the p-tuples containing 0) are assembled: the
+spectrum is that of A + B and A - B for n = 0 (mod 4), and that of the
+Hermitian A + iB, each eigenvalue taken twice, for n = 2 (mod 4).
+ric_l_spectrum solves every block whole.  ric_l_minima, which analyze
+reads, solves each block for its smallest eigenvalue alone, its classes on
+two lanes, each solve on one OpenBLAS thread; one degree is
+ric_l_minima(analysis, [p])[p].
 
 bochner_decomposition and form_two_point read w through the same wedges
 (_opened); the n^p dense form, with ric_l_quadratic, is their oracle.
@@ -81,7 +84,6 @@ from .operators import (
     require_symmetric,
     ricci_scalar,
     second_kind_matrix,
-    spectrum,
     _rbar_matrix,
 )
 from .tensor_core import (
@@ -302,6 +304,17 @@ def ric_l_quadratic(R, w):
     return p * term1 - 0.5 * p * (p - 1) * term2
 
 
+def _hodge_class(n, p):
+    """The one degree rule of Ric_L: its degrees are 1 <= p <= n, and any
+    other p raises POutOfRange.  Degree p is solved as its Hodge class
+    min(p, n-p), since Ric_L commutes with the Hodge star and degrees p and
+    n-p share one spectrum (test_ric_l_poincare_duality).  Class 0 is p = n,
+    where Ric_L is 0, as on the functions that n-forms are dual to."""
+    if not (is_degree(p) and 1 <= p <= n):
+        raise POutOfRange(f"need 1 <= p <= n, got p={p}")
+    return min(p, n - p)
+
+
 def ric_l_matrix(analysis, p):
     """Matrix of Ric_L over the unit-norm sorted wedge basis of p-forms, for
     the tensor of an operators.Analysis.
@@ -329,17 +342,13 @@ def ric_l_matrix(analysis, p):
 
     where s carries the wedge reordering parities, I \\ J = {a} (resp.
     {a,b}) and J \\ I = {b} (resp. {c,d}).  For p = 1 this is the Ricci
-    matrix; for the unit sphere it is p(n-p) times the identity; for p = n
-    it is 0.
+    matrix; for the unit sphere it is p(n-p) times the identity; for p = n,
+    Hodge class 0, it is 0.
     """
-    n = analysis.n
-    if not (is_degree(p) and 1 <= p <= n):
-        raise POutOfRange(f"need 1 <= p <= n, got p={p}")
-    count = math.comb(n, p)
     # at p = n the two sums are scal and -scal: return the exact zero
-    if p == n:
-        return np.zeros((count, count))
-    return _ric_l_rows(analysis, p, count)
+    if _hodge_class(analysis.n, p) == 0:
+        return np.zeros((1, 1))
+    return _ric_l_rows(analysis, p, math.comb(analysis.n, p))
 
 
 def _ric_l_factors(analysis, p):
@@ -543,7 +552,8 @@ def _diagonal_ric_l(analysis):
 
 
 def _ric_l_diagonal(analysis, p):
-    """The diagonal of ric_l_matrix(analysis, p), 1 <= p < n:
+    """The diagonal of ric_l_matrix(analysis, p), 0 <= p < n (p = 0 gives
+    the one 0 of Ric_L on functions):
 
       M[I,I] = sum_{i in I} Ric_ii - 2 sum_{a<b in I} F_{ab,ab}.
 
@@ -558,17 +568,18 @@ def _ric_l_diagonal(analysis, p):
 
 
 def _ric_l_blocks(analysis, p):
-    """Yield what the solve of degree p reads, 1 <= p < n, as pairs (block,
-    times): the spectrum of ric_l_matrix(analysis, p) is that of the blocks
-    together, each eigenvalue taken `times` times.  Each matrix yielded is
-    fresh and has passed the symmetry gate, so a caller may solve it in
-    place; the next one is assembled only when the caller asks for it.
+    """Yield what the solve of Hodge class p reads, 0 <= p <= n/2 (see
+    _hodge_class), as pairs (block, times): the spectrum of
+    ric_l_matrix(analysis, p) is that of the blocks together, each
+    eigenvalue taken `times` times.  Each matrix yielded is fresh and has
+    passed the symmetry gate, so a caller may solve it in place; the next
+    one is assembled only when the caller asks for it.
 
-    * When Ric and F = analysis.first_kind have no nonzero entry off their
-      diagonals (a constant-curvature tensor, S^1 x S^{n-1} and their
-      perturbations), M is diagonal: the block is _ric_l_diagonal, a 1-D
-      array of the eigenvalues themselves, with no matrix, no symmetry gate
-      and no eigensolve.
+    * Class 0, and every class when Ric and F = analysis.first_kind have no
+      nonzero entry off their diagonals (a constant-curvature tensor,
+      S^1 x S^{n-1} and their perturbations), has M diagonal: the block is
+      _ric_l_diagonal, a 1-D array of the eigenvalues themselves, with no
+      matrix, no symmetry gate and no eigensolve.
     * In the middle degree 2p = n, Ric_L commutes with the Hodge star, and
       in the basis of H followed by the signed complements of H,
 
@@ -582,12 +593,13 @@ def _ric_l_blocks(analysis, p):
       block, and each of its eigenvalues is taken twice.  Each block passes
       the symmetry gate against 1e-12 * max|M[H, :]|, which holds A and B
       to the same threshold.  B is formed in place of the columns it is read
-      from, and the rows are dropped before the last block is solved, so at
-      most the rows and one block are alive.
-    * Every other degree yields the whole matrix.
+      from, and the rows are dropped before the last block is solved, so a
+      caller that drops each block once solved keeps at most the rows and
+      one block alive.
+    * Every other class yields the whole matrix.
     """
     n = analysis.n
-    if _diagonal_ric_l(analysis):
+    if p == 0 or _diagonal_ric_l(analysis):
         yield _ric_l_diagonal(analysis, p), 1
     elif 2 * p != n:
         yield require_symmetric(ric_l_matrix(analysis, p)), 1
@@ -614,49 +626,27 @@ def _ric_l_blocks(analysis, p):
             yield require_symmetric(D, tol), 1
 
 
-def _block_spectrum(pair):
-    """The ascending spectrum of one (block, times) of _ric_l_blocks."""
-    block, times = pair
-    return np.repeat(np.sort(block) if block.ndim == 1 else np.linalg.eigvalsh(block), times)
-
-
-def _block_lowest(pair):
-    """The smallest eigenvalue of one (block, times) of _ric_l_blocks, solved
-    in place."""
-    block, _ = pair
-    return float(block.min()) if block.ndim == 1 else lowest_eigenvalue(block)
-
-
-def _hodge_class(n, p):
-    """The degree solved for p: min(p, n-p) for 0 < p < n, since Ric_L
-    commutes with the Hodge star and degrees p and n-p share one spectrum
-    (test_ric_l_poincare_duality); p itself otherwise, so p = n solves
-    ric_l_matrix's exact zero and any other p raises POutOfRange there."""
-    return min(p, n - p) if is_degree(p) and 0 < p < n else p
-
-
 def ric_l_spectrum(analysis, p):
     """Ascending eigenvalues of ric_l_matrix(analysis, p).
 
-    Degrees p and n-p are solved as one (_hodge_class), and only what the
+    Degree p is solved as its Hodge class (_hodge_class), and only what the
     solve reads is assembled (_ric_l_blocks): the closed-form diagonal is
     sorted, and every matrix block is solved with np.linalg.eigvalsh.
     """
-    n = analysis.n
-    p = _hodge_class(n, p)
-    if not (is_degree(p) and 1 <= p < n):
-        return spectrum(ric_l_matrix(analysis, p))
-    # map keeps no block once it is solved, so one block is alive at a time
-    spectra = list(map(_block_spectrum, _ric_l_blocks(analysis, p)))
+    spectra = []
+    for block, times in _ric_l_blocks(analysis, _hodge_class(analysis.n, p)):
+        eigs = np.sort(block) if block.ndim == 1 else np.linalg.eigvalsh(block)
+        spectra.append(np.repeat(eigs, times))
+        del block  # solved: drop it before the next one is assembled
     return spectra[0] if len(spectra) == 1 else np.sort(np.concatenate(spectra))
 
 
 def _solve_cost(n, p):
-    """Sum of N^3 over the matrix blocks of degree p, 1 <= p <= n/2: C(n,p)^3,
-    and two blocks of half that size in the middle degree.  For n <= 15, in
-    any set of these degrees the costliest costs at least all the others
-    together (test_lanes_split_largest_first), so on two lanes, that degree
-    alone and the rest, it alone sets the time."""
+    """Sum of N^3 over the blocks of class p, 0 <= p <= n/2: C(n,p)^3, and
+    two blocks of half that size in the middle degree.  For n <= 15, in any
+    set of the classes 1 <= p <= n/2 the costliest costs at least all the
+    others together (test_lanes_split_largest_first), so on two lanes, that
+    class alone and the rest, it alone sets the time."""
     count = math.comb(n, p)
     return 2 * (count // 2) ** 3 if 2 * p == n else count**3
 
@@ -668,20 +658,16 @@ def _usable_cores():
     return os.cpu_count() or 1
 
 
-def _lowest(analysis, p):
-    """The smallest eigenvalue of degree p: the minimum over the blocks of
-    _ric_l_blocks, each solved in place; ric_l_spectrum's first outside
-    1 <= p < n."""
-    if not (is_degree(p) and 1 <= p < analysis.n):
-        return float(ric_l_spectrum(analysis, p)[0])
-    return min(map(_block_lowest, _ric_l_blocks(analysis, p)))
-
-
 def _run_lane(analysis, lane, found, failed):
-    """Solve each degree of one lane into found, or its error into failed."""
+    """Solve each class of one lane into found, or its error into failed:
+    the minimum over the blocks of _ric_l_blocks, each solved in place."""
     for p in lane:
         try:
-            found[p] = _lowest(analysis, p)
+            lowest = []
+            for block, _ in _ric_l_blocks(analysis, p):
+                lowest.append(float(block.min()) if block.ndim == 1 else lowest_eigenvalue(block))
+                del block  # solved: drop it before the next one is assembled
+            found[p] = min(lowest)
         except Exception as exc:
             failed[p] = exc
 
@@ -690,29 +676,30 @@ def _run_lane(analysis, lane, found, failed):
 def ric_l_minima(analysis, degrees):
     """{p: the smallest eigenvalue of ric_l_matrix(analysis, p)} for each p of
     degrees: ric_l_spectrum's first, within N eps |M|_2 (and exactly on the
-    closed-form diagonal, whose minimum is taken with no sort).  Each class
-    of _hodge_class is solved once, each of its matrix blocks in place for
-    that one eigenvalue (_blas.lowest_eigenvalue), with OpenBLAS on one
-    thread.
+    closed-form diagonal, whose minimum is taken with no sort).  Every
+    degree is mapped to its class (_hodge_class) before anything is solved,
+    so a degree outside 1..n raises POutOfRange before any block is
+    assembled or any thread started.  Each class is solved once, each of its
+    matrix blocks in place for that one eigenvalue
+    (_blas.lowest_eigenvalue), with OpenBLAS on one thread.
 
-    The classes are independent, so with two or more usable cores they run
-    on two lanes, each of which assembles, gates and solves its own: the
-    calling thread takes the class of largest _solve_cost, and one thread,
-    started and joined within the call in a copy of the caller's context
-    (so it sees the caller's np.errstate), takes the rest, largest first.
-    With Ric_L diagonal, or one matrix class, everything runs on the
-    calling thread.  On one OpenBLAS thread each value depends only on its
-    input, not on the lanes.  Every lane is joined before the call returns
-    or raises; a degree that fails raises its error, that of the first
-    failing degree in the order given, as a loop over them would.
+    The classes are independent, so with two or more usable cores and two
+    or more classes that solve a matrix they run on two lanes, each of
+    which assembles, gates and solves its own: the calling thread takes the
+    class of largest _solve_cost, and one thread, started and joined within
+    the call in a copy of the caller's context (so it sees the caller's
+    np.errstate), takes the rest, largest first.  Class 0 and a diagonal
+    Ric_L solve no matrix.  On one OpenBLAS thread each value depends only
+    on its input, not on the lanes.  Every lane is joined before the call
+    returns or raises; a degree that fails raises its error, that of the
+    first failing degree in the order given, as a loop over them would.
     """
     n = analysis.n
     classes = {p: _hodge_class(n, p) for p in degrees}
-    lanes = [list(dict.fromkeys(classes.values()))]
-    solved = [p for p in lanes[0] if is_degree(p) and 1 <= p < n]
-    if len(solved) > 1 and _usable_cores() > 1 and not _diagonal_ric_l(analysis):
-        solved.sort(key=lambda p: _solve_cost(n, p), reverse=True)
-        lanes = [solved[:1], solved[1:] + [p for p in lanes[0] if p not in solved]]
+    lane = sorted(dict.fromkeys(classes.values()), key=lambda p: _solve_cost(n, p), reverse=True)
+    lanes = [lane]
+    if sum(p > 0 for p in lane) > 1 and _usable_cores() > 1 and not _diagonal_ric_l(analysis):
+        lanes = [lane[:1], lane[1:]]
     found, failed = {}, {}
     thread = None
     try:
@@ -728,9 +715,3 @@ def ric_l_minima(analysis, degrees):
         if p in failed:
             raise failed[p]
     return {p: found[q] for p, q in classes.items()}
-
-
-def ric_l_lowest(analysis, p):
-    """The smallest eigenvalue of ric_l_matrix(analysis, p):
-    ric_l_minima of that one degree."""
-    return ric_l_minima(analysis, (p,))[p]

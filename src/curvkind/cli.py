@@ -54,9 +54,12 @@ def _load_curvature(args):
                 raise ShapeMismatch(f"a --dense file holds kind 'dense', not {kind!r}; use --model")
             descriptor = {"kind": "dense", "path": args.dense, "n": spec.get("n")}
         R = curvature_from_spec(spec)
+    # a KeyError is a spec without a field its kind needs, and its text the key
+    except KeyError as exc:
+        _fail(PARSE_ERROR, f"cannot build curvature tensor: missing field {exc}")
     # ValueError covers bad JSON, CurvkindError and unconvertible numbers;
     # RecursionError a spec or list nested deeper than Python's stack
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         _fail(PARSE_ERROR, f"cannot build curvature tensor: {exc}")
     try:
         validate_curvature(R)

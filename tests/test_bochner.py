@@ -23,7 +23,6 @@ from curvkind import (
     product_sphere,
     random_curvature,
     random_trace_free,
-    ric_l_lowest,
     ric_l_minima,
     ric_l_matrix,
     ric_l_quadratic,
@@ -440,10 +439,10 @@ def test_ric_l_spectrum_middle_degree_split():
 
 
 def test_ric_l_lowest_is_the_first_eigenvalue():
-    # ric_l_lowest solves each block of ric_l_spectrum for its smallest
-    # eigenvalue alone: the spectrum's first within N eps |M|_2, the backward
-    # error bound of both solves, and exactly it on the closed-form diagonal,
-    # for every degree up to the CLI cap
+    # ric_l_minima of one degree solves each block of ric_l_spectrum for its
+    # smallest eigenvalue alone: the spectrum's first within N eps |M|_2, the
+    # backward error bound of both solves, and exactly it on the closed-form
+    # diagonal, for every degree up to the CLI cap
     rng = np.random.default_rng(19)
     for n in range(3, 13):
         cases = {"random": random_curvature(n, rng), "product_sphere": product_sphere(n)}
@@ -457,7 +456,7 @@ def test_ric_l_lowest_is_the_first_eigenvalue():
                                for X in (a.first_kind, a.summary.ricci))
             for p in range(1, n):
                 eigs = ric_l_spectrum(a, p)
-                got = ric_l_lowest(a, p)
+                got = ric_l_minima(a, (p,))[p]
                 assert type(got) is float
                 if diagonal:
                     assert got == eigs[0], (name, n, p)
@@ -465,10 +464,10 @@ def test_ric_l_lowest_is_the_first_eigenvalue():
                     bound = len(eigs) * np.finfo(float).eps * np.abs(eigs).max()
                     assert abs(got - eigs[0]) <= bound, (name, n, p)
             # p = n is the exact zero; p outside 1..n is refused
-            assert ric_l_lowest(a, n) == 0.0
+            assert ric_l_minima(a, (n,))[n] == 0.0
             for p in (0, n + 1):
                 with pytest.raises(POutOfRange):
-                    ric_l_lowest(a, p)
+                    ric_l_minima(a, (p,))[p]
 
 
 def test_ric_l_minima_is_ric_l_lowest_of_each_degree(monkeypatch):
@@ -482,7 +481,7 @@ def test_ric_l_minima_is_ric_l_lowest_of_each_degree(monkeypatch):
         degrees = [*range(1, n + 1), 2]
         got = ric_l_minima(a, degrees)
         assert list(got) == list(range(1, n + 1))
-        assert got == {p: ric_l_lowest(a, p) for p in got}
+        assert got == {p: ric_l_minima(a, (p,))[p] for p in got}
         assert got[n] == 0.0
         with pytest.raises(POutOfRange):
             ric_l_minima(a, [1, 2, n + 1])
@@ -505,6 +504,36 @@ def test_ric_l_minima_solves_each_hodge_class_once(monkeypatch):
         assert list(got) == list(range(1, n))
         for p in range(1, n):
             assert got[p] == got[n - p], (n, p)
+
+
+def test_ric_l_minima_refuses_a_degree_before_any_solve(monkeypatch):
+    # every degree is checked before a block is assembled or a lane started,
+    # whatever its place among the degrees
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was assembled or a lane started")
+
+    monkeypatch.setattr(bochner, "_ric_l_blocks", refuse)
+    monkeypatch.setattr(bochner.threading, "Thread", refuse)
+    monkeypatch.setattr(bochner, "_usable_cores", lambda: 2)
+    for n in (5, 8):
+        a = Analysis(random_curvature(n, np.random.default_rng(31)))
+        for degrees in ([1, n + 1], [2, 1, 0], [n - 1, 2.0]):
+            with pytest.raises(POutOfRange):
+                ric_l_minima(a, degrees)
+
+
+def test_ric_l_on_n_forms_is_positive_zero():
+    # p = n is Hodge class 0: every entry point reads +0.0, not -0.0, which
+    # == 0.0 alone would accept
+    rng = np.random.default_rng(37)
+    for n in (3, 6, 7):
+        h, k = (np.diag(rng.uniform(-2.0, 2.0, n)) for _ in range(2))
+        for R in (random_curvature(n, rng), kulkarni_nomizu(h, k), product_sphere(n)):
+            a = Analysis(R)
+            values = (*ric_l_spectrum(a, n), ric_l_minima(a, [n])[n], *ric_l_matrix(a, n).ravel())
+            assert len(values) == 3
+            for value in values:
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0, n
 
 
 def _givens(n, angle):
@@ -543,8 +572,9 @@ def test_ric_l_spectrum_diagonal_curvature(monkeypatch):
                 assembled = []
                 with monkeypatch.context() as m:
                     if diagonal:
-                        for attr in ("ric_l_matrix", "_ric_l_rows", "spectrum"):
+                        for attr in ("ric_l_matrix", "_ric_l_rows"):
                             m.setattr(bochner, attr, refuse)
+                        m.setattr(np.linalg, "eigvalsh", refuse)
                     else:
                         rows = bochner._ric_l_rows
                         m.setattr(bochner, "_ric_l_rows",

@@ -169,6 +169,24 @@ def test_malformed_input_exit_2(tmp_path, capsys, monkeypatch, flag, text, nmax)
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+MISSING_FIELD = {
+    "perturbed-without-base": ("--model", '{"kind":"perturbed","kappa":1}', "base"),
+    "dense-file-without-n": ("--dense", '{"components":[0]}', "n"),
+    "kn-product-without-k": ("--model", '{"kind":"kn_product","h":[[1,0],[0,1]]}', "k"),
+}
+
+
+@pytest.mark.parametrize("flag, text, field", MISSING_FIELD.values(), ids=MISSING_FIELD)
+def test_missing_field_is_named(tmp_path, capsys, flag, text, field):
+    # a spec without a field its kind needs names the field, not a bare key
+    if flag == "--dense":
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        text = str(path)
+    assert run_cli(capsys, ["analyze", flag, text]) == (
+        2, "", f"error: cannot build curvature tensor: missing field '{field}'\n")
+
+
 def test_perturbed_nesting_limit(capsys):
     # the report echoes the spec indented, one step per base level: 64 levels
     # are read, and a deeper chain is refused before any output

@@ -23,8 +23,8 @@ from curvkind import (
     product_sphere,
     random_curvature,
     ric_l_lower_bounds,
-    ric_l_lowest,
     ric_l_matrix,
+    ric_l_minima,
     ric_l_spectrum,
     ricci_lower_bounds,
     ricci_scalar,
@@ -244,7 +244,7 @@ def test_degree_is_an_integer_and_not_a_bool():
             lambda p: ric_l_lower_bounds(a, p),
             lambda p: ric_l_matrix(a, p),
             lambda p: ric_l_spectrum(a, p),
-            lambda p: ric_l_lowest(a, p),
+            lambda p: ric_l_minima(a, (p,))[p],
         )
         for entry in entries:
             for p in (2.0, 2.5, True):
