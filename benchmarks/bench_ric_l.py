@@ -1,5 +1,6 @@
-"""Timings of the Ric_L assembly, its symmetry gate, its spectrum and its
-smallest eigenvalue alone at the CLI cap.
+"""Timings of the Ric_L assembly, its spectrum and its smallest eigenvalue
+alone at the CLI cap, and of operators.spectrum's symmetry gate on a
+matrix of Ric_L's size.
 
 Run from the repository root:
 
@@ -28,8 +29,11 @@ k = 1, 2, its indices from the wedge tables _through(n, p-k, k), which are
 cached and read no curvature; the cold case clears every cache of the
 modules it reads before each round, and times the degrees 1..6 that
 `analyze --p half` assembles at n = 12.  Every round reads a
-fresh Analysis, so each timing includes the Ricci tensor and the
-first-kind matrix that the assembly reads.
+fresh Analysis, so each timing includes the validation of R, which
+Analysis runs when it is built, and the Ricci tensor and the first-kind
+matrix that the assembly reads.  No Ric_L block is gated for symmetry:
+the gate timed here is the one operators.spectrum runs on a matrix handed
+to it, such as the first- and second-kind matrices.
 """
 
 import numpy as np
@@ -85,7 +89,7 @@ def test_ric_l_matrix_cold_half(benchmark, tensors):
     benchmark.pedantic(half, setup=_clear_caches, rounds=10)
 
 
-def test_require_symmetric(benchmark, tensors):
+def test_spectrum_gate(benchmark, tensors):
     benchmark(require_symmetric, ric_l_matrix(Analysis(tensors[12]), 6))
 
 
@@ -98,7 +102,7 @@ def test_ric_l_spectrum(benchmark, tensors, kind, n, p):
 
 @pytest.mark.parametrize("kind", ["random", *MODELS])
 @pytest.mark.parametrize("n, p", SPECTRUM_CASES)
-def test_ric_l_lowest(benchmark, tensors, kind, n, p):
+def test_ric_l_minimum_of_one_degree(benchmark, tensors, kind, n, p):
     R = tensors[n] if kind == "random" else MODELS[kind](n)
     benchmark(lambda: ric_l_minima(Analysis(R), (p,)))
 

@@ -31,7 +31,10 @@ tensor with n = 5 and 8, its Einstein projection and the product sphere,
 each scaled by 2^e for e in SCALE_EXPONENTS: 60 calls.  Then
 `spectrum --operator ric_l --ric-l-p 1` on the Ricci-flat projection of a
 seeded random tensor with n = 5 and 8 (Ric_L on 1-forms is Ric, roundoff
-around 0), at unit scale and times each 2^e: 12 calls.
+around 0), at unit scale and times each 2^e: 12 calls.  A frames section
+ends the CLI corpus: `analyze --p all` and `spectrum --operator ric_l
+--ric-l-p 1` on the unit-scale Ricci-flat and random bases of the two
+sections above, each in one seeded rotated frame: 8 calls.
 
 Dense files are written to a temporary directory and named by a relative
 path, so the echoed input is the same on every run.
@@ -71,6 +74,7 @@ import numpy as np
 
 from curvkind import (
     Analysis,
+    CurvatureTensor,
     CurvkindError,
     certify,
     constant_curvature,
@@ -155,12 +159,26 @@ def _operator_sources():
     return out
 
 
+def _scaled_bases():
+    """{n: the seeded random tensor of the scaling section} for n = 5, 8."""
+    rng = np.random.default_rng(18)
+    return {n: random_curvature(n, rng) for n in (5, 8)}
+
+
+def _ricci_flat_bases():
+    """{n: the Ricci-flat projection of a seeded random tensor} for n = 5, 8."""
+    rng = np.random.default_rng(19)
+    out = {}
+    for n in (5, 8):
+        E = _einstein(random_curvature(n, rng))
+        out[n] = perturb_constant(E, -ricci_scalar(E).scalar / (n * (n - 1)))
+    return out
+
+
 def _scaled_sources():
     """Random, Einstein and product-sphere tensors times each 2^e."""
-    rng = np.random.default_rng(18)
     out = []
-    for n in (5, 8):
-        R = random_curvature(n, rng)
+    for n, R in _scaled_bases().items():
         for name, base in (("random", R), ("einstein", _einstein(R)), ("product", product_sphere(n))):
             for e in SCALE_EXPONENTS:
                 out.append(_write_dense(f"scaled-{name}-{n}-{e}", base * 2.0**e))
@@ -169,13 +187,23 @@ def _scaled_sources():
 
 def _ricci_flat_sources():
     """Ricci-flat projections of random tensors, at unit scale and times each 2^e."""
-    rng = np.random.default_rng(19)
     out = []
-    for n in (5, 8):
-        E = _einstein(random_curvature(n, rng))
-        W = perturb_constant(E, -ricci_scalar(E).scalar / (n * (n - 1)))
+    for n, W in _ricci_flat_bases().items():
         for e in (0, *SCALE_EXPONENTS):
             out.append(_write_dense(f"ricci-flat-{n}-{e}", W * 2.0**e))
+    return out
+
+
+def _frame_sources():
+    """The Ricci-flat and scaled-random bases in one seeded rotated
+    orthonormal frame f_i = sum_a Q_ai e_a."""
+    rng = np.random.default_rng(20)
+    out = []
+    for name, bases in (("ricci-flat", _ricci_flat_bases()), ("random", _scaled_bases())):
+        for n, R in bases.items():
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            rotated = np.einsum("abcd,ai,bj,ck,dl->ijkl", R.components, Q, Q, Q, Q, optimize=True)
+            out.append(_write_dense(f"rotated-{name}-{n}", CurvatureTensor(n, rotated)))
     return out
 
 
@@ -198,6 +226,9 @@ def _corpus():
     for source, command in itertools.product(_scaled_sources(), COMMANDS):
         yield [*command, *source]
     for source in _ricci_flat_sources():
+        yield ["spectrum", *source, "--operator", "ric_l", "--ric-l-p", "1"]
+    for source in _frame_sources():
+        yield ["analyze", *source, "--p", "all"]
         yield ["spectrum", *source, "--operator", "ric_l", "--ric-l-p", "1"]
 
 

@@ -28,7 +28,10 @@ first-kind matrix are diagonal, so is Ric_L, and its diagonal is summed in
 closed form with no matrix at all.  In the middle degree 2p = n only the
 rows of the half basis H (the p-tuples containing 0) are assembled: the
 spectrum is that of A + B and A - B for n = 0 (mod 4), and that of the
-Hermitian A + iB, each eigenvalue taken twice, for n = 2 (mod 4).
+Hermitian A + iB, each eigenvalue taken twice, for n = 2 (mod 4).  No
+block is gated for symmetry: an operators.Analysis holds a validated R,
+and Ric_L on p-forms of it is symmetric to within (n + 2p) times R's
+symmetry tolerance, while the solves read one triangle.
 ric_l_spectrum solves every block whole.  ric_l_minima, which analyze
 reads, solves each block for its smallest eigenvalue alone, its classes on
 two lanes, each solve on one OpenBLAS thread; one degree is
@@ -81,7 +84,6 @@ from ._blas import lowest_eigenvalue, one_blas_thread
 from .errors import DimensionMismatch, POutOfRange
 from .operators import (
     first_kind_matrix,
-    require_symmetric,
     ricci_scalar,
     second_kind_matrix,
     _rbar_matrix,
@@ -94,7 +96,7 @@ from .tensor_core import (
     read_only,
     require_square,
 )
-from .tolerance import SYMMETRY, peak, residual
+from .tolerance import residual
 
 
 @lru_cache(maxsize=None)
@@ -571,15 +573,16 @@ def _ric_l_blocks(analysis, p):
     """Yield what the solve of Hodge class p reads, 0 <= p <= n/2 (see
     _hodge_class), as pairs (block, times): the spectrum of
     ric_l_matrix(analysis, p) is that of the blocks together, each
-    eigenvalue taken `times` times.  Each matrix yielded is fresh and has
-    passed the symmetry gate, so a caller may solve it in place; the next
-    one is assembled only when the caller asks for it.
+    eigenvalue taken `times` times.  Each matrix yielded is fresh, so a
+    caller may solve it in place; the next one is assembled only when the
+    caller asks for it.  None is gated for symmetry: the Analysis validated
+    R, which bounds each block's asymmetry (see the module docstring).
 
     * Class 0, and every class when Ric and F = analysis.first_kind have no
       nonzero entry off their diagonals (a constant-curvature tensor,
       S^1 x S^{n-1} and their perturbations), has M diagonal: the block is
       _ric_l_diagonal, a 1-D array of the eigenvalues themselves, with no
-      matrix, no symmetry gate and no eigensolve.
+      matrix and no eigensolve.
     * In the middle degree 2p = n, Ric_L commutes with the Hodge star, and
       in the basis of H followed by the signed complements of H,
 
@@ -590,23 +593,20 @@ def _ric_l_blocks(analysis, p):
       rows of H are assembled.  For n = 0 (mod 4), ** = +1, B is symmetric
       and the blocks are A + B and A - B.  For n = 2 (mod 4), ** = -1, B is
       antisymmetric, M is the real form of the Hermitian A + iB, the one
-      block, and each of its eigenvalues is taken twice.  Each block passes
-      the symmetry gate against 1e-12 * max|M[H, :]|, which holds A and B
-      to the same threshold.  B is formed in place of the columns it is read
-      from, and the rows are dropped before the last block is solved, so a
-      caller that drops each block once solved keeps at most the rows and
-      one block alive.
+      block, and each of its eigenvalues is taken twice.  B is formed in
+      place of the columns it is read from, and the rows are dropped before
+      the last block is solved, so a caller that drops each block once
+      solved keeps at most the rows and one block alive.
     * Every other class yields the whole matrix.
     """
     n = analysis.n
     if p == 0 or _diagonal_ric_l(analysis):
         yield _ric_l_diagonal(analysis, p), 1
     elif 2 * p != n:
-        yield require_symmetric(ric_l_matrix(analysis, p)), 1
+        yield ric_l_matrix(analysis, p), 1
     else:
         half = math.comb(n, p) // 2
         rows = _ric_l_rows(analysis, p, half)
-        tol = SYMMETRY * peak(rows)
         _, sign = _hodge_table(n, p)
         A, B = rows[:, :half], rows[:, half:]
         # complementing reverses the sorted order, so J^c runs backwards
@@ -618,12 +618,12 @@ def _ric_l_blocks(analysis, p):
             # + 0.0 turns B's -0.0 into +0.0, as A + 1j * B does
             np.add(B, 0.0, out=H.imag)
             del rows, A, B
-            yield require_symmetric(H, tol), 2
+            yield H, 2
         else:
-            yield require_symmetric(A + B, tol), 1
+            yield A + B, 1
             D = A - B
             del rows, A, B
-            yield require_symmetric(D, tol), 1
+            yield D, 1
 
 
 def ric_l_spectrum(analysis, p):
@@ -685,7 +685,7 @@ def ric_l_minima(analysis, degrees):
 
     The classes are independent, so with two or more usable cores and two
     or more classes that solve a matrix they run on two lanes, each of
-    which assembles, gates and solves its own: the calling thread takes the
+    which assembles and solves its own: the calling thread takes the
     class of largest _solve_cost, and one thread, started and joined within
     the call in a copy of the caller's context (so it sees the caller's
     np.errstate), takes the rest, largest first.  Class 0 and a diagonal

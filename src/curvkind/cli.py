@@ -25,7 +25,7 @@ from .bochner import ric_l_minima, ric_l_spectrum
 from .errors import CurvatureSymmetryError, CurvkindError, ShapeMismatch
 from .model_spaces import curvature_from_spec
 from .operators import Analysis, cluster_eigenvalues, spectrum
-from .tensor_core import dimension_cap, validate_curvature
+from .tensor_core import dimension_cap
 from .weights import certify, constants, k_positivity_profile, ric_l_lower_bounds
 
 CLOSED_OUTPUT, PARSE_ERROR, VALIDATION_ERROR = 1, 2, 3
@@ -53,7 +53,10 @@ def _load_curvature(args):
             if kind != "dense":
                 raise ShapeMismatch(f"a --dense file holds kind 'dense', not {kind!r}; use --model")
             descriptor = {"kind": "dense", "path": args.dense, "n": spec.get("n")}
-        R = curvature_from_spec(spec)
+        return Analysis(curvature_from_spec(spec)), descriptor
+    # Analysis validates R; its error is a ValueError, so it is caught first
+    except CurvatureSymmetryError as exc:
+        _fail(VALIDATION_ERROR, f"invalid curvature tensor: {exc}")
     # a KeyError is a spec without a field its kind needs, and its text the key
     except KeyError as exc:
         _fail(PARSE_ERROR, f"cannot build curvature tensor: missing field {exc}")
@@ -61,11 +64,6 @@ def _load_curvature(args):
     # RecursionError a spec or list nested deeper than Python's stack
     except (OSError, ValueError, TypeError, RecursionError) as exc:
         _fail(PARSE_ERROR, f"cannot build curvature tensor: {exc}")
-    try:
-        validate_curvature(R)
-    except CurvatureSymmetryError as exc:
-        _fail(VALIDATION_ERROR, f"invalid curvature tensor: {exc}")
-    return Analysis(R), descriptor
 
 
 def _spectrum_block(a, eigs):

@@ -7,12 +7,15 @@
   n^2 x n^2 matrix of R-bar (_rbar_matrix).
 * first_kind_matrix: the operator on 2-forms over the unit-norm wedge
   basis {e_i ^ e_j}_{i<j}, entries R_{ijkl}.
-* require_symmetric / spectrum / cluster_eigenvalues: the symmetry gate,
-  deterministic symmetric (or Hermitian) eigensolve and multiplicity
-  grouping.  Their floors follow the scale rule of tolerance.
-* Analysis: the three facts about R that the certificates and the Ric_L
-  bounds read (summary, first-kind matrix, second-kind spectrum), each
-  computed once, when first read.
+* require_symmetric / spectrum / cluster_eigenvalues: the symmetry gate of
+  a matrix handed to spectrum, deterministic symmetric (or Hermitian)
+  eigensolve and multiplicity grouping.  Their floors follow the scale
+  rule of tolerance.
+* Analysis: a validated R and the three facts about it that the
+  certificates and the Ric_L bounds read (summary, first-kind matrix,
+  second-kind spectrum), each computed once, when first read.  R's
+  symmetries are checked once, when the Analysis is built, so the Ric_L
+  blocks that bochner derives from it are not gated again.
 
 Trace normalizations (checked in tests): tr over the wedge basis is
 scal/2, and the second-kind trace is (n+2)/(2n) * scal.
@@ -24,7 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotSymmetric
-from .tensor_core import CurvatureTensor, canonical_s02_basis, multi_index_array, read_only
+from .tensor_core import (
+    CurvatureTensor, canonical_s02_basis, multi_index_array, read_only, validate_curvature
+)
 from .tolerance import CLUSTER, EINSTEIN, SYMMETRY, peak, unit_scale
 
 
@@ -97,25 +102,23 @@ def first_kind_matrix(R):
 _STRIPE = 64
 
 
-def require_symmetric(M, symmetry_tol=None):
+def require_symmetric(M):
     """M as a float array, after checking that it is square and symmetric.
 
     A complex M is kept complex and checked to be Hermitian.  Raises
-    NotSymmetric when the asymmetry exceeds symmetry_tol, by default
-    1e-12 * max|entry|; the middle-degree Hodge blocks of Ric_L pass one
-    threshold for both halves.  The upper triangle is compared with the
-    lower one stripe of rows at a time, so no temporary is as large as M.
+    NotSymmetric when the asymmetry exceeds 1e-12 * max|entry|.  The upper
+    triangle is compared with the lower one stripe of rows at a time, so no
+    temporary is as large as M.
     """
     M = np.asarray(M)
     if not np.iscomplexobj(M):
         M = M.astype(float, copy=False)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {M.shape}")
-    if symmetry_tol is None:
-        symmetry_tol = SYMMETRY * peak(M)
+    tol = SYMMETRY * peak(M)
     for s in range(0, len(M), _STRIPE):
         e = s + _STRIPE
-        if float(np.abs(M[s:e, s:] - M[s:, s:e].T.conj()).max()) > symmetry_tol:
+        if float(np.abs(M[s:e, s:] - M[s:, s:e].T.conj()).max()) > tol:
             raise NotSymmetric("matrix is not symmetric within tolerance")
     return M
 
@@ -149,6 +152,10 @@ def cluster_eigenvalues(values, scale):
 class Analysis:
     """One curvature tensor R and what the analysis layer reads about it.
 
+    Construction runs validate_curvature(R), so a tensor without the
+    curvature symmetries raises CurvatureSymmetryError here, and every
+    Analysis holds a validated R.
+
     summary (ricci_scalar), first_kind (first_kind_matrix) and second_kind
     (the ascending spectrum of second_kind_matrix) are each computed at
     most once, when first read.  scale is R's unit scale, summary.scale
@@ -157,6 +164,9 @@ class Analysis:
     """
 
     R: CurvatureTensor
+
+    def __post_init__(self):
+        validate_curvature(self.R)
 
     @property
     def n(self):

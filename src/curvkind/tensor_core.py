@@ -237,9 +237,10 @@ def random_trace_free(n, rng):
 class CurvatureTensor:
     """Dense (0,4)-tensor R_{ijkl} with the algebraic curvature symmetries.
 
-    Construction validates nothing; call validate_curvature(R) (or build
-    through the model constructors) before trusting an instance.  Invalid
-    input is rejected by validate_curvature(R), never silently symmetrized.
+    Construction checks the shape and finiteness only.  The symmetries are
+    checked by validate_curvature(R), which operators.Analysis(R) runs
+    when it is built: invalid input is rejected there, never silently
+    symmetrized.
     """
 
     n: int

@@ -6,8 +6,10 @@ multiplies every floor by 2^e exactly, so no verdict depends on the units
 of R.  The scales are:
 
 * peak(x), the largest absolute entry of an array: of R for the curvature
-  symmetries, of a matrix for the symmetry gate, of the second-kind
-  spectrum (its spectral radius, 0 only when R = 0) for the certificates;
+  symmetries (checked once, when an operators.Analysis is built), of a
+  matrix handed to operators.spectrum for its symmetry gate, of the
+  second-kind spectrum (its spectral radius, 0 only when R = 0) for the
+  certificates;
 * unit_scale(R.components), peak rounded down to a power of two, recorded
   as CurvatureSummary.scale, for the Einstein test and the eigenvalue
   clusters.  A spectrum can be roundoff around 0 while R is not (Ric_L on

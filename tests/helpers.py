@@ -62,6 +62,15 @@ def complex_projective(m):
     return CurvatureTensor(n, constant_curvature(n).components + JJ)
 
 
+def sphere_product(k, l):
+    """S^k x S^l: unit spheres on R^k and R^l, block-diagonal on R^{k+l}.
+    Its Betti numbers b_k and b_l (and b_{n-k}, b_{n-l}) are nonzero."""
+    R = np.zeros((k + l,) * 4)
+    R[:k, :k, :k, :k] = constant_curvature(k).components
+    R[k:, k:, k:, k:] = constant_curvature(l).components
+    return CurvatureTensor(k + l, R)
+
+
 def make_einstein(R):
     """Remove the trace-free Ricci part so the result is Einstein.
 
@@ -514,6 +523,11 @@ def general_tensor_bochner_check(R, T):
 def spectral_decomposition(M):
     """Eigenvalues and orthonormal eigenvectors (columns), ascending."""
     return np.linalg.eigh(require_symmetric(M))
+
+
+def random_rotation(n, rng):
+    """A random orthogonal n x n matrix, the Q factor of a Gaussian matrix."""
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
 
 
 def rotate_curvature(R, Q):

@@ -23,7 +23,7 @@ from curvkind import (
 )
 from curvkind import cli, model_spaces, operators, selftest, weights
 from curvkind.cli import main
-from helpers import make_einstein, make_ricci_flat
+from helpers import make_einstein, make_ricci_flat, random_rotation, rotate_curvature
 
 
 def run_cli(capsys, argv):
@@ -366,6 +366,29 @@ def test_ricci_flat_ric_l_spectrum_is_one_cluster(tmp_path, capsys, n, factor):
     payload = json.loads(out)
     assert max(abs(v) for v in payload["eigenvalues"]) <= 1e-14 * factor
     assert [m for _, m in payload["clusters"]] == [n]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_rotated_ricci_flat_is_analyzed(tmp_path, capsys, n):
+    # a Ricci-flat R in another frame passes validation and is analyzed as
+    # in its own: no block of Ric_L is gated again
+    rng = np.random.default_rng(50 + n)
+    R = make_ricci_flat(random_curvature(n, rng))
+    commands = (["analyze", "--p", "all"], ["spectrum", "--operator", "ric_l", "--ric-l-p", "1"])
+    reports = []
+    for frame in (R, rotate_curvature(R, random_rotation(n, rng))):
+        path = tmp_path / "weyl.json"
+        path.write_text(json.dumps({"n": n, "components": frame.components.ravel().tolist()}))
+        for command, *rest in commands:
+            code, out, err = run_cli(capsys, [command, "--dense", str(path), *rest])
+            assert (code, err) == (0, ""), (command, err)
+            reports.append(json.loads(out))
+    own, own_ric_l, rotated, rotated_ric_l = reports
+    verdicts = [[(c["theorem"], c.get("p"), c["verdict"]) for c in r["certificates"]]
+                for r in (own, rotated)]
+    assert verdicts[0] == verdicts[1]
+    assert own["k_profile"] == rotated["k_profile"]
+    assert len(own_ric_l["clusters"]) == len(rotated_ric_l["clusters"]) == 1
 
 
 @st.composite

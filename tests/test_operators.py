@@ -1,14 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from curvkind import (
     Analysis,
+    CurvatureSymmetryError,
+    CurvatureTensor,
     NotSymmetric,
     PForm,
     canonical_s02_basis,
     cluster_eigenvalues,
     constant_curvature,
     first_kind_matrix,
+    kulkarni_nomizu,
     product_sphere,
     random_curvature,
     random_trace_free,
@@ -17,6 +22,7 @@ from curvkind import (
     second_kind_matrix,
     spectrum,
     su3_so3,
+    validate_curvature,
 )
 from curvkind.operators import _gram_against, require_symmetric
 from curvkind.tolerance import peak
@@ -154,6 +160,30 @@ def test_analysis_reads_each_quantity_once():
     for x in (a.first_kind, a.second_kind):
         with pytest.raises(ValueError):
             x[0] = 0.0
+
+
+def test_analysis_validates_its_tensor():
+    # R's symmetries are checked once, when an Analysis is built: a tensor
+    # that validate_curvature refuses is refused there, with its message
+    h = np.zeros((4, 4))
+    h[0, 1] = 1.0
+    # antisymmetric in each index pair, but h o g is pair-symmetric only
+    # for a symmetric h
+    asymmetric = kulkarni_nomizu(h, np.eye(4))
+    # the volume form of R^4 has every symmetry but the first Bianchi identity
+    volume = np.zeros((4,) * 4)
+    for perm in itertools.permutations(range(4)):
+        volume[perm] = np.linalg.det(np.eye(4)[list(perm)])
+    for R, broken in ((asymmetric, "pair_symmetry"), (CurvatureTensor(4, volume), "first_bianchi")):
+        with pytest.raises(CurvatureSymmetryError) as expected:
+            validate_curvature(R)
+        assert expected.value.report[broken][0] > 0.0
+        with pytest.raises(CurvatureSymmetryError) as refused:
+            Analysis(R)
+        assert str(refused.value) == str(expected.value)
+    assert volume[0, 1, 2, 3] == 1.0
+    assert all(expected.value.report[name][0] == 0.0 for name in
+               ("antisymmetry_first", "antisymmetry_second", "pair_symmetry"))
 
 
 def test_spectrum_basics():

@@ -25,6 +25,7 @@ from curvkind.tensor_core import _signed_permutations, multi_index_array
 from curvkind.tolerance import peak
 from helpers import (
     form_from_dense,
+    random_rotation,
     random_symmetric,
     rotate_curvature,
     rotate_form,
@@ -124,7 +125,7 @@ def test_rotate_form_preserves_norm_and_composes():
     rng = np.random.default_rng(1)
     n, p = 5, 2
     w = PForm.random(n, p, rng)
-    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    Q = random_rotation(n, rng)
     wr = rotate_form(w, Q)
     assert abs(wr.norm_sq - w.norm_sq) < 1e-10 * (1 + w.norm_sq)
 
@@ -268,7 +269,7 @@ def test_rotation_preserves_validity_and_scalars():
     rng = np.random.default_rng(5)
     n = 4
     R = random_curvature(n, rng)
-    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    Q = random_rotation(n, rng)
     Rr = rotate_curvature(R, Q)
     validate_curvature(Rr)
     assert ricci_scalar(Rr).scalar == pytest.approx(ricci_scalar(R).scalar, abs=1e-10)

@@ -37,11 +37,15 @@ from helpers import (
     complex_projective,
     exists_below_by_scan,
     make_einstein,
+    make_ricci_flat,
     min_weighted_sum_by_slices,
     partial_sum_by_slices,
     positivity_profile_by_loop,
+    random_rotation,
     ric_l_bound_by_variant,
     ricci_bounds_by_brackets,
+    rotate_curvature,
+    sphere_product,
 )
 
 
@@ -408,6 +412,66 @@ def test_b_certificates_fail_at_an_exact_threshold():
     assert not _by_theorem(certs, "C(b)", 2).holds
     assert _by_theorem(certs, "B(c)").holds and _by_theorem(certs, "C(c)", 2).holds
     assert not _by_theorem(certify(Analysis(product_sphere(4))), "C(b)", 2).holds
+
+
+def _frame_models(n, rng):
+    """The models of the frame-invariance test at dimension n."""
+    R = random_curvature(n, rng)
+    models = {
+        "random": R,
+        "einstein": make_einstein(R),
+        "ricci_flat": make_ricci_flat(random_curvature(n, rng)),
+        "product_sphere": product_sphere(n),
+        "constant_curvature": constant_curvature(n, 1.0),
+        "perturbed": perturb_constant(product_sphere(n), -0.05),
+    }
+    if n == 5:
+        models["su3_so3"] = su3_so3()
+    if n % 2 == 0:
+        models["complex_projective"] = complex_projective(n // 2)
+    return models
+
+
+def test_verdicts_do_not_depend_on_the_frame():
+    # the same tensor in a rotated orthonormal frame has the same
+    # certificates and k-profile, and the same Ric_L minima to roundoff
+    rng = np.random.default_rng(60)
+    for n in range(4, 9):
+        for name, R in _frame_models(n, rng).items():
+            a, rotated = Analysis(R), Analysis(rotate_curvature(R, random_rotation(n, rng)))
+            verdicts = [[(c.theorem, c.p, c.verdict) for c in certify(x, kappa=-0.5)]
+                        for x in (a, rotated)]
+            assert verdicts[0] == verdicts[1], (name, n)
+            assert k_positivity_profile(a.second_kind) == k_positivity_profile(rotated.second_kind)
+            minima, want = (ric_l_minima(x, range(1, n)) for x in (rotated, a))
+            for p in range(1, n):
+                assert abs(minima[p] - want[p]) <= 1e-12 * (a.scale + abs(want[p])), (name, n, p)
+
+
+def test_sphere_products_are_exact_witnesses():
+    # S^k x S^l has b_k, b_l != 0, so no certificate that makes them vanish
+    # may hold, in any frame; its harmonic k- and l-forms are parallel, so
+    # Ric_L has the eigenvalue 0 there, and every bound stays below it
+    rng = np.random.default_rng(61)
+    vanishing = ("B(a)", "B(b)", "C(a)", "C(b)")
+    for k in range(2, 7):
+        for l in range(k, 13 - k):
+            n = k + l
+            R = sphere_product(k, l)
+            for frame in (R, rotate_curvature(R, random_rotation(n, rng))):
+                a = Analysis(frame)
+                certs = certify(a)
+                assert not _by_theorem(certs, "A").holds, (k, l)
+                assert any(c.theorem == "B(a)" for c in certs) == (k == l)
+                for c in certs:
+                    if c.theorem in vanishing and c.p in (None, k, l):
+                        assert not c.holds, (k, l, c.theorem, c.p)
+                minima = ric_l_minima(a, range(1, n))
+                for p in range(1, n // 2 + 1):
+                    for bound in ric_l_lower_bounds(a, p).values():
+                        assert bound <= minima[p], (k, l, p)
+                for p in (k, l, n - k, n - l):
+                    assert abs(minima[p]) <= 1e-12 * a.scale, (k, l, p)
 
 
 def test_certify_verdicts_reproducible_from_sums():
