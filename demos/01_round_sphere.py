@@ -10,11 +10,11 @@ import curvkind as ck
 
 n = 5
 R = ck.constant_curvature(n, 1.0)
-ck.validate_curvature(R)
-analysis = ck.Analysis(R)  # what the certificates and Ric_L read about R
+# validates R, and holds what the operators, certificates and Ric_L read about it
+analysis = ck.Analysis(R)
 
 print(f"--- unit sphere, n = {n} ---")
-summary = ck.ricci_scalar(R)
+summary = analysis.summary
 print("Ric - (n-1) id, max |entry|:", np.abs(summary.ricci - (n - 1) * np.eye(n)).max())
 print("scal =", summary.scalar, "(closed form n(n-1) =", n * (n - 1), ")")
 
@@ -22,7 +22,7 @@ M = ck.second_kind_matrix(R)
 print("\nsecond-kind operator is the identity on the", len(M), "dimensional")
 print("space of trace-free symmetric tensors, max |M - I| =", np.abs(M - np.eye(len(M))).max())
 
-F = ck.first_kind_matrix(R)
+F = analysis.first_kind
 print("two-form operator is the identity on", len(F), "wedges, max |F - I| =",
       np.abs(F - np.eye(len(F))).max())
 

@@ -8,18 +8,18 @@ import numpy as np
 
 import curvkind as ck
 
-R = ck.su3_so3()
-ck.validate_curvature(R)
-summary = ck.ricci_scalar(R)
+# validates the tensor, and holds what the operators and Ric_L read about it
+analysis = ck.Analysis(ck.su3_so3())
+summary = analysis.summary
 
 print("--- SU(3)/SO(3), n = 5 ---")
 print("Einstein with Ric = 3g: defect =", summary.einstein_defect)
 
 print("\nfirst-kind (two-form) spectrum:")
-for value, mult in ck.cluster_eigenvalues(ck.spectrum(ck.first_kind_matrix(R)), summary.scale):
+for value, mult in ck.cluster_eigenvalues(ck.spectrum(analysis.first_kind), summary.scale):
     print(f"  {value:+.6f}  x{mult}")
 
-eigs = ck.spectrum(ck.second_kind_matrix(R))
+eigs = analysis.second_kind
 print("second-kind spectrum:")
 for value, mult in ck.cluster_eigenvalues(eigs, summary.scale):
     print(f"  {value:+.6f}  x{mult}")
@@ -39,4 +39,4 @@ print(f"\nEinstein threshold N = {N:.4f}; partial sum there:",
 print("\nyet the curvature term on forms is nonnegative (it is Einstein")
 print("with positive scalar curvature, consistent with b_1 = b_2 = 0):")
 for p in (1, 2):
-    print(f"  p={p}: min eig Ric_L =", ck.ric_l_spectrum(ck.Analysis(R), p)[0])
+    print(f"  p={p}: min eig Ric_L =", ck.ric_l_spectrum(analysis, p)[0])

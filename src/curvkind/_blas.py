@@ -14,7 +14,7 @@ one_blas_thread wraps a function so that OpenBLAS runs its products on the
 calling thread alone, and puts back the thread count it found when the
 outermost wrapped call returns.  The count is process-wide: a product
 another thread starts meanwhile also runs on one thread.  The lanes of
-bochner.ric_l_minima rely on this: each runs its solves on its own thread,
+bochner._solve_ric_l rely on this: each runs its solves on its own thread,
 with no OpenBLAS worker beside it, and gets the same bits on any lane.
 OpenBLAS is found through numpy's own extension module; with any other BLAS
 the wrapper does nothing.

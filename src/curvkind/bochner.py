@@ -22,8 +22,8 @@ Ric_L commutes with the Hodge star, so degrees p and n-p share one
 spectrum: ric_l_matrix, ric_l_spectrum and ric_l_minima read one degree
 rule, _hodge_class, which refuses any p outside 1..n and maps the rest to
 the class min(p, n-p).  Class 0 is p = n, where Ric_L is 0, as on the
-functions that n-forms are dual to.  The two solves solve each class once
-and assemble only what it reads (_ric_l_blocks).  When Ric and the
+functions that n-forms are dual to.  Each class is solved once, and only
+what its solve reads is assembled (_ric_l_blocks).  When Ric and the
 first-kind matrix are diagonal, so is Ric_L, and its diagonal is summed in
 closed form with no matrix at all.  In the middle degree 2p = n only the
 rows of the half basis H (the p-tuples containing 0) are assembled: the
@@ -32,10 +32,11 @@ Hermitian A + iB, each eigenvalue taken twice, for n = 2 (mod 4).  No
 block is gated for symmetry: an operators.Analysis holds a validated R,
 and Ric_L on p-forms of it is symmetric to within (n + 2p) times R's
 symmetry tolerance, while the solves read one triangle.
-ric_l_spectrum solves every block whole.  ric_l_minima, which analyze
-reads, solves each block for its smallest eigenvalue alone, its classes on
-two lanes, each solve on one OpenBLAS thread; one degree is
-ric_l_minima(analysis, [p])[p].
+ric_l_spectrum and ric_l_minima, which analyze reads, run one solve loop,
+_solve_ric_l: each class on one of two lanes, each solve on one OpenBLAS
+thread.  They differ only in how a matrix block is solved, whole by
+ric_l_spectrum and for its smallest eigenvalue alone by ric_l_minima; one
+degree is ric_l_minima(analysis, [p])[p].
 
 bochner_decomposition and form_two_point read w through the same wedges
 (_opened); the n^p dense form, with ric_l_quadratic, is their oracle.
@@ -58,6 +59,10 @@ second_kind_form_term, bochner_decomposition, ogiue_tachibana_term and
 ric_l_quadratic) run their products on one OpenBLAS thread
 (_blas.one_blas_thread): at n <= 12 a second thread saves little, and its
 spinning between calls makes a loop over them as slow as the host is busy.
+The four of them that read R take it as given: validate_curvature's O(n^4)
+pass would cost about as much as one evaluation at small n, so R must
+already be valid, as that of an operators.Analysis is.  On a tensor
+without the curvature symmetries they return a number that means nothing.
 
 The quadratic curvature term is
 
@@ -75,7 +80,6 @@ import contextvars
 from dataclasses import dataclass
 from functools import lru_cache
 import math
-import os
 import threading
 
 import numpy as np
@@ -274,7 +278,8 @@ def _same_dimension(R, w):
 
 @one_blas_thread
 def second_kind_form_term(R, w):
-    """g(second-kind(w^{S^2_0}), w^{S^2_0}) via the canonical-basis matrix."""
+    """g(second-kind(w^{S^2_0}), w^{S^2_0}) via the canonical-basis matrix.
+    R must already be valid (see the module docstring)."""
     _same_dimension(R, w)
     return float(np.einsum("ab,ab->", second_kind_matrix(R), form_s02_expansion(w).gram()))
 
@@ -283,7 +288,8 @@ def second_kind_form_term(R, w):
 def ric_l_quadratic(R, w):
     """The curvature term g(Ric_L w, w), contracted on the dense n^p form
     through the Gram of its slices w_{ij...}, i < j: the oracle for
-    bochner_decomposition and ric_l_matrix, sharing no table."""
+    bochner_decomposition and ric_l_matrix, sharing no table.  R must
+    already be valid (see the module docstring)."""
     n, p = R.n, w.p
     _same_dimension(R, w)
     if p == 0:
@@ -481,7 +487,8 @@ def bochner_decomposition(R, w):
     and no dense form: g(Ric_L w, w) = p! (<Ric, U^T U> - 2 <F, V^T V>), with
     U, V = _opened(w, 1), _opened(w, 2) and F = first_kind_matrix(R).  The
     operator term reads the same two Grams (_s02_form_term);
-    second_kind_form_term and ogiue_tachibana_term are its oracles.
+    second_kind_form_term and ogiue_tachibana_term are its oracles.  R must
+    already be valid (see the module docstring).
     """
     n, p = R.n, w.p
     _same_dimension(R, w)
@@ -523,7 +530,8 @@ def ogiue_tachibana_term(R, w):
     As sum_a E_aa = p on p-forms, (e^i (.) e^l) w = E_il w + E_li w -
     (2p/n) d_il w, a sum of rows of X = _matrix_units(w).  The family is
     symmetric in (i, l), so its Gram is taken over the pairs i <= l and R
-    is summed over the orderings of each pair.
+    is summed over the orderings of each pair.  R must already be valid
+    (see the module docstring).
     """
     n, p = w.n, w.p
     _same_dimension(R, w)
@@ -542,15 +550,13 @@ def ogiue_tachibana_term(R, w):
     return 0.25 * float(np.vdot(rsum, gram))
 
 
-def _is_diagonal(X):
-    """True when the square X has no nonzero entry off its diagonal."""
-    return np.count_nonzero(X) == np.count_nonzero(X.diagonal())
-
-
 def _diagonal_ric_l(analysis):
     """True when Ric and F = analysis.first_kind have no nonzero entry off
     their diagonals, so that Ric_L is diagonal in every degree."""
-    return _is_diagonal(analysis.summary.ricci) and _is_diagonal(analysis.first_kind)
+    return all(
+        np.count_nonzero(X) == np.count_nonzero(X.diagonal())
+        for X in (analysis.summary.ricci, analysis.first_kind)
+    )
 
 
 def _ric_l_diagonal(analysis, p):
@@ -626,21 +632,6 @@ def _ric_l_blocks(analysis, p):
             yield D, 1
 
 
-def ric_l_spectrum(analysis, p):
-    """Ascending eigenvalues of ric_l_matrix(analysis, p).
-
-    Degree p is solved as its Hodge class (_hodge_class), and only what the
-    solve reads is assembled (_ric_l_blocks): the closed-form diagonal is
-    sorted, and every matrix block is solved with np.linalg.eigvalsh.
-    """
-    spectra = []
-    for block, times in _ric_l_blocks(analysis, _hodge_class(analysis.n, p)):
-        eigs = np.sort(block) if block.ndim == 1 else np.linalg.eigvalsh(block)
-        spectra.append(np.repeat(eigs, times))
-        del block  # solved: drop it before the next one is assembled
-    return spectra[0] if len(spectra) == 1 else np.sort(np.concatenate(spectra))
-
-
 def _solve_cost(n, p):
     """Sum of N^3 over the blocks of class p, 0 <= p <= n/2: C(n,p)^3, and
     two blocks of half that size in the middle degree.  For n <= 15, in any
@@ -651,63 +642,59 @@ def _solve_cost(n, p):
     return 2 * (count // 2) ** 3 if 2 * p == n else count**3
 
 
-def _usable_cores():
-    """The number of cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_lane(analysis, lane, found, failed):
-    """Solve each class of one lane into found, or its error into failed:
-    the minimum over the blocks of _ric_l_blocks, each solved in place."""
+def _run_lane(analysis, lane, solve, found, failed):
+    """Solve each class of one lane into found, or its error into failed: the
+    ascending eigenvalues of its blocks (_ric_l_blocks), a diagonal sorted
+    and a matrix read by solve, each repeated as its block says."""
     for p in lane:
         try:
-            lowest = []
-            for block, _ in _ric_l_blocks(analysis, p):
-                lowest.append(float(block.min()) if block.ndim == 1 else lowest_eigenvalue(block))
+            parts = []
+            for block, times in _ric_l_blocks(analysis, p):
+                parts.append(np.repeat(np.sort(block) if block.ndim == 1 else solve(block), times))
                 del block  # solved: drop it before the next one is assembled
-            found[p] = min(lowest)
+            found[p] = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
         except Exception as exc:
             failed[p] = exc
 
 
 @one_blas_thread
-def ric_l_minima(analysis, degrees):
-    """{p: the smallest eigenvalue of ric_l_matrix(analysis, p)} for each p of
-    degrees: ric_l_spectrum's first, within N eps |M|_2 (and exactly on the
-    closed-form diagonal, whose minimum is taken with no sort).  Every
-    degree is mapped to its class (_hodge_class) before anything is solved,
-    so a degree outside 1..n raises POutOfRange before any block is
-    assembled or any thread started.  Each class is solved once, each of its
-    matrix blocks in place for that one eigenvalue
-    (_blas.lowest_eigenvalue), with OpenBLAS on one thread.
+def _solve_ric_l(analysis, degrees, solve):
+    """{p: the ascending values _run_lane reads off the blocks of degree p}
+    for each p of degrees, each matrix block read by solve: the one solve
+    loop of ric_l_spectrum (solve = np.linalg.eigvalsh, every eigenvalue)
+    and ric_l_minima (solve = _blas.lowest_eigenvalue, the smallest alone).
 
-    The classes are independent, so with two or more usable cores and two
-    or more classes that solve a matrix they run on two lanes, each of
-    which assembles and solves its own: the calling thread takes the
-    class of largest _solve_cost, and one thread, started and joined within
-    the call in a copy of the caller's context (so it sees the caller's
-    np.errstate), takes the rest, largest first.  Class 0 and a diagonal
-    Ric_L solve no matrix.  On one OpenBLAS thread each value depends only
-    on its input, not on the lanes.  Every lane is joined before the call
-    returns or raises; a degree that fails raises its error, that of the
-    first failing degree in the order given, as a loop over them would.
+    Every degree is mapped to its class (_hodge_class) before anything is
+    solved, so a degree outside 1..n raises POutOfRange before any block is
+    assembled or any thread started.  Each class is solved once, with
+    OpenBLAS on one thread, so each value depends only on the input, not on
+    the thread count OpenBLAS was given, the cores or the lanes.
+
+    The classes are independent, so when two or more of them solve a matrix
+    they run on two lanes, each of which assembles and solves its own: the
+    calling thread takes the class of largest _solve_cost, and one thread,
+    started and joined within the call in a copy of the caller's context
+    (so it sees the caller's np.errstate), takes the rest, largest first.
+    Class 0 and a diagonal Ric_L solve no matrix.  The plan reads the input
+    alone, not the host: on one core the two lanes take turns.  Every lane
+    is joined before the call returns or raises; a degree that fails raises
+    its error, that of the first failing degree in the order given, as a
+    loop over them would.
     """
     n = analysis.n
     classes = {p: _hodge_class(n, p) for p in degrees}
     lane = sorted(dict.fromkeys(classes.values()), key=lambda p: _solve_cost(n, p), reverse=True)
     lanes = [lane]
-    if sum(p > 0 for p in lane) > 1 and _usable_cores() > 1 and not _diagonal_ric_l(analysis):
+    if sum(p > 0 for p in lane) > 1 and not _diagonal_ric_l(analysis):
         lanes = [lane[:1], lane[1:]]
     found, failed = {}, {}
     thread = None
     try:
         if len(lanes) > 1:
-            args = (_run_lane, analysis, lanes[1], found, failed)
+            args = (_run_lane, analysis, lanes[1], solve, found, failed)
             thread = threading.Thread(target=contextvars.copy_context().run, args=args)
             thread.start()
-        _run_lane(analysis, lanes[0], found, failed)
+        _run_lane(analysis, lanes[0], solve, found, failed)
     finally:
         if thread is not None:
             thread.join()
@@ -715,3 +702,24 @@ def ric_l_minima(analysis, degrees):
         if p in failed:
             raise failed[p]
     return {p: found[q] for p, q in classes.items()}
+
+
+def ric_l_spectrum(analysis, p):
+    """Ascending eigenvalues of ric_l_matrix(analysis, p).
+
+    Degree p is solved as its Hodge class (_hodge_class), and only what the
+    solve reads is assembled (_ric_l_blocks): the closed-form diagonal is
+    sorted, and every matrix block is solved with np.linalg.eigvalsh, on one
+    OpenBLAS thread (_solve_ric_l).
+    """
+    return _solve_ric_l(analysis, [p], np.linalg.eigvalsh)[p]
+
+
+def ric_l_minima(analysis, degrees):
+    """{p: the smallest eigenvalue of ric_l_matrix(analysis, p)} for each p of
+    degrees: ric_l_spectrum's first, within N eps |M|_2 (and exactly on the
+    closed-form diagonal).  It runs ric_l_spectrum's loop (_solve_ric_l),
+    its classes on two lanes, but solves each matrix block in place for
+    that one eigenvalue (_blas.lowest_eigenvalue).
+    """
+    return {p: float(v[0]) for p, v in _solve_ric_l(analysis, degrees, lowest_eigenvalue).items()}

@@ -144,56 +144,44 @@ def _fmt(x):
     return f"{x:.6g}"
 
 
-def _emit_analysis_table(report):
-    print(f"n = {report['n']}  input = {json.dumps(report['input'], sort_keys=True)}")
-    s = report["summary"]
-    print(
-        f"scal = {_fmt(s['scalar'])}  einstein defect = {_fmt(s['einstein_defect'])}"
-    )
-    print("Ricci eigenvalues: " + ", ".join(_fmt(v) for v in s["ricci_eigenvalues"]))
-    for name in ("second_kind", "first_kind"):
-        _emit_spectrum_table(report[name], name.replace("_", " "))
-    _emit_k_profile(report["k_profile"])
-    print("per-degree table:")
-    print("  p   C_p        min eig Ric_L   bounds")
-    for row in report["per_p"]:
-        cp = _fmt(row["c_p"]) if "c_p" in row else "-"
-        bounds = row.get("bounds", {})
-        btxt = "  ".join(f"{k}={_fmt(v)}" for k, v in bounds.items())
-        print(f"  {row['p']:<3} {cp:<10} {_fmt(row['ric_l_min_eigenvalue']):<15} {btxt}")
-    _emit_certificate_table(report["certificates"])
-
-
-def _emit_k_profile(prof):
-    print(
-        f"k-positivity: positive from k = {prof['positive']}, "
-        f"nonnegative from k = {prof['nonnegative']}"
-    )
-
-
-def _emit_certificate_table(cert_dicts):
-    print("certificates:")
-    for c in cert_dicts:
-        tag = c["theorem"] if "p" not in c else f"{c['theorem']} p={c['p']}"
-        sums = "  ".join(f"{k}={_fmt(v)}" for k, v in sorted(c["sums"].items()))
-        print(f"  {tag:<14} {c['verdict']:<6} {c['conclusion']}  [{sums}]")
-
-
-def _emit_certify_table(payload):
-    _emit_k_profile(payload["k_profile"])
-    _emit_certificate_table(payload["certificates"])
-
-
-def _emit_spectrum_table(payload, label=None):
-    """A spectrum's clusters on one line, under label (its operator by default)."""
-    clus = ", ".join(f"{_fmt(v)} (x{m})" for v, m in payload["clusters"])
-    print(f"{label or payload['operator']} spectrum: {clus}")
+def _print_table(report):
+    """The report as text: each section it holds, in one fixed order (the
+    analyze summary and both spectra, the --operator spectrum, the k-profile,
+    the per-degree rows, the certificates)."""
+    spectra = []
+    if "summary" in report:
+        s = report["summary"]
+        print(f"n = {report['n']}  input = {json.dumps(report['input'], sort_keys=True)}")
+        print(f"scal = {_fmt(s['scalar'])}  einstein defect = {_fmt(s['einstein_defect'])}")
+        print("Ricci eigenvalues: " + ", ".join(_fmt(v) for v in s["ricci_eigenvalues"]))
+        spectra += [("second kind", report["second_kind"]), ("first kind", report["first_kind"])]
+    if "operator" in report:
+        spectra.append((report["operator"], report))
+    for label, payload in spectra:
+        clusters = ", ".join(f"{_fmt(v)} (x{m})" for v, m in payload["clusters"])
+        print(f"{label} spectrum: {clusters}")
+    if "k_profile" in report:
+        print("k-positivity: positive from k = {positive}, "
+              "nonnegative from k = {nonnegative}".format(**report["k_profile"]))
+    if "per_p" in report:
+        print("per-degree table:")
+        print("  p   C_p        min eig Ric_L   bounds")
+        for row in report["per_p"]:
+            cp = _fmt(row["c_p"]) if "c_p" in row else "-"
+            btxt = "  ".join(f"{k}={_fmt(v)}" for k, v in row.get("bounds", {}).items())
+            print(f"  {row['p']:<3} {cp:<10} {_fmt(row['ric_l_min_eigenvalue']):<15} {btxt}")
+    if "certificates" in report:
+        print("certificates:")
+        for c in report["certificates"]:
+            tag = c["theorem"] if "p" not in c else f"{c['theorem']} p={c['p']}"
+            sums = "  ".join(f"{k}={_fmt(v)}" for k, v in sorted(c["sums"].items()))
+            print(f"  {tag:<14} {c['verdict']:<6} {c['conclusion']}  [{sums}]")
 
 
 @one_blas_thread
 def _cmd_report(args):
     """analyze, certify and spectrum: load the input, build the subcommand's
-    report (args.report) and print it as JSON, or through args.print_table
+    report (args.report) and print it as JSON, or through _print_table
     with --table.  A finite input can still overflow to a report with an
     infinity or NaN, which JSON cannot hold and the table would state as a
     result: both exit 2 instead.  It runs on one OpenBLAS thread, so no BLAS
@@ -207,7 +195,7 @@ def _cmd_report(args):
     except ValueError:
         _fail(PARSE_ERROR, "input out of range: the report has a non-finite value")
     if args.table:
-        args.print_table(report)
+        _print_table(report)
     else:
         print(text)
     return 0
@@ -231,9 +219,9 @@ def _cmd_selftest(args):
     return 0 if ok else 1
 
 
-def _add_report(parser, report, print_table):
+def _add_report(parser, report):
     """The input and format options of a report subcommand, and its builder
-    report(a, descriptor, args) and table printer for _cmd_report."""
+    report(a, descriptor, args) for _cmd_report."""
     # argparse's default pattern knows only "-1" and "-0.5" as negative
     # numbers and takes "-1e-3" for an option; no option of this CLI is
     # spelled like a negative number, so "-<digit>" and "-.<digit>" are
@@ -244,7 +232,7 @@ def _add_report(parser, report, print_table):
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="table", action="store_false", help="JSON output (default)")
     fmt.add_argument("--table", dest="table", action="store_true", help="human-readable table")
-    parser.set_defaults(table=False, func=_cmd_report, report=report, print_table=print_table)
+    parser.set_defaults(table=False, func=_cmd_report, report=report)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -272,19 +260,19 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="full report: spectra, bounds, certificates")
-    _add_report(analyze, _analyze_report, _emit_analysis_table)
+    _add_report(analyze, _analyze_report)
     analyze.add_argument(
         "--p", default="half", help="'half' (default, p <= n/2), 'all', or a single degree"
     )
 
     cert = sub.add_parser("certify", help="hypothesis checks only")
-    _add_report(cert, _certify_report, _emit_certify_table)
+    _add_report(cert, _certify_report)
     # only the certificates read kappa
     for reporter in (analyze, cert):
         reporter.add_argument("--kappa", type=float, default=None, help="estimate hypothesis level")
 
     spec = sub.add_parser("spectrum", help="eigenvalues of one induced operator")
-    _add_report(spec, _spectrum_report, _emit_spectrum_table)
+    _add_report(spec, _spectrum_report)
     spec.add_argument(
         "--operator", choices=("second", "first", "ric_l"), default="second"
     )

@@ -98,28 +98,22 @@ def first_kind_matrix(R):
     return R.components[i[:, None], j[:, None], i[None, :], j[None, :]]
 
 
-# rows per stripe of the symmetry gate
-_STRIPE = 64
-
-
 def require_symmetric(M):
     """M as a float array, after checking that it is square and symmetric.
 
     A complex M is kept complex and checked to be Hermitian.  Raises
-    NotSymmetric when the asymmetry exceeds 1e-12 * max|entry|.  The upper
-    triangle is compared with the lower one stripe of rows at a time, so no
-    temporary is as large as M.
+    NotSymmetric when the asymmetry exceeds 1e-12 * max|entry|.  M is
+    compared with its (conjugate) transpose whole, in one temporary as
+    large as M; the largest matrix a CLI command hands to spectrum, the
+    second-kind matrix at n = 12, has 77 rows.
     """
     M = np.asarray(M)
     if not np.iscomplexobj(M):
         M = M.astype(float, copy=False)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {M.shape}")
-    tol = SYMMETRY * peak(M)
-    for s in range(0, len(M), _STRIPE):
-        e = s + _STRIPE
-        if float(np.abs(M[s:e, s:] - M[s:, s:e].T.conj()).max()) > tol:
-            raise NotSymmetric("matrix is not symmetric within tolerance")
+    if peak(M - M.T.conj()) > SYMMETRY * peak(M):
+        raise NotSymmetric("matrix is not symmetric within tolerance")
     return M
 
 

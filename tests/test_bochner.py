@@ -472,11 +472,10 @@ def test_ric_l_lowest_is_the_first_eigenvalue():
                     ric_l_minima(a, (p,))[p]
 
 
-def test_ric_l_minima_is_ric_l_lowest_of_each_degree(monkeypatch):
+def test_ric_l_minima_is_ric_l_lowest_of_each_degree():
     # one call over many degrees, on two lanes, reads the same bits as one
     # call per degree; repeated degrees are solved once, p = n is the exact
     # zero, and a degree outside 1..n is refused
-    monkeypatch.setattr(bochner, "_usable_cores", lambda: 2)
     rng = np.random.default_rng(23)
     for n in (6, 9, 11):
         a = Analysis(random_curvature(n, rng))
@@ -492,7 +491,6 @@ def test_ric_l_minima_is_ric_l_lowest_of_each_degree(monkeypatch):
 def test_ric_l_minima_solves_each_hodge_class_once(monkeypatch):
     # degrees p and n-p share one spectrum: one call over 1..n-1 assembles
     # and solves each class min(p, n-p) once, and reads one value for both
-    monkeypatch.setattr(bochner, "_usable_cores", lambda: 2)
     blocks = bochner._ric_l_blocks
     solved = []
     monkeypatch.setattr(bochner, "_ric_l_blocks",
@@ -516,7 +514,6 @@ def test_ric_l_minima_refuses_a_degree_before_any_solve(monkeypatch):
 
     monkeypatch.setattr(bochner, "_ric_l_blocks", refuse)
     monkeypatch.setattr(bochner.threading, "Thread", refuse)
-    monkeypatch.setattr(bochner, "_usable_cores", lambda: 2)
     for n in (5, 8):
         a = Analysis(random_curvature(n, np.random.default_rng(31)))
         for degrees in ([1, n + 1], [2, 1, 0], [n - 1, 2.0]):

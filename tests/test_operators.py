@@ -199,15 +199,14 @@ def test_spectrum_basics():
 
 
 def test_symmetry_gate_stripes():
-    from curvkind.operators import _STRIPE
-
     rng = np.random.default_rng(18)
-    # three stripes, the last one half full
-    N = 2 * _STRIPE + _STRIPE // 2
+    # an asymmetry anywhere is caught: on either side of the diagonal, near
+    # it, in the interior and in the far corners
+    N = 160
     base = rng.uniform(-1.0, 1.0, (N, N))
     base = base + base.T
     tol = 1e-12 * 2.5
-    spots = [(5, 1), (1, 5), (_STRIPE + 40, _STRIPE + 3), (N - 1, 2 * _STRIPE + 1), (3, N - 2)]
+    spots = [(5, 1), (1, 5), (104, 67), (159, 129), (3, 158)]
     # the largest entry sets the scale, whatever its sign
     for peak in (2.5, -2.5):
         base[0, 0] = peak

@@ -448,30 +448,49 @@ def test_verdicts_do_not_depend_on_the_frame():
                 assert abs(minima[p] - want[p]) <= 1e-12 * (a.scale + abs(want[p])), (name, n, p)
 
 
-def test_sphere_products_are_exact_witnesses():
-    # S^k x S^l has b_k, b_l != 0, so no certificate that makes them vanish
-    # may hold, in any frame; its harmonic k- and l-forms are parallel, so
-    # Ric_L has the eigenvalue 0 there, and every bound stays below it
-    rng = np.random.default_rng(61)
+def _exact_witness(R, betti, rng, label):
+    """The certificates of R in its own frame and in one rotated frame, after
+    checking the ground truth of a space whose b_p != 0 at each p of betti
+    (1 <= p < n): no certificate that makes b_p vanish holds there, A and
+    the ones of no degree included; its harmonic p-forms are parallel, so
+    Ric_L has the eigenvalue 0 there, to 1e-12 s; and every Ric_L bound
+    stays below the smallest eigenvalue."""
     vanishing = ("B(a)", "B(b)", "C(a)", "C(b)")
+    n = R.n
+    found = []
+    for frame in (R, rotate_curvature(R, random_rotation(n, rng))):
+        a = Analysis(frame)
+        certs = certify(a)
+        assert not _by_theorem(certs, "A").holds, label
+        for c in certs:
+            if c.theorem in vanishing and (c.p is None or c.p in betti):
+                assert not c.holds, (label, c.theorem, c.p)
+        minima = ric_l_minima(a, range(1, n))
+        for p in range(1, n // 2 + 1):
+            for bound in ric_l_lower_bounds(a, p).values():
+                assert bound <= minima[p], (label, p)
+        for p in betti:
+            assert abs(minima[p]) <= 1e-12 * a.scale, (label, p)
+        found.append(certs)
+    return found
+
+
+def test_sphere_products_are_exact_witnesses():
+    # S^k x S^l has b_k, b_l != 0 (and b_{n-k} = b_l, b_{n-l} = b_k)
+    rng = np.random.default_rng(61)
     for k in range(2, 7):
         for l in range(k, 13 - k):
-            n = k + l
-            R = sphere_product(k, l)
-            for frame in (R, rotate_curvature(R, random_rotation(n, rng))):
-                a = Analysis(frame)
-                certs = certify(a)
-                assert not _by_theorem(certs, "A").holds, (k, l)
+            for certs in _exact_witness(sphere_product(k, l), {k, l}, rng, (k, l)):
                 assert any(c.theorem == "B(a)" for c in certs) == (k == l)
-                for c in certs:
-                    if c.theorem in vanishing and c.p in (None, k, l):
-                        assert not c.holds, (k, l, c.theorem, c.p)
-                minima = ric_l_minima(a, range(1, n))
-                for p in range(1, n // 2 + 1):
-                    for bound in ric_l_lower_bounds(a, p).values():
-                        assert bound <= minima[p], (k, l, p)
-                for p in (k, l, n - k, n - l):
-                    assert abs(minima[p]) <= 1e-12 * a.scale, (k, l, p)
+
+
+def test_complex_projective_spaces_are_exact_witnesses():
+    # CP^m has b_p = 1 at every even p, the powers of its Kaehler form; it
+    # is Einstein, so the B certificates apply, and none of them may hold
+    rng = np.random.default_rng(67)
+    for m in range(2, 7):
+        certs = _exact_witness(complex_projective(m), set(range(2, 2 * m, 2)), rng, m)
+        assert all(any(c.theorem == "B(a)" for c in frame) for frame in certs), m
 
 
 def test_certify_verdicts_reproducible_from_sums():
