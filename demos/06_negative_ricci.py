@@ -1,40 +1,26 @@
-"""An (n+1)-positive curvature operator of the second kind with a negative
-Ricci curvature, found by perturbing S^1 x S^{n-1} with a small negative
-constant-curvature tensor.  At n = 14 the degree-5 threshold C_5 exceeds
-n+1, so the Betti-number certificate can apply where no Ricci lower bound
-is available.
+"""Operators of the second kind that are C(p, n)-positive and have a negative
+Ricci curvature, built exactly.  Perturbing S^1 x S^{n-1} by kappa/2 (g o g)
+shifts its second-kind spectrum by kappa and gives R_11 = (n-1) kappa, so a
+witness exists exactly when the partial sum S_C at C = C(p, n) is positive,
+i.e. C > n + (n-2)/n, and kappa = -S_C/(2C) < 0 builds one.  At n = 14 that
+is p = 4..7, and Ric_L stays positive on p-forms at every witness.
 """
-
-import numpy as np
 
 import curvkind as ck
 
 n = 14
-base = ck.product_sphere(n)
-base_eigs = ck.spectrum(ck.second_kind_matrix(base))
+base = ck.Analysis(ck.product_sphere(n))
 print(f"--- S^1 x S^{n-1} perturbed by kappa/2 (g o g), n = {n} ---")
-print("unperturbed partial sum at k = n+1:", ck.k_partial_sum(base_eigs, n + 1.0))
-
-print("\ngrid search over kappa < 0 (spectrum shifts by kappa, R_11 = (n-1) kappa):")
-found = None
-for j in range(1, 15):
-    kappa = -0.001 * j
-    psum = ck.k_partial_sum(base_eigs + kappa, n + 1.0)
-    r11 = (n - 1) * kappa
-    status = "ok" if (psum > 0 and r11 < 0) else "--"
-    if psum > 0 and r11 < 0:
-        found = kappa
-    print(f"  kappa = {kappa:+.3f}   partial sum(n+1) = {psum:+.4f}   R_11 = {r11:+.4f}  {status}")
-
-R = ck.perturb_constant(base, found)
-ck.validate_curvature(R)
-eigs = ck.spectrum(ck.second_kind_matrix(R))
-summary = ck.ricci_scalar(R)
-print(f"\nverified at kappa = {found}:")
-print("  (n+1) partial sum =", ck.k_partial_sum(eigs, n + 1.0), "> 0")
-print("  R_11 =", summary.ricci[0, 0], "< 0")
-
-c5 = ck.constants(n, 5)
-print(f"\nC_5({n}) = {c5.c_p:.4f} >= 15n/14 = {15 * n / 14}: a degree-5 certificate")
-print("can hold on operators like this one even though the Ricci curvature")
-print("has a negative direction.")
+print(f"a witness needs C(p, {n}) > n + (n-2)/n = {n + (n - 2) / n:.4f}\n")
+for p in range(1, n // 2 + 1):
+    c = ck.constants(n, p).c_p
+    s_c = ck.k_partial_sum(base.second_kind, c)
+    if s_c <= 0:
+        print(f"p = {p}  C = {c:.4f}  no witness (S_C = {s_c:+.4f})")
+        continue
+    kappa = -s_c / (2 * c)
+    a = ck.Analysis(ck.perturb_constant(base.R, kappa))
+    verdict = next(x.verdict for x in ck.certify(a) if x.theorem == "C(a)" and x.p == p)
+    low = ck.ric_l_minima(a, [p])[p]
+    print(f"p = {p}  C = {c:.4f}  witness at kappa = {kappa:+.5f}:  C(a) {verdict}, "
+          f"R_11 = {a.summary.ricci[0, 0]:+.4f}, lambda_min(Ric_L) = {low:.4f}")

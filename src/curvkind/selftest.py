@@ -13,6 +13,14 @@ n = 3..n_max (per (n, p) for the form identities, 5 * draws in all for the
 single weight bound and the bracket); the model checks are deterministic
 and run n = 3..8 whatever n_max is.
 
+Every entry that reads a fact of R (its Ricci summary, first-kind matrix
+or second-kind spectrum) reads it off one operators.Analysis per tensor,
+as `curvkind analyze` does, and every lambda_min(Ric_L) it checks comes
+from bochner.ric_l_minima, the value analyze prints.  So no Ric_L matrix
+meets spectrum's symmetry gate here, as none does in the library.  Only
+the unit-sphere check reads a matrix itself (second_kind_matrix), and the
+form identities read the pair (R, w).
+
 run_selftest runs every entry on a single seeded generator, so a given
 (seed, seeds, n_max) triple is fully reproducible; tests/test_acceptance.py
 runs the same entries at its own sizes.
@@ -25,7 +33,7 @@ from .bochner import (
     bochner_decomposition,
     form_s02_expansion,
     ogiue_tachibana_term,
-    ric_l_matrix,
+    ric_l_minima,
     second_kind_form_term,
 )
 from .model_spaces import (
@@ -35,8 +43,8 @@ from .model_spaces import (
     random_curvature,
     su3_so3,
 )
-from .operators import Analysis, first_kind_matrix, ricci_scalar, second_kind_matrix, spectrum
-from .tensor_core import PForm, canonical_s02_basis, random_trace_free, validate_curvature
+from .operators import Analysis, second_kind_matrix, spectrum
+from .tensor_core import PForm, canonical_s02_basis, random_trace_free
 from .tolerance import residual, unit_scale
 from .weights import k_partial_sum, min_weighted_sum, ric_l_lower_bounds
 
@@ -53,9 +61,9 @@ def _random_pairs(rng, draws, n_max):
 
 def estimate_slacks(a):
     """bound - lambda_min(Ric_L) for the Analysis a, every p <= n/2 and every
-    bound of ric_l_lower_bounds; a sound bound gives values <= 0."""
-    for p in range(1, a.n // 2 + 1):
-        low = float(spectrum(ric_l_matrix(a, p))[0])
+    bound of ric_l_lower_bounds; a sound bound gives values <= 0.  Each
+    lambda_min is ric_l_minima's, the value `curvkind analyze` prints."""
+    for p, low in ric_l_minima(a, range(1, a.n // 2 + 1)).items():
         for bound in ric_l_lower_bounds(a, p).values():
             yield bound - low
 
@@ -70,12 +78,10 @@ def _canonical_basis(rng, draws, n_max):
 def _trace_identities(rng, draws, n_max):
     for n in range(3, n_max + 1):
         for _ in range(draws):
-            R = random_curvature(n, rng)
-            validate_curvature(R)
-            summary = ricci_scalar(R)
-            scal = summary.scalar
-            yield residual(np.trace(second_kind_matrix(R)), (n + 2) / (2 * n) * scal, summary.scale)
-            yield residual(np.trace(first_kind_matrix(R)), scal / 2, summary.scale)
+            a = Analysis(random_curvature(n, rng))
+            scal, scale = a.summary.scalar, a.summary.scale
+            yield residual(np.trace(second_kind_matrix(a.R)), (n + 2) / (2 * n) * scal, scale)
+            yield residual(np.trace(a.first_kind), scal / 2, scale)
 
 
 def _unit_sphere(rng, draws, n_max):
@@ -133,16 +139,15 @@ def _einstein_sphere(rng, draws, n_max):
     # on the unit sphere every bound, the Einstein one included, is p(n-p)
     for n in MODEL_DIMS:
         sphere = Analysis(constant_curvature(n, 1.0))
+        yield from estimate_slacks(sphere)
         for p in range(1, n // 2 + 1):
-            low = float(spectrum(ric_l_matrix(sphere, p))[0])
             for bound in ric_l_lower_bounds(sphere, p).values():
-                yield bound - low
                 yield abs(bound - p * (n - p))
 
 
 def _product_sphere(rng, draws, n_max):
     for n in MODEL_DIMS:
-        eigs = spectrum(second_kind_matrix(product_sphere(n)))
+        eigs = Analysis(product_sphere(n)).second_kind
         expected = [-(n - 2) / n] + [0.0] * (n - 1) + [1.0] * ((n - 2) * (n + 1) // 2)
         yield np.abs(eigs - np.sort(expected)).max()
         # (n+1)-positive, not n-nonnegative
@@ -151,11 +156,11 @@ def _product_sphere(rng, draws, n_max):
 
 
 def _su3_so3(rng, draws, n_max):
-    R = su3_so3()
-    second = spectrum(second_kind_matrix(R))
+    a = Analysis(su3_so3())
+    second = a.second_kind
     yield np.abs(second - np.sort([-1.5] * 5 + [2.0] * 9)).max()
-    yield np.abs(spectrum(first_kind_matrix(R)) - np.sort([0.0] * 7 + [2.5] * 3)).max()
-    yield np.abs(ricci_scalar(R).ricci - 3.0 * np.eye(5)).max()
+    yield np.abs(spectrum(a.first_kind) - np.sort([0.0] * 7 + [2.5] * 3)).max()
+    yield np.abs(a.summary.ricci - 3.0 * np.eye(5)).max()
     # 9-positive, not 8-nonnegative
     yield abs(k_partial_sum(second, 9.0) - 0.5)
     yield abs(k_partial_sum(second, 8.0) + 1.5)
@@ -164,8 +169,8 @@ def _su3_so3(rng, draws, n_max):
 def _constant_shift(rng, draws, n_max):
     for n in MODEL_DIMS:
         base = product_sphere(n)
-        eigs = spectrum(second_kind_matrix(base))
-        shifted = spectrum(second_kind_matrix(perturb_constant(base, -0.04)))
+        eigs = Analysis(base).second_kind
+        shifted = Analysis(perturb_constant(base, -0.04)).second_kind
         yield np.abs(shifted - (eigs - 0.04)).max()
 
 

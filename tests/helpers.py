@@ -45,21 +45,42 @@ def rbar_apply(R, h):
     return np.einsum("iklj,kl->ij", R.components, h)
 
 
-def complex_projective(m):
-    """The Fubini-Study curvature of CP^m on R^{2m}, holomorphic sectional
-    curvature 4: the unit sphere's tensor plus
-    J_ik J_jl - J_il J_jk + 2 J_ij J_kl, J the standard complex structure
-    (J e_{2a} = e_{2a+1}).  Ric = 2(m+1) g."""
-    n = 2 * m
-    J = np.zeros((n, n))
-    J[1::2, 0::2] = np.eye(m)
-    J -= J.T
-    JJ = (
+def _kaehler_term(J):
+    """J_ik J_jl - J_il J_jk + 2 J_ij J_kl for a complex structure J: it adds
+    3 g to the Ricci tensor."""
+    return (
         np.einsum("ik,jl->ijkl", J, J)
         - np.einsum("il,jk->ijkl", J, J)
         + 2 * np.einsum("ij,kl->ijkl", J, J)
     )
-    return CurvatureTensor(n, constant_curvature(n).components + JJ)
+
+
+def complex_projective(m):
+    """The Fubini-Study curvature of CP^m on R^{2m}, holomorphic sectional
+    curvature 4: the unit sphere's tensor plus the Kaehler term of J, the
+    standard complex structure (J e_{2a} = e_{2a+1}).  Ric = 2(m+1) g."""
+    n = 2 * m
+    J = np.zeros((n, n))
+    J[1::2, 0::2] = np.eye(m)
+    J -= J.T
+    return CurvatureTensor(n, constant_curvature(n).components + _kaehler_term(J))
+
+
+def quaternionic_projective(m):
+    """The curvature of HP^m on H^m = R^{4m}, sectional curvature in [1, 4]:
+    the unit sphere's tensor plus the Kaehler terms of I, J and K, the left
+    multiplications by i, j and k on each quaternion a + b i + c j + d k.
+    Ric = 4(m+2) g, and HP^1 is the sphere S^4 of curvature 4."""
+    n = 4 * m
+    units = (  # i, j and k acting on the coordinates (a, b, c, d)
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+        [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+        [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+    )
+    R = constant_curvature(n).components
+    for unit in units:
+        R = R + _kaehler_term(np.kron(np.eye(m), np.array(unit, dtype=float)))
+    return CurvatureTensor(n, R)
 
 
 def sphere_product(k, l):

@@ -6,12 +6,15 @@ per n = 3..N_MAX in the random sweeps (per (n, p) for the form identities).
 The criterion tests cover what the registry does not: the Einstein short
 form of the decomposition (3), the profile and certificate of SU(3)/SO(3)
 (6), the LP oracle (7), the sharp witness (8), Einstein inputs to the
-estimates (10), and criteria 11-14.
+estimates (10), and criteria 11-14.  Beside them, the registry's slacks
+are checked on rotated Ricci-flat tensors, and the negative-Ricci witnesses
+of criterion 12 in an exact table over every degree.
 
 Every test prints its measured worst case (run with -s to see them) and
 draws its own seeded generator, so the suite is reproducible run to run.
 """
 
+from fractions import Fraction
 import math
 
 import numpy as np
@@ -33,13 +36,15 @@ from curvkind import (
     product_sphere,
     random_curvature,
     ric_l_matrix,
+    ric_l_minima,
+    ricci_lower_bounds,
     ricci_scalar,
     second_kind_matrix,
     spectrum,
     su3_so3,
 )
 from curvkind.selftest import CHECKS, estimate_slacks, run_check
-from helpers import make_einstein
+from helpers import make_einstein, make_ricci_flat, random_rotation, rotate_curvature
 
 DRAWS = 200
 N_MAX = 6
@@ -57,6 +62,23 @@ def test_registry(seed, check):
     passed, line = run_check(check, np.random.default_rng(100 + seed), DRAWS, N_MAX)
     assert passed, line
     print(line)
+
+
+def test_estimate_slacks_hold_in_a_rotated_frame():
+    # Ric_L on 1-forms is Ric, so for a Ricci-flat R in a rotated frame that
+    # matrix is roundoff alone, and a symmetry gate relative to its own peak
+    # refuses it; the registry's slacks read ric_l_minima, which needs no
+    # gate on a validated R, and match the own frame's
+    rng = np.random.default_rng(5)
+    for n in (4, 6, 8):
+        R = make_ricci_flat(random_curvature(n, rng))
+        a, rotated = Analysis(R), Analysis(rotate_curvature(R, random_rotation(n, rng)))
+        want, got = (np.array(list(estimate_slacks(x))) for x in (a, rotated))
+        assert len(got) == len(want), n
+        gap = np.abs(got - want).max()
+        assert gap <= 1e-12 * (a.scale + float(np.abs(a.second_kind).max())), n
+        assert got.max() <= TOLS["estimate soundness on random curvature"], n
+        report(f"rotated Ricci-flat slacks at n={n} (worst gap {gap:.2e})")
 
 
 def test_criterion_03_bochner_decomposition():
@@ -178,6 +200,49 @@ def test_criterion_12_negative_ricci_construction():
     report(
         f"criterion 12: kappa={found} gives an (n+1)-positive operator with R_11 = "
         f"{s.ricci[0, 0]:.4f} < 0 at n=14; C_5(14) = {c5:.3f} >= 15"
+    )
+
+
+def _exact_c(n, p):
+    """C(p, n) in exact rationals, from the formula weights.constants states."""
+    denominator = n * n * p - n * p * p - 2 * n * p + 2 * n * n + 2 * n - 4 * p
+    return Fraction(3, 2) * n * (n + 2) * p * (n - p) / denominator
+
+
+def test_negative_ricci_witness_table():
+    # perturb_constant(product_sphere(n), kappa) shifts the second-kind
+    # spectrum by kappa and has Ric_11 = (n-1) kappa; the spectrum's partial
+    # sums S_n = -(n-2)/n and S_{n+1} = 2/n put a C(p, n)-positive witness
+    # with Ric_11 < 0 exactly where C(p, n) > n + (n-2)/n, at every kappa in
+    # (-S_C/C, 0); the abstract exhibits one for 5 <= p <= n/2
+    witnesses = set()
+    for n in range(2, 41):
+        row = [_exact_c(n, p) for p in range(1, n // 2 + 1)]
+        assert [constants(n, p).c_p for p in range(1, n // 2 + 1)] == list(map(float, row)), n
+        assert all(a < b for a, b in zip(row, row[1:])), n
+        if n % 2 == 0:
+            assert row[-1] == Fraction(3 * n * (n + 2), 2 * (n + 4)), n
+        witnesses |= {(n, p) for p, c in enumerate(row, 1) if c > n + Fraction(n - 2, n)}
+    expected = {(n, 3) for n in (6, 7, 8)} | {(n, 4) for n in range(8, 41)}
+    expected |= {(n, p) for n in range(2, 41) for p in range(5, n // 2 + 1)}
+    assert witnesses == expected
+    built = sorted((n, p) for n, p in witnesses if n <= 12)
+    assert len(built) == 12
+    lows = []
+    for n, p in built:
+        c = constants(n, p).c_p
+        s_c = k_partial_sum(Analysis(product_sphere(n)).second_kind, c)
+        a = Analysis(perturb_constant(product_sphere(n), -s_c / (2 * c)))
+        assert next(x for x in certify(a) if x.theorem == "C(a)" and x.p == p).holds, (n, p)
+        ricci = a.summary.ricci
+        assert ricci[0, 0] < 0, (n, p)
+        lows.append(ric_l_minima(a, [p])[p])
+        assert lows[-1] > 0, (n, p)
+        smallest = np.linalg.eigvalsh(ricci)[0]
+        assert ricci_lower_bounds(a, 1)["improved"] <= smallest + 1e-12 * a.scale, (n, p)
+    report(
+        f"negative-Ricci witnesses: {len(witnesses)} (n, p) with n <= 40, p = 3 at n = 6..8; "
+        f"lambda_min(Ric_L) {min(lows):.2f}..{max(lows):.2f} at the 12 with n <= 12"
     )
 
 

@@ -41,6 +41,7 @@ from helpers import (
     min_weighted_sum_by_slices,
     partial_sum_by_slices,
     positivity_profile_by_loop,
+    quaternionic_projective,
     random_rotation,
     ric_l_bound_by_variant,
     ricci_bounds_by_brackets,
@@ -490,6 +491,26 @@ def test_complex_projective_spaces_are_exact_witnesses():
     rng = np.random.default_rng(67)
     for m in range(2, 7):
         certs = _exact_witness(complex_projective(m), set(range(2, 2 * m, 2)), rng, m)
+        assert all(any(c.theorem == "B(a)" for c in frame) for frame in certs), m
+
+
+def test_quaternionic_projective_spaces_are_exact_witnesses():
+    # HP^m has b_p = 1 at every p divisible by 4, the powers of its
+    # quaternionic Kaehler 4-form; it is Einstein, Ric = 4(m+2) g, with
+    # second-kind eigenvalues -8 (2m^2 - m - 1 times) and 4; HP^1 is S^4 of
+    # curvature 4
+    np.testing.assert_array_equal(
+        quaternionic_projective(1).components, constant_curvature(4, 4.0).components
+    )
+    rng = np.random.default_rng(71)
+    for m in (2, 3):
+        R = quaternionic_projective(m)
+        a, n = Analysis(R), R.n
+        low = 2 * m * m - m - 1
+        expected = [-8.0] * low + [4.0] * (len(a.second_kind) - low)
+        assert np.abs(a.second_kind - expected).max() <= 1e-12 * a.scale, m
+        assert np.abs(a.summary.ricci - 4 * (m + 2) * np.eye(n)).max() <= 1e-12 * a.scale, m
+        certs = _exact_witness(R, set(range(4, n, 4)), rng, m)
         assert all(any(c.theorem == "B(a)" for c in frame) for frame in certs), m
 
 
