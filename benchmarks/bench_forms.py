@@ -1,20 +1,21 @@
-"""Timings of the p-form paths at the CLI cap: the dense form, the two-point
-matrix, the expansion over the canonical S^2_0 basis, the Bochner
-decomposition, its dense oracle, and the two oracles of its operator term,
-the canonical-basis second_kind_form_term and the Ogiue-Tachibana term.
+"""Timings of the p-form paths at the CLI cap: the two-point matrix, the
+expansion over the canonical S^2_0 basis, the Bochner decomposition, the
+curvature term ric_l_quadratic, and the two oracles of the decomposition's
+operator term, the canonical-basis second_kind_form_term and the
+Ogiue-Tachibana term.
 
 Run from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_forms.py --benchmark-only
 
 This directory lies outside the pytest test paths, so the tier-1 suite does
-not run it.  (12, 6) is the middle degree at the cap.  bochner_decomposition
-and form_two_point read the wedge tables, and bochner_decomposition takes its
-operator term from them with no basis; form_s02_expansion and
-ogiue_tachibana_term read the matrix-unit table X[a, j] = E_aj w;
-PForm.to_dense and ric_l_quadratic build the n^p dense form, 24 MB at
-(12, 6).  The bochner_decomposition cases
-also record, as extra_info, the tracemalloc peak of one warm call.
+not run it.  (12, 6) is the middle degree at the cap.  No n^p dense form is
+built in the library: bochner_decomposition, ric_l_quadratic and
+form_two_point read the wedge tables, and ric_l_quadratic is timed on the
+same two Grams that bochner_decomposition's left side and operator term
+read; form_s02_expansion and ogiue_tachibana_term read the matrix-unit table
+X[a, j] = E_aj w.  The bochner_decomposition cases also record, as
+extra_info, the tracemalloc peak of one warm call.
 """
 
 import math
@@ -45,11 +46,6 @@ def inputs():
         R = random_curvature(n, rng)
         out[n, p] = R, PForm(n, p, rng.standard_normal(math.comb(n, p)))
     return out
-
-
-@pytest.mark.parametrize("n, p", CASES)
-def test_to_dense(benchmark, inputs, n, p):
-    benchmark(inputs[n, p][1].to_dense)
 
 
 @pytest.mark.parametrize("n, p", CASES)

@@ -38,8 +38,10 @@ thread.  They differ only in how a matrix block is solved, whole by
 ric_l_spectrum and for its smallest eigenvalue alone by ric_l_minima; one
 degree is ric_l_minima(analysis, [p])[p].
 
-bochner_decomposition and form_two_point read w through the same wedges
-(_opened); the n^p dense form, with ric_l_quadratic, is their oracle.
+bochner_decomposition, ric_l_quadratic and form_two_point read w through
+the same wedges (_opened), and the first two read the curvature term off one
+evaluation, _curvature_term: no n^p dense form is built here.  The tests
+keep the dense form and the slot-wise Ric_L as their oracles.
 bochner_decomposition takes its operator term from the same two Grams,
 U^T U and V^T V, against R-bar made symmetric and trace-free in each index
 pair (_s02_form_term): no S^2_0 basis and no expansion.  Its oracles
@@ -286,30 +288,13 @@ def second_kind_form_term(R, w):
 
 @one_blas_thread
 def ric_l_quadratic(R, w):
-    """The curvature term g(Ric_L w, w), contracted on the dense n^p form
-    through the Gram of its slices w_{ij...}, i < j: the oracle for
-    bochner_decomposition and ric_l_matrix, sharing no table.  R must
-    already be valid (see the module docstring)."""
-    n, p = R.n, w.p
+    """The curvature term g(Ric_L w, w), read off the two Grams of w
+    (_curvature_term): bochner_decomposition's lhs is 3/2 of it, bit for bit.
+    R must already be valid (see the module docstring)."""
     _same_dimension(R, w)
-    if p == 0:
+    if w.p == 0:
         return 0.0
-    summary = ricci_scalar(R)
-    dense = w.to_dense()
-    if p == 1:
-        return float(dense @ summary.ricci @ dense)
-    # G[i, j, k, l] = sum over i_3..i_p of w_{ij...} w_{kl...} is alternating
-    # in (i, j) and in (k, l), so the slices with i < j give all of it; its
-    # partial trace is W[i, k] = sum over i_2..i_p of w_{i...} w_{k...}
-    i, j = multi_index_array(n, 2).T
-    half = dense.reshape(n, n, -1)[i, j]
-    G = np.zeros((n, n, n, n))
-    G[i[:, None], j[:, None], i, j] = half @ half.T
-    G = G - G.transpose(1, 0, 2, 3)
-    G = G - G.transpose(0, 1, 3, 2)
-    term1 = float(np.einsum("ij,ikjk->", summary.ricci, G))
-    term2 = float(np.einsum("ijkl,ijkl->", R.components, G))
-    return p * term1 - 0.5 * p * (p - 1) * term2
+    return _curvature_term(R, w, ricci_scalar(R))[0]
 
 
 def _hodge_class(n, p):
@@ -479,23 +464,16 @@ def _s02_form_term(R, W, G, p):
     return term
 
 
-@one_blas_thread
-def bochner_decomposition(R, w):
-    """Evaluate both sides of the decomposition and report the residual.
+def _curvature_term(R, w, summary):
+    """g(Ric_L w, w) in ric_l_matrix's Weitzenboeck form, with no matrix and
+    no dense form: p! (<Ric, U^T U> - 2 <F, V^T V>), with U, V = _opened(w, 1),
+    _opened(w, 2), F = first_kind_matrix(R) and Ric = summary.ricci.
 
-    The left side is ric_l_matrix's Weitzenboeck form on w, with no matrix
-    and no dense form: g(Ric_L w, w) = p! (<Ric, U^T U> - 2 <F, V^T V>), with
-    U, V = _opened(w, 1), _opened(w, 2) and F = first_kind_matrix(R).  The
-    operator term reads the same two Grams (_s02_form_term);
-    second_kind_form_term and ogiue_tachibana_term are its oracles.  R must
-    already be valid (see the module docstring).
+    Returns (g(Ric_L w, w), W, G, <Ric, W>), with the two Grams W =
+    form_two_point(w) and G = (p-2)! V^T V (None for p < 2) that
+    _s02_form_term reads.
     """
     n, p = R.n, w.p
-    _same_dimension(R, w)
-    summary = ricci_scalar(R)
-    norm_sq = w.norm_sq
-    if p == 0:
-        return BochnerReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     W = form_two_point(w)
     ricci_w = float(np.einsum("ij,ij->", summary.ricci, W))
     quadratic = p * ricci_w
@@ -503,13 +481,30 @@ def bochner_decomposition(R, w):
     if p >= 2:
         V = _opened(w, 2)
         VtV = V.T @ V
-        quadratic -= 2 * math.factorial(p) * float(
-            np.einsum("ab,ab->", first_kind_matrix(R), VtV)
-        )
+        quadratic -= 2 * math.factorial(p) * float(np.einsum("ab,ab->", first_kind_matrix(R), VtV))
         G = math.factorial(p - 2) * VtV
-    # at p = n the two sums are scal and -scal: keep ric_l_matrix's exact zero;
-    # and S w = tr(S) w vanishes for every trace-free S
-    lhs = 1.5 * quadratic if p < n else 0.0
+    # at p = n the two sums are scal and -scal: keep ric_l_matrix's exact zero
+    return (quadratic if p < n else 0.0), W, G, ricci_w
+
+
+@one_blas_thread
+def bochner_decomposition(R, w):
+    """Evaluate both sides of the decomposition and report the residual.
+
+    The left side is 3/2 of the curvature term (_curvature_term, as
+    ric_l_quadratic reads it).  The operator term reads the same two Grams
+    (_s02_form_term); second_kind_form_term and ogiue_tachibana_term are its
+    oracles.  R must already be valid (see the module docstring).
+    """
+    n, p = R.n, w.p
+    _same_dimension(R, w)
+    summary = ricci_scalar(R)
+    norm_sq = w.norm_sq
+    if p == 0:
+        return BochnerReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    quadratic, W, G, ricci_w = _curvature_term(R, w, summary)
+    lhs = 1.5 * quadratic
+    # S w = tr(S) w vanishes for every trace-free S
     term_op = _s02_form_term(R, W, G, p) if p < n else 0.0
     term_ricci = (p * (n - 2 * p) / n) * ricci_w
     term_scal = (p**2 / n**2) * summary.scalar * norm_sq

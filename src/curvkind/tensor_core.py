@@ -12,7 +12,7 @@ R_{ijkl} = d_{ik} d_{jl} - d_{il} d_{jk}, and Ric_{ij} = sum_k R_{ikjk}.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 import math
 import os
 
@@ -91,31 +91,6 @@ def sort_with_sign(idx):
     return 1 - 2 * (inversions % 2), tuple(sorted(seq))
 
 
-@lru_cache(maxsize=None)
-def _signed_permutations(p):
-    """The permutations of range(p) with their parities, as read-only int8
-    arrays (perms, signs) of shapes (p!, p) and (p!,)."""
-    perms = np.array(list(permutations(range(p))), dtype=np.int8).reshape(math.factorial(p), p)
-    a, b = np.triu_indices(p, 1)
-    # (-1)^(number of inversions), as in sort_with_sign
-    signs = 1 - 2 * ((perms[:, a] > perms[:, b]).sum(axis=1) % 2)
-    return read_only(perms), read_only(signs, np.int8)
-
-
-@lru_cache(maxsize=None)
-def _dense_positions(n, p):
-    """Where PForm.to_dense puts each coefficient: a read-only array of shape
-    (C(n,p), p!) whose [k, s] is the flat index in the n^p dense form of the
-    k-th sorted p-tuple permuted by the s-th signed permutation.  It has
-    C(n,p) p! <= n^p entries, fewer than the dense form it fills."""
-    idx = multi_index_array(n, p)
-    perms, _ = _signed_permutations(p)
-    at = np.zeros((len(idx), len(perms)), dtype=np.intp)
-    for m in range(p):
-        at = at * n + idx[:, perms[:, m]]
-    return read_only(at)
-
-
 @dataclass(frozen=True)
 class PForm:
     """Alternating (0,p)-tensor stored on strictly increasing multi-indices.
@@ -146,18 +121,6 @@ class PForm:
     @property
     def norm_sq(self):
         return math.factorial(self.p) * float(np.dot(self.coeffs, self.coeffs))
-
-    def to_dense(self):
-        """Full n^p component array of the antisymmetric extension, one
-        scatter through the cached positions _dense_positions(n, p); entries
-        with a repeated index or a zero coefficient are +0.0."""
-        n, p = self.n, self.p
-        at = _dense_positions(n, p)
-        _, signs = _signed_permutations(p)
-        dense = np.zeros(n**p)
-        # adding 0.0 turns the -0.0 of a negated zero into +0.0
-        dense[at] = self.coeffs[:, None] * signs + 0.0
-        return dense.reshape((n,) * p)
 
     @classmethod
     def wedge(cls, n, idx):

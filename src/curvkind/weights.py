@@ -195,11 +195,15 @@ def _nonnegative(value, radius, floor=0.0):
 
 
 def k_positivity_profile(eigenvalues):
-    """Smallest integer orders of positivity and nonnegativity.
+    """Smallest integer orders of positivity and nonnegativity: the smallest
+    integer k whose partial sum of the ascending eigenvalues is > 1e-12 *
+    radius (resp. >= -1e-10 * radius); None if no k <= N qualifies.
 
-    Both predicates are monotone in k, so the smallest integer k with
-    partial sum > 0 (resp. >= 0) summarizes the profile; None if no k <= N
-    qualifies.
+    The positive predicate is monotone in k: once a partial sum is positive,
+    every later eigenvalue is too.  The nonnegative one is not, under its
+    floor: for [-0.6e-10, -0.6e-10, 1] it holds at k = 1, fails at k = 2
+    (-1.2e-10) and holds again at k = 3, and the profile reads
+    {'positive': 3, 'nonnegative': 1}.
     """
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
     radius = peak(eigs)

@@ -1,6 +1,7 @@
 """Shared test utilities."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 import math
 
@@ -20,7 +21,6 @@ from curvkind import (
     kulkarni_nomizu,
     multi_indices,
     perturb_constant,
-    ric_l_quadratic,
     ricci_scalar,
     second_kind_form_term,
     second_kind_matrix,
@@ -28,7 +28,7 @@ from curvkind import (
 )
 from curvkind.bochner import _unit_positions
 from curvkind.operators import require_symmetric
-from curvkind.tensor_core import CurvatureTensor, multi_index_array, require_square
+from curvkind.tensor_core import CurvatureTensor, multi_index_array, read_only, require_square
 from curvkind.tolerance import residual
 
 
@@ -228,10 +228,75 @@ def random_symmetric(n, rng):
     return A + A.T
 
 
+@lru_cache(maxsize=None)
+def _signed_permutations(p):
+    """The permutations of range(p) with their parities, as read-only int8
+    arrays (perms, signs) of shapes (p!, p) and (p!,)."""
+    perms = np.array(list(permutations(range(p))), dtype=np.int8).reshape(math.factorial(p), p)
+    a, b = np.triu_indices(p, 1)
+    # (-1)^(number of inversions), as in sort_with_sign
+    signs = 1 - 2 * ((perms[:, a] > perms[:, b]).sum(axis=1) % 2)
+    return read_only(perms), read_only(signs, np.int8)
+
+
+@lru_cache(maxsize=None)
+def _dense_positions(n, p):
+    """Where to_dense puts each coefficient: a read-only array of shape
+    (C(n,p), p!) whose [k, s] is the flat index in the n^p dense form of the
+    k-th sorted p-tuple permuted by the s-th signed permutation.  It has
+    C(n,p) p! <= n^p entries, fewer than the dense form it fills."""
+    idx = multi_index_array(n, p)
+    perms, _ = _signed_permutations(p)
+    at = np.zeros((len(idx), len(perms)), dtype=np.intp)
+    for m in range(p):
+        at = at * n + idx[:, perms[:, m]]
+    return read_only(at)
+
+
+def to_dense(w):
+    """Full n^p component array of the antisymmetric extension of w, one
+    scatter through the cached positions _dense_positions(n, p); entries
+    with a repeated index or a zero coefficient are +0.0.  The dense form is
+    the tests' oracle for the wedge tables the library reads instead."""
+    n, p = w.n, w.p
+    at = _dense_positions(n, p)
+    _, signs = _signed_permutations(p)
+    dense = np.zeros(n**p)
+    # adding 0.0 turns the -0.0 of a negated zero into +0.0
+    dense[at] = w.coeffs[:, None] * signs + 0.0
+    return dense.reshape((n,) * p)
+
+
+def ric_l_quadratic_dense(R, w):
+    """The curvature term g(Ric_L w, w), contracted on the dense n^p form
+    through the Gram of its slices w_{ij...}, i < j: the oracle for
+    ric_l_quadratic, bochner_decomposition and ric_l_matrix, sharing no
+    table with them."""
+    n, p = R.n, w.p
+    if p == 0:
+        return 0.0
+    summary = ricci_scalar(R)
+    dense = to_dense(w)
+    if p == 1:
+        return float(dense @ summary.ricci @ dense)
+    # G[i, j, k, l] = sum over i_3..i_p of w_{ij...} w_{kl...} is alternating
+    # in (i, j) and in (k, l), so the slices with i < j give all of it; its
+    # partial trace is W[i, k] = sum over i_2..i_p of w_{i...} w_{k...}
+    i, j = multi_index_array(n, 2).T
+    half = dense.reshape(n, n, -1)[i, j]
+    G = np.zeros((n, n, n, n))
+    G[i[:, None], j[:, None], i, j] = half @ half.T
+    G = G - G.transpose(1, 0, 2, 3)
+    G = G - G.transpose(0, 1, 3, 2)
+    term1 = float(np.einsum("ij,ikjk->", summary.ricci, G))
+    term2 = float(np.einsum("ijkl,ijkl->", R.components, G))
+    return p * term1 - 0.5 * p * (p - 1) * term2
+
+
 def to_dense_by_permutations(w):
     """The n^p dense form of w, one assignment per signed permutation of
-    each sorted tuple with a nonzero coefficient: an oracle for
-    PForm.to_dense, which scatters blocks of permutations."""
+    each sorted tuple with a nonzero coefficient: an oracle for to_dense,
+    which scatters blocks of permutations."""
     dense = np.zeros((w.n,) * w.p)
     for pos, idx in enumerate(multi_indices(w.n, w.p)):
         c = w.coeffs[pos]
@@ -305,7 +370,7 @@ def rotate_form(w, Q):
     Q = require_square(Q, n=w.n)
     if w.p == 0:
         return w
-    dense = w.to_dense()
+    dense = to_dense(w)
     for _ in range(w.p):
         # contract the leading slot and cycle it to the back
         dense = np.tensordot(Q, dense, axes=([0], [0]))
@@ -330,7 +395,7 @@ def bochner_ricci_diagonal_residual(R, w):
     ric_diag = np.diag(rsum.ricci)
     ric_sums = ric_diag[multi_index_array(n, p)].sum(axis=1)
     weighted = math.factorial(p) * float(ric_sums @ wr.coeffs**2)
-    lhs = 1.5 * ric_l_quadratic(Rr, wr)
+    lhs = 1.5 * ric_l_quadratic_dense(Rr, wr)
     rhs = (
         second_kind_form_term(Rr, wr)
         + ((n - 2 * p) / n) * weighted
@@ -472,7 +537,7 @@ def ric_l_apply_dense(R, T):
         (Ric_L T)_{i_1..i_p} = (Ric T)_{i_1..i_p}
             - sum_{m != s} sum_{j,q} R_{i_m j i_s q} T_{.. j@m .. q@s ..}.
 
-    Agrees with ric_l_quadratic under the tensor inner product when T is
+    Agrees with ric_l_quadratic_dense under the tensor inner product when T is
     alternating; used as the independent oracle for the assembled matrix.
     """
     T = np.asarray(T, dtype=float)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from curvkind.bochner import (
     _wedge_table,
 )
 from curvkind.operators import first_kind_matrix, ricci_scalar
-from curvkind.tensor_core import _dense_positions, canonical_s02_basis, multi_index_array
+from curvkind.tensor_core import canonical_s02_basis, multi_index_array
 from helpers import (
     act_sym_dense,
     bochner_ricci_diagonal_residual,
@@ -61,9 +62,11 @@ from helpers import (
     random_symmetric,
     ric_l_apply_dense,
     ric_l_by_derivations,
+    ric_l_quadratic_dense,
     rotate_curvature,
     s02_expansion_stacked,
     spectral_decomposition,
+    to_dense,
 )
 
 
@@ -124,7 +127,7 @@ def test_matrix_units_against_dense_action():
             if p == 0:
                 assert not X.any()
                 continue
-            dense = w.to_dense()
+            dense = to_dense(w)
             S = rng.standard_normal((n, n))
             want = form_from_dense(act_sym_dense(S, dense)).coeffs
             got = np.einsum("aj,ajc->c", S, X)
@@ -222,10 +225,27 @@ def test_ric_l_quadratic_flat_and_volume():
     rng = np.random.default_rng(6)
     flat = constant_curvature(4, 0.0)
     assert ric_l_quadratic(flat, PForm.random(4, 2, rng)) == 0.0
+    # the volume form: the two Weitzenboeck sums are scal and -scal, and
+    # ric_l_quadratic keeps ric_l_matrix's exact zero
     for n in (3, 4, 5):
         R = random_curvature(n, rng)
-        w = PForm.random(n, n, rng)
-        assert abs(ric_l_quadratic(R, w)) <= 1e-12 * (1 + w.norm_sq)
+        assert ric_l_quadratic(R, PForm.random(n, n, rng)) == 0.0
+
+
+def test_ric_l_quadratic_memory_at_the_cap():
+    # read off the two Grams of w, about 0.5 MB at (12, 6); the n^p dense
+    # form alone is 22.8 MB there
+    rng = np.random.default_rng(42)
+    R = random_curvature(12, rng)
+    w = PForm.random(12, 6, rng)
+    ric_l_quadratic(R, w)
+    tracemalloc.start()
+    try:
+        ric_l_quadratic(R, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak
 
 
 def test_ric_l_quadratic_sphere():
@@ -256,7 +276,7 @@ def test_ric_l_matrix_matches_quadratic_form():
         fact = math.factorial(p)
         for _ in range(50):
             w = PForm.random(n, p, rng)
-            quad = ric_l_quadratic(R, w)
+            quad = ric_l_quadratic_dense(R, w)
             via_matrix = fact * float(w.coeffs @ (M @ w.coeffs))
             assert abs(quad - via_matrix) <= 1e-10 * (1 + abs(quad))
 
@@ -272,7 +292,7 @@ def test_ric_l_matrix_against_slotwise_oracle():
         fact = math.factorial(p)
         for _ in range(10):
             w = PForm.random(n, p, rng)
-            dense = w.to_dense()
+            dense = to_dense(w)
             oracle = float(np.sum(ric_l_apply_dense(R, dense) * dense))
             via_matrix = fact * float(w.coeffs @ (M @ w.coeffs))
             assert abs(oracle - via_matrix) <= 1e-10 * (1 + abs(oracle))
@@ -331,7 +351,6 @@ def test_form_tables_cached_read_only_and_equal_a_rebuild():
         "_unit_positions": (_unit_positions, [(n, p) for n in (4, 7) for p in range(n + 1)]),
         "_symmetric_pairs": (_symmetric_pairs, [(n,) for n in (2, 5, 12)]),
         "multi_index_array": (multi_index_array, [(n, p) for n in (4, 7) for p in range(n + 1)]),
-        "_dense_positions": (_dense_positions, [(n, p) for n in (4, 7) for p in range(5)]),
         "canonical_s02_basis": (canonical_s02_basis, [(n,) for n in (2, 5, 12)]),
     }
     for name, (cached, cases) in tables.items():
@@ -777,9 +796,11 @@ def test_bochner_lhs_against_both_oracles():
                 )
                 tol = 1e-12 * (1 + (abs(rep.lhs) if 2 * p <= n else sums))
                 assert abs(rep.lhs - assembled) <= tol
+                # ric_l_quadratic reads the one evaluation lhs is made of
+                assert rep.lhs == 1.5 * ric_l_quadratic(R, w), (n, p)
                 # the dense oracle holds n^p floats: 3.1 GB at (9, 9)
                 if n**p <= 2**23:
-                    assert abs(rep.lhs - 1.5 * ric_l_quadratic(R, w)) <= tol
+                    assert abs(rep.lhs - 1.5 * ric_l_quadratic_dense(R, w)) <= tol
                 if p == n:
                     assert rep.lhs == 0.0
                 # every curvature tensor on R^2 is Einstein
@@ -922,7 +943,7 @@ def test_general_tensor_check_forms_reduce():
     for n in (4, 5):
         R = random_curvature(n, rng)
         for p in (2, 3):
-            w = PForm.random(n, p, rng).to_dense()
+            w = to_dense(PForm.random(n, p, rng))
             assert general_tensor_bochner_check(R, w) <= 1e-10
 
 
@@ -963,9 +984,9 @@ def test_ric_l_apply_dense_agrees_with_contraction_formula():
     for n, p in [(4, 1), (4, 2), (5, 3)]:
         R = random_curvature(n, rng)
         w = PForm.random(n, p, rng)
-        dense = w.to_dense()
+        dense = to_dense(w)
         slotwise = float(np.sum(ric_l_apply_dense(R, dense) * dense))
-        assert abs(slotwise - ric_l_quadratic(R, w)) <= 1e-10 * (1 + abs(slotwise))
+        assert abs(slotwise - ric_l_quadratic_dense(R, w)) <= 1e-10 * (1 + abs(slotwise))
 
 
 def test_spectrum_of_ric_l_on_su3():

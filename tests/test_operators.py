@@ -35,6 +35,7 @@ from helpers import (
     rbar_apply,
     rbar_full_matrix,
     spectral_decomposition,
+    to_dense,
 )
 
 
@@ -309,5 +310,5 @@ def test_quadratic_form_identity_random():
     for _ in range(5):
         R = random_curvature(4, rng)
         w = PForm.random(4, 2, rng)
-        worst = max(worst, quadratic_form_identity_check(R, w.to_dense()))
+        worst = max(worst, quadratic_form_identity_check(R, to_dense(w)))
     assert worst <= 1e-10

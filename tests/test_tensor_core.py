@@ -21,15 +21,17 @@ from curvkind import (
     trace_free_project,
     validate_curvature,
 )
-from curvkind.tensor_core import _signed_permutations, multi_index_array
+from curvkind.tensor_core import multi_index_array
 from curvkind.tolerance import peak
 from helpers import (
+    _signed_permutations,
     form_from_dense,
     random_rotation,
     random_symmetric,
     rotate_curvature,
     rotate_form,
     sym_inner,
+    to_dense,
     to_dense_by_permutations,
 )
 
@@ -66,7 +68,7 @@ def test_pform_norm_matches_dense_extension():
     rng = np.random.default_rng(0)
     for n, p in [(3, 1), (4, 2), (5, 3), (6, 2), (5, 5)]:
         w = PForm.random(n, p, rng)
-        dense = w.to_dense()
+        dense = to_dense(w)
         assert dense.shape == (n,) * p
         # dense array is alternating
         if p >= 2:
@@ -87,7 +89,7 @@ def test_to_dense_matches_permutation_loop_bitwise():
         sparse[::3] = -0.0
         for coeffs in (w.coeffs, sparse, np.zeros_like(sparse)):
             form = PForm(n, p, coeffs)
-            dense, oracle = form.to_dense(), to_dense_by_permutations(form)
+            dense, oracle = to_dense(form), to_dense_by_permutations(form)
             assert dense.shape == oracle.shape == (n,) * p
             # bytes, so a -0.0 where the loop leaves +0.0 also fails
             assert dense.tobytes() == oracle.tobytes()
