@@ -8,9 +8,11 @@ Run from the repository root:
 This directory lies outside the pytest test paths, so the tier-1 suite does
 not run it.  Every layer is timed on random tensors for n in {5, 8, 10, 12};
 form_s02_expansion also runs over the degrees p in {1, 2, n // 2}.  The
-certify rounds read a fresh Analysis each, so each timing includes the
+test_certify rounds read a fresh Analysis each, so each timing includes the
 Ricci tensor, the first-kind matrix and the second-kind spectrum that a
-`curvkind certify` call computes.
+`curvkind certify` call computes; the test_certify_warm rounds read one
+Analysis whose spectrum was computed before timing, so they time certify
+alone.
 """
 
 import numpy as np
@@ -55,3 +57,10 @@ def test_form_s02_expansion(benchmark, n, p):
 @pytest.mark.parametrize("n", NS)
 def test_certify(benchmark, tensors, n):
     benchmark(lambda: certify(Analysis(tensors[n])))
+
+
+@pytest.mark.parametrize("n", NS)
+def test_certify_warm(benchmark, tensors, n):
+    a = Analysis(tensors[n])
+    certify(a)  # caches the Ricci summary and the second-kind spectrum
+    benchmark(certify, a)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from curvkind import Analysis, random_curvature, ric_l_matrix, second_kind_matrix
-from curvkind.bochner import _hodge_table
+from curvkind.bochner import _ric_l_blocks
 
 
 @pytest.fixture(scope="module")
@@ -31,12 +31,7 @@ def test_second_kind_matrix(benchmark, rng, n):
 @pytest.fixture(scope="module")
 def irreducible(rng):
     a = Analysis(random_curvature(12, rng))
-    M = ric_l_matrix(a, 6)
-    _, sign = _hodge_table(12, 6)
-    half = len(M) // 2
-    A = M[:half, :half]
-    B = M[:half, half:][:, ::-1] * sign[:half]
-    return {"12-5": ric_l_matrix(a, 5), "12-6": A + B}
+    return {"12-5": ric_l_matrix(a, 5), "12-6": next(_ric_l_blocks(a, 6))[0]}
 
 
 @pytest.mark.parametrize("case", ["12-5", "12-6"])

@@ -194,10 +194,35 @@ def _nonnegative(value, radius, floor=0.0):
     return value >= floor - NONNEGATIVE * radius
 
 
+def _first_orders(ascending, radius):
+    """The first integer orders k <= N whose partial sum of the ascending
+    eigenvalues is > 1e-12 * radius ('positive') and >= -1e-10 * radius
+    ('nonnegative'), each None if no k qualifies: one cumulative sum, read by
+    the k-profile and by every (b) certificate."""
+    sums = np.cumsum(ascending)
+    hits = {"positive": _positive(sums, radius), "nonnegative": _nonnegative(sums, radius)}
+    return {key: int(np.argmax(hit)) + 1 if hit.any() else None for key, hit in hits.items()}
+
+
+def _nonnegative_below(order, N, first_nonnegative, partial_sum, radius):
+    """Whether some order k' in [1, min(order, N)) has a nonnegative partial
+    sum f(k'), given the first nonnegative integer order and f(order).
+
+    f is linear between consecutive integers, so over that half-open range
+    it is largest at an integer or just below the end C = min(order, N),
+    where it approaches f(C) = f(order) without reaching it: that limit
+    counts only when it is positive.
+    """
+    end = min(order, N)
+    below = first_nonnegative is not None and first_nonnegative < end
+    return end > 1 and (below or _positive(partial_sum, radius))
+
+
 def k_positivity_profile(eigenvalues):
     """Smallest integer orders of positivity and nonnegativity: the smallest
     integer k whose partial sum of the ascending eigenvalues is > 1e-12 *
-    radius (resp. >= -1e-10 * radius); None if no k <= N qualifies.
+    radius (resp. >= -1e-10 * radius); None if no k <= N qualifies.  certify's
+    (b) checks read the same scan, _first_orders.
 
     The positive predicate is monotone in k: once a partial sum is positive,
     every later eigenvalue is too.  The nonnegative one is not, under its
@@ -206,31 +231,7 @@ def k_positivity_profile(eigenvalues):
     {'positive': 3, 'nonnegative': 1}.
     """
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
-    radius = peak(eigs)
-    sums = np.cumsum(eigs)
-
-    def first(hits):
-        return int(np.argmax(hits)) + 1 if hits.any() else None
-
-    return {
-        "positive": first(_positive(sums, radius)),
-        "nonnegative": first(_nonnegative(sums, radius)),
-    }
-
-
-def _exists_below(eigs, threshold, radius):
-    """Whether some order k' in [1, min(threshold, N)) has a nonnegative
-    partial sum f(k').
-
-    f is convex with f(0) = 0, so with C = min(threshold, N) > 1 such a k'
-    exists exactly when f(1) = l_1 >= 0 or f(C) > 0: when l_1 < 0, f lies
-    below the chord from 0 to C, which is negative on [1, C) unless
-    f(C) > 0.  f(C) = 0 does not count, as no order below C reaches it.
-    """
-    order = min(threshold, len(eigs))
-    return order > 1 and (
-        _nonnegative(eigs[0], radius) or _positive(_bracket(eigs, 1.0, order), radius)
-    )
+    return _first_orders(eigs, peak(eigs))
 
 
 def certify(analysis, kappa=None):
@@ -249,6 +250,7 @@ def certify(analysis, kappa=None):
     """
     n, eigs = analysis.n, analysis.second_kind
     radius = peak(eigs)
+    first_nonnegative = _first_orders(eigs, radius)["nonnegative"]
     out = []
 
     def check(theorem, holds, conclusion, sums, p=None):
@@ -263,7 +265,8 @@ def certify(analysis, kappa=None):
         total = sums["partial_sum"]
         positive, below, nonnegative = conclusions
         check(f"{theorem}(a)", _positive(total, radius), positive, sums, p)
-        check(f"{theorem}(b)", _exists_below(eigs, order, radius), below, {"order_upper": order}, p)
+        below_holds = _nonnegative_below(order, len(eigs), first_nonnegative, total, radius)
+        check(f"{theorem}(b)", below_holds, below, {"order_upper": order}, p)
         check(f"{theorem}(c)", _nonnegative(total, radius), nonnegative, dict(sums), p)
 
     sphere = "either flat or a rational homology sphere"

@@ -190,8 +190,10 @@ def exists_below_by_scan(eigs, threshold, radius):
     The partial sum is linear between consecutive integers, so over that
     half-open range it is largest at an integer or near the open end C,
     where it approaches its value at C without reaching it: that limit
-    counts only when it is positive, > 1e-12 * radius.  An oracle for
-    weights._exists_below, which reads l_1 and the end alone, by convexity.
+    counts only when it is positive, > 1e-12 * radius.  An oracle for the
+    (b) certificates of weights.certify, which read the first nonnegative
+    order of one floating-point cumulative sum and the partial sum at the
+    end.
     """
     eigs = [Fraction(x) for x in np.sort(np.asarray(eigs, dtype=float))]
     end = min(Fraction(threshold), len(eigs))

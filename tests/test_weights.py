@@ -1,7 +1,7 @@
 from dataclasses import is_dataclass
 from types import SimpleNamespace
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -32,7 +32,7 @@ from curvkind import (
     spectrum,
     su3_so3,
 )
-from curvkind.weights import _exists_below
+from curvkind.weights import _bracket, _first_orders, _nonnegative_below
 from helpers import (
     complex_projective,
     exists_below_by_scan,
@@ -555,34 +555,62 @@ def spectra_and_thresholds(draw):
     Integer spectra give partial sums that are exactly zero; float spectra
     are scaled by 1e-15..1e15.  The third kind puts N - 1 eigenvalues of
     -0.6e-10, 0 or 0.6e-10 beside a largest one of 1, so that its partial
-    sums straddle the tolerance -1e-10 * radius.  Thresholds are integers,
-    N itself, or any float in the range.
+    sums straddle the tolerance -1e-10 * radius.  The fourth recovers: its
+    l_1 of -1.2e-10..-2.4e-10 lies below that tolerance, and N - 2 further
+    eigenvalues of 0 or 0.6e-10 may bring later sums back inside it.
+    Thresholds are integers, N itself, or any float in the range.
     """
     N = draw(st.integers(2, 30))
-    kind = draw(st.sampled_from(("integer", "float", "tolerance")))
+    kind = draw(st.sampled_from(("integer", "float", "tolerance", "recovering")))
     if kind == "integer":
         eigs = np.array(draw(st.lists(st.integers(-6, 6), min_size=N, max_size=N)), float)
     elif kind == "float":
         unit = draw(st.lists(st.floats(-1.0, 1.0), min_size=N, max_size=N))
         eigs = np.array(unit) * 10.0 ** draw(st.integers(-15, 15))
-    else:
+    elif kind == "tolerance":
         steps = draw(st.lists(st.integers(-1, 1), min_size=N - 1, max_size=N - 1))
         eigs = np.append(0.6e-10 * np.array(steps, float), 1.0)
+    else:
+        steps = draw(st.lists(st.integers(0, 1), min_size=N - 2, max_size=N - 2))
+        low = -0.6e-10 * draw(st.integers(2, 4))
+        eigs = np.concatenate(([low], 0.6e-10 * np.array(steps, float), [1.0]))
     threshold = draw(
         st.one_of(st.integers(1, N + 2).map(float), st.just(float(N)), st.floats(0.5, N + 2.0))
     )
     return np.sort(eigs), threshold
 
 
+# l_1 lies below the floor -1e-10 and the partial sum at k = 2 is back
+# inside it, while the sum at every order up to 3 stays negative
+RECOVERING = np.array([-1.5e-10, 0.6e-10, 0.6e-10] + [1.0] * 6)
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(spectra_and_thresholds())
+@example((RECOVERING, 2.5))
+@example((RECOVERING, 3.0))
 def test_two_point_scan_and_cumulative_profile_match_full_scans(case):
-    # the partial sum is convex in k with value 0 at k = 0, so l_1 and its
-    # value at the order decide what the exact scan of every order decides
+    # the (b) rule reads the first nonnegative integer order of one
+    # cumulative sum and the partial sum at the order; it decides what the
+    # exact scan of every order below the order decides
     eigs, threshold = case
     radius = float(np.abs(eigs).max(initial=0.0))
-    assert _exists_below(eigs, threshold, radius) == exists_below_by_scan(eigs, threshold, radius)
+    first = _first_orders(eigs, radius)["nonnegative"]
+    below = _nonnegative_below(threshold, len(eigs), first, _bracket(eigs, 1.0, threshold), radius)
+    assert below == exists_below_by_scan(eigs, threshold, radius)
     assert k_positivity_profile(eigs) == positivity_profile_by_loop(eigs)
+
+
+def test_b_certificates_read_the_floor_of_the_k_profile():
+    # at n = 4 the order of C(b) at p = 1 is C_1 = 2.7; the partial sum at
+    # k = 2 is -0.9e-10, inside the floor, though l_1 = -1.5e-10 is not and
+    # the sum at 2.7 is negative, so b_1 vanishes unless flat
+    assert constants(4, 1).c_p == 2.7
+    profile = k_positivity_profile(RECOVERING)
+    assert profile == {"positive": 4, "nonnegative": 2}
+    c = _by_theorem(certify(_with_spectrum(RECOVERING, 4, False)), "C(b)", 1)
+    assert c.holds == exists_below_by_scan(RECOVERING, 2.7, 1.0)
+    assert c.holds and profile["nonnegative"] < c.sums["order_upper"]
 
 
 def test_theorem_d_hypothesis():
