@@ -11,7 +11,9 @@ reuses it, so the command rows time parsing, loading and validation, the
 solves and the JSON output of one call; `test_build_parser` times the one-off
 build.  Each input is a model spec (`product_sphere`, `su3_so3`) or a
 `--dense` file holding a seeded random tensor; stdout is captured and
-discarded.
+discarded.  `test_model_certify_spectrum` runs `certify` and the first-kind
+`spectrum` on the other model kinds at n = 8 and 12, where building the tensor, validating it
+and writing the report are a larger share of a call than the solves.
 """
 
 import contextlib
@@ -30,6 +32,12 @@ SMALL_CALLS = [
     for n in (5, 12)
     for source in ("product_sphere", "dense")
 ]
+MODEL_CALLS = [
+    (command, n, kind)
+    for command in ("certify", "spectrum")
+    for n in (8, 12)
+    for kind in ("constant_curvature", "perturbed", "kn_product")
+]
 ANALYZE = [
     (p, source) for p in ("half", "all") for source in ("su3_so3", "product_sphere-12", "dense-12")
 ]
@@ -45,6 +53,17 @@ def sources(tmp_path_factory):
         path.write_text(json.dumps({"n": n, "components": R.components.ravel().tolist()}))
         out[f"dense-{n}"] = ["--dense", str(path)]
         out[f"product_sphere-{n}"] = ["--model", json.dumps({"kind": "product_sphere", "n": n})]
+    for n in (8, 12):
+        rng = np.random.default_rng(100 + n)
+        h, k = (rng.standard_normal((n, n)) for _ in range(2))
+        specs = {
+            "constant_curvature": {"kind": "constant_curvature", "n": n, "kappa": -1.3},
+            "perturbed": {"kind": "perturbed", "base": {"kind": "product_sphere", "n": n},
+                          "kappa": 0.4},
+            "kn_product": {"kind": "kn_product", "h": (h + h.T).tolist(), "k": (k + k.T).tolist()},
+        }
+        for kind, spec in specs.items():
+            out[f"{kind}-{n}"] = ["--model", json.dumps(spec)]
     return out
 
 
@@ -62,6 +81,14 @@ def test_certify_spectrum(benchmark, sources, command, n, source):
     argv = [command, *sources[f"{source}-{n}"]]
     if command == "spectrum":
         argv += ["--operator", "second"]
+    assert benchmark(run_main, argv) == 0
+
+
+@pytest.mark.parametrize("command, n, kind", MODEL_CALLS)
+def test_model_certify_spectrum(benchmark, sources, command, n, kind):
+    argv = [command, *sources[f"{kind}-{n}"]]
+    if command == "spectrum":
+        argv += ["--operator", "first"]
     assert benchmark(run_main, argv) == 0
 
 

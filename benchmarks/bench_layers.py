@@ -7,7 +7,9 @@ Run from the repository root:
 
 This directory lies outside the pytest test paths, so the tier-1 suite does
 not run it.  Every layer is timed on random tensors for n in {5, 8, 10, 12};
-form_s02_expansion also runs over the degrees p in {1, 2, n // 2}.  The
+form_s02_expansion also runs over the degrees p in {1, 2, n // 2}.
+test_validate_curvature_failing times the refusal of a tensor whose one
+entry breaks the symmetries, indexed report and error included.  The
 test_certify rounds read a fresh Analysis each, so each timing includes the
 Ricci tensor, the first-kind matrix and the second-kind spectrum that a
 `curvkind certify` call computes; the test_certify_warm rounds read one
@@ -20,6 +22,8 @@ import pytest
 
 from curvkind import (
     Analysis,
+    CurvatureSymmetryError,
+    CurvatureTensor,
     PForm,
     certify,
     first_kind_matrix,
@@ -41,6 +45,18 @@ def tensors():
 @pytest.mark.parametrize("n", NS)
 def test_validate_curvature(benchmark, tensors, n):
     benchmark(validate_curvature, tensors[n])
+
+
+def refuse(R):
+    with pytest.raises(CurvatureSymmetryError):
+        validate_curvature(R)
+
+
+@pytest.mark.parametrize("n", NS)
+def test_validate_curvature_failing(benchmark, tensors, n):
+    A = tensors[n].components.copy()
+    A[0, 1, 2, 3] += 0.5
+    benchmark(refuse, CurvatureTensor(n, A))
 
 
 @pytest.mark.parametrize("n", NS)

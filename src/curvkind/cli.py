@@ -12,6 +12,7 @@ when the tensor fails the curvature-symmetry validation.
 import argparse
 import functools
 import json
+from json.encoder import encode_basestring_ascii
 import math
 import os
 import re
@@ -24,7 +25,7 @@ from ._blas import one_blas_thread
 from .bochner import ric_l_minima, ric_l_spectrum
 from .errors import CurvatureSymmetryError, CurvkindError, ShapeMismatch
 from .model_spaces import curvature_from_spec
-from .operators import Analysis, cluster_eigenvalues, spectrum
+from .operators import Analysis, cluster_eigenvalues
 from .tensor_core import dimension_cap
 from .weights import certify, constants, k_positivity_profile, ric_l_lower_bounds
 
@@ -61,8 +62,9 @@ def _load_curvature(args):
     except KeyError as exc:
         _fail(PARSE_ERROR, f"cannot build curvature tensor: missing field {exc}")
     # ValueError covers bad JSON, CurvkindError and unconvertible numbers;
-    # RecursionError a spec or list nested deeper than Python's stack
-    except (OSError, ValueError, TypeError, RecursionError) as exc:
+    # OverflowError an integer too large for a float; RecursionError a spec
+    # or list nested deeper than Python's stack
+    except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
         _fail(PARSE_ERROR, f"cannot build curvature tensor: {exc}")
 
 
@@ -124,7 +126,7 @@ def _analyze_report(a, descriptor, args):
             "einstein_defect": a.summary.einstein_defect,
         },
         "second_kind": _spectrum_block(a, a.second_kind),
-        "first_kind": _spectrum_block(a, spectrum(a.first_kind)),
+        "first_kind": _spectrum_block(a, np.linalg.eigvalsh(a.first_kind)),
         "per_p": _per_p_rows(a, p_values),
     }
 
@@ -134,7 +136,7 @@ def _spectrum_report(a, descriptor, args):
     if args.operator == "second":
         eigs = a.second_kind
     elif args.operator == "first":
-        eigs = spectrum(a.first_kind)
+        eigs = np.linalg.eigvalsh(a.first_kind)
     else:
         eigs = ric_l_spectrum(a, args.ric_l_p)
     return {"input": descriptor, "n": a.n, "operator": args.operator, **_spectrum_block(a, eigs)}
@@ -178,20 +180,134 @@ def _print_table(report):
             print(f"  {tag:<14} {c['verdict']:<6} {c['conclusion']}  [{sums}]")
 
 
+def _finite_repr(x):
+    """A float's JSON text: its repr, and json.dumps' ValueError (under
+    allow_nan=False) for NaN and the infinities."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+
+
+# the JSON text of a scalar of each exact type; _scalar_json adds subclasses
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    float: _finite_repr,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _scalar_json(value):
+    """The JSON text of a str, None, bool, int or float, subclasses included,
+    as json.dumps writes it; None for any other value."""
+    write = _SCALAR_JSON.get(type(value))
+    if write is not None:
+        return write(value)
+    # bool and None have no subclasses, and no class is two of these
+    for kind in (str, int, float):
+        if isinstance(value, kind):
+            return _SCALAR_JSON[kind](value)
+    return None
+
+
+def _key_json(key):
+    """A dict key as json.dumps writes it: a str quoted, and a float, bool,
+    None or int quoted as its JSON text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    text = _scalar_json(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(text)
+
+
+def _float_list_json(values, separator):
+    """separator joined over the reprs of a list of finite floats; None when
+    values holds anything else, a NaN or an infinity included."""
+    try:
+        text = separator.join(map(float.__repr__, values))
+    except TypeError:
+        return None
+    # 'nan' and 'inf' are the only float reprs with an n in them
+    return None if "n" in text else text
+
+
+def _report_json(report):
+    """The text of json.dumps(report, sort_keys=True, indent=2,
+    allow_nan=False), written directly: under indent, json.dumps runs its
+    pure-Python encoder, which costs more than the rest of a small report.
+
+    It raises json.dumps' ValueError for NaN, the infinities and a circular
+    reference, and its TypeError for a value or key JSON cannot hold, at the
+    same first offending value.  It does not recurse: a spec echoed from
+    --model is written however deep json.loads read it.  A list whose first
+    entry is a float is tried as one join of float reprs."""
+    parts, stack, open_ids = [], [], set()
+    # the report is the one entry of a list written without brackets; pad is
+    # a newline and the indent of the open container's entries
+    entries, keyed, pad, separator, ident = iter((report,)), False, "\n", "", None
+    while True:
+        for entry in entries:
+            if keyed:
+                key, value = entry
+                key = encode_basestring_ascii(key) if type(key) is str else _key_json(key)
+                parts.append(f"{separator}{key}: ")
+            else:
+                value = entry
+                parts.append(separator)
+            separator = "," + pad
+            write = _SCALAR_JSON.get(type(value))
+            text = write(value) if write is not None else _scalar_json(value)
+            if text is not None:
+                parts.append(text)
+                continue
+            if not isinstance(value, (list, tuple, dict)):
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            if not value:
+                parts.append("{}" if isinstance(value, dict) else "[]")
+                continue
+            if id(value) in open_ids:
+                raise ValueError("Circular reference detected")
+            inner = pad + "  "
+            if not isinstance(value, dict) and type(value[0]) is float:
+                text = _float_list_json(value, "," + inner)
+                if text is not None:
+                    parts.append(f"[{inner}{text}{pad}]")
+                    continue
+            # open value: its entries come before the rest of entries
+            stack.append((entries, keyed, pad, ident))
+            keyed, ident = isinstance(value, dict), id(value)
+            entries = iter(sorted(value.items()) if keyed else value)
+            open_ids.add(ident)
+            parts.append("{" if keyed else "[")
+            pad = separator = inner
+            break
+        else:
+            if not stack:
+                return "".join(parts)
+            open_ids.discard(ident)
+            closer = "}" if keyed else "]"
+            entries, keyed, pad, ident = stack.pop()
+            separator = "," + pad
+            parts.append(pad + closer)
+
+
 @one_blas_thread
 def _cmd_report(args):
     """analyze, certify and spectrum: load the input, build the subcommand's
     report (args.report) and print it as JSON, or through _print_table
-    with --table.  A finite input can still overflow to a report with an
-    infinity or NaN, which JSON cannot hold and the table would state as a
-    result: both exit 2 instead.  It runs on one OpenBLAS thread, so no BLAS
-    worker spins beside the parallel Ric_L solves (bochner.ric_l_minima),
-    and no bit depends on the thread count OpenBLAS was given or on the
-    cores."""
+    with --table.  The JSON is _report_json's, the bytes of json.dumps with
+    sorted keys and an indent of 2 at a fraction of its cost.  A finite
+    input can still overflow to a report with an infinity or NaN, which JSON
+    cannot hold and the table would state as a result: both exit 2 instead.
+    It runs on one OpenBLAS thread, so no BLAS worker spins beside the
+    parallel Ric_L solves (bochner.ric_l_minima), and no bit depends on the
+    thread count OpenBLAS was given or on the cores."""
     a, descriptor = _load_curvature(args)
     report = args.report(a, descriptor, args)
     try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        text = _report_json(report)
     except ValueError:
         _fail(PARSE_ERROR, "input out of range: the report has a non-finite value")
     if args.table:

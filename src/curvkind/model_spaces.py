@@ -12,21 +12,36 @@ These are the ground-truth inputs of the test suite:
   projecting a random 4-tensor onto the curvature symmetries.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ShapeMismatch
-from .tensor_core import CurvatureTensor, check_dimension, dimension_cap, kulkarni_nomizu
+from .tensor_core import (
+    CurvatureTensor, check_dimension, dimension_cap, kulkarni_nomizu, read_only
+)
 from .tolerance import peak
 
 
+@lru_cache(maxsize=None)
+def _unit_sphere(n):
+    """d_ik d_jl - d_il d_jk on R^n, read-only and cached: every entry is
+    0.0, 1.0 or -1.0, computed once per n."""
+    eye = np.eye(n)
+    return read_only(np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
+
+
 def constant_curvature(n, kappa=1.0):
-    """Constant sectional curvature kappa; equals kappa/2 * (g o g)."""
+    """Constant sectional curvature kappa; equals kappa/2 * (g o g).
+
+    The tensor is kappa times the cached unit-sphere tensor, a new array
+    each call: one product per entry, so a negative kappa gives -0.0 where
+    the unit tensor has 0.0, as the einsum definition does.
+    """
     n = check_dimension(n)
     if not np.isfinite(kappa):
         raise ShapeMismatch(f"non-finite kappa {kappa}")
-    eye = np.eye(n)
-    R = kappa * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
-    return CurvatureTensor(n, R)
+    return CurvatureTensor(n, kappa * _unit_sphere(n))
 
 
 def product_sphere(n):
@@ -35,7 +50,7 @@ def product_sphere(n):
     if n < 3:
         raise ShapeMismatch("product_sphere needs n >= 3")
     R = np.zeros((n, n, n, n))
-    R[1:, 1:, 1:, 1:] = constant_curvature(n - 1, 1.0).components
+    R[1:, 1:, 1:, 1:] = _unit_sphere(n - 1)
     return CurvatureTensor(n, R)
 
 
@@ -139,7 +154,10 @@ def _numbers(value, name):
 
 
 def _number(value, name):
-    """A JSON number as a float, under the rule of _numbers."""
+    """A JSON number as a float, under the rule of _numbers; a plain int or
+    float is converted directly."""
+    if type(value) in (int, float):
+        return float(value)
     x = _numbers(value, name)
     if x.ndim:
         raise ShapeMismatch(f"{name} must be a number, got {value!r}")

@@ -14,8 +14,10 @@
 * Analysis: a validated R and the three facts about it that the
   certificates and the Ric_L bounds read (summary, first-kind matrix,
   second-kind spectrum), each computed once, when first read.  R's
-  symmetries are checked once, when the Analysis is built, so the Ric_L
-  blocks that bochner derives from it are not gated again.
+  symmetries are checked once, when the Analysis is built, so nothing
+  derived from it is gated again: neither the Ric_L blocks of bochner nor
+  the first- and second-kind matrices, whose spectra come straight from
+  np.linalg.eigvalsh.  spectrum's gate is for matrices from elsewhere.
 
 Trace normalizations (checked in tests): tr over the wedge basis is
 scal/2, and the second-kind trace is (n+2)/(2n) * scal.
@@ -104,8 +106,8 @@ def require_symmetric(M):
     A complex M is kept complex and checked to be Hermitian.  Raises
     NotSymmetric when the asymmetry exceeds 1e-12 * max|entry|.  M is
     compared with its (conjugate) transpose whole, in one temporary as
-    large as M; the largest matrix a CLI command hands to spectrum, the
-    second-kind matrix at n = 12, has 77 rows.
+    large as M.  No CLI command hands spectrum a matrix: every one it
+    solves is derived from an Analysis's validated R.
     """
     M = np.asarray(M)
     if not np.iscomplexobj(M):
@@ -152,7 +154,9 @@ class Analysis:
 
     summary (ricci_scalar), first_kind (first_kind_matrix) and second_kind
     (the ascending spectrum of second_kind_matrix) are each computed at
-    most once, when first read.  scale is R's unit scale, summary.scale
+    most once, when first read.  Like the Ric_L blocks, the second-kind
+    matrix of a validated R is symmetric by construction, so its spectrum
+    is solved without spectrum's gate.  scale is R's unit scale, summary.scale
     without the Ricci contraction: the clusters of every spectrum of R read
     it.  Every caller gets the same arrays, so they are read-only.
     """
@@ -180,4 +184,4 @@ class Analysis:
 
     @cached_property
     def second_kind(self):
-        return read_only(spectrum(second_kind_matrix(self.R)))
+        return read_only(np.linalg.eigvalsh(second_kind_matrix(self.R)))

@@ -153,6 +153,13 @@ MALFORMED = {
                           + '{"kind":"su3_so3"}' + "}" * 3000, None),
     "dense-file-nested-3000": ("--dense", '{"n":2,"components":' + "[" * 3000 + "0"
                                + "]" * 3000 + "}", None),
+    # an integer beyond the float range is an OverflowError, not a traceback
+    "kappa-huge-integer": ("--model", '{"kind":"constant_curvature","n":3,"kappa":1' + "0" * 400
+                           + "}", None),
+    "h-huge-integer": ("--model", '{"kind":"kn_product","h":[[1' + "0" * 400
+                       + ',0],[0,1]],"k":[[1,0],[0,1]]}', None),
+    "components-huge-integer": ("--model", '{"kind":"dense","n":2,"components":[1' + "0" * 400
+                                + ",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}", None),
 }
 
 
@@ -296,6 +303,77 @@ def test_reports_refuse_non_finite_numbers(capsys, monkeypatch):
         code, out, err = run_cli(capsys, ["certify", "--model", SU3, fmt])
         assert code == 2 and out == ""
         assert err == "error: input out of range: the report has a non-finite value\n"
+
+
+def json_values():
+    """Values for json.dumps: scalars (the awkward floats, integers past 2^64,
+    strings with quotes, backslashes, control and non-ASCII characters, and
+    a few values JSON cannot hold) nested in lists, tuples and dicts, empty
+    ones included.  Most dicts draw their keys from one type family, so they
+    sort; the rest mix the types json.dumps accepts as keys with one it
+    refuses."""
+    floats = st.floats() | st.sampled_from(
+        [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.5, float("nan"), float("inf"), -float("inf")])
+    text = st.text() | st.text(alphabet='"\\\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600ab', max_size=8)
+    integers = st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))
+    unsupported = st.sampled_from([1j, b"bytes", frozenset(), object()])
+    scalars = st.none() | st.booleans() | integers | floats | text
+    mixed_keys = text | integers | floats | st.booleans() | st.none() | st.just((1,))
+    return st.recursive(
+        scalars | unsupported | st.lists(floats, max_size=6),
+        lambda children: st.lists(children, max_size=5)
+        | st.tuples(children, children)
+        | st.dictionaries(text, children, max_size=5)
+        | st.dictionaries(integers | floats, children, max_size=5)
+        | st.dictionaries(mixed_keys, children, max_size=3),
+        max_leaves=25,
+    )
+
+
+def dumps_outcome(write, value):
+    """write(value), or the type of the exception it raised."""
+    try:
+        return write(value)
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(json_values())
+def test_report_writer_matches_json_dumps(value):
+    # the report writer prints json.dumps' bytes, or raises its exception
+    expected = dumps_outcome(
+        lambda v: json.dumps(v, sort_keys=True, indent=2, allow_nan=False), value)
+    assert dumps_outcome(cli._report_json, value) == expected
+
+
+def test_report_writer_is_not_recursive(capsys):
+    # a spec echoed from --model can nest as deep as json.loads reads it in a
+    # fresh process, deeper than a writer with one Python frame per level
+    # could write
+    depth = 980
+    extra = {}
+    for _ in range(depth - 2):
+        extra = {"x": extra}
+    spec = '{"kind": "su3_so3", "extra": ' + '{"x": ' * (depth - 2) + "{}" + "}" * (depth - 2) + "}"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "curvkind.cli", "certify", "--model", spec],
+                          capture_output=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    # the report of su3_so3 echoing that spec, as json.dumps writes it given
+    # the stack it needs
+    code, out, _ = run_cli(capsys, ["certify", "--model", SU3])
+    assert code == 0
+    report = json.loads(out)
+    report["input"] = {"extra": extra, "kind": "su3_so3"}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2 * depth)
+    try:
+        expected = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    finally:
+        sys.setrecursionlimit(limit)
+    assert done.stdout.decode() == expected
 
 
 OVERFLOWING = {
@@ -569,15 +647,17 @@ def test_analysis_built_once_per_command(tmp_path, capsys, monkeypatch):
         (operators, "first_kind_matrix"),
         (operators, "second_kind_matrix"),
         (weights, "certify"),
+        (operators, "validate_curvature"),
     ]
-    counts = count_calls(monkeypatch, functions)
+    # R is validated once, and no matrix derived from it is gated again
+    counts = count_calls(monkeypatch, [*functions, (operators, "spectrum")])
     code, _, _ = run_cli(capsys, ["analyze", "--dense", str(path), "--p", "all"])
     assert code == 0
     assert counts == Counter({name: 1 for _, name in functions})
     counts.clear()
     code, _, _ = run_cli(capsys, ["spectrum", "--dense", str(path), "--operator", "first"])
     assert code == 0
-    assert counts == Counter({"first_kind_matrix": 1})
+    assert counts == Counter({"first_kind_matrix": 1, "validate_curvature": 1})
 
 
 def test_certify_kappa(capsys):

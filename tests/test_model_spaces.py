@@ -17,6 +17,7 @@ from curvkind import (
     spectrum,
     validate_curvature,
 )
+from curvkind.model_spaces import _unit_sphere
 
 
 def test_constant_curvature_values():
@@ -27,6 +28,43 @@ def test_constant_curvature_values():
     assert np.abs(constant_curvature(3, 0.0).components).max() == 0.0
     eigs = spectrum(second_kind_matrix(constant_curvature(4, -1.0)))
     assert np.allclose(eigs, -np.ones(9))
+
+
+def _einsum_sphere(n, kappa):
+    """kappa (d_ik d_jl - d_il d_jk), computed as the definition reads."""
+    eye = np.eye(n)
+    return kappa * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
+
+
+def test_model_builders_match_their_definitions_bit_for_bit():
+    # constant_curvature scales one cached unit tensor per n: every bit of
+    # the einsum definition is kept, signed zeros included, and no tensor a
+    # builder returns shares memory with the cache
+    kappas = (-1.5, -0.0, 0.0, 5e-324, 1e300)
+    for n in range(2, 13):
+        for kappa in kappas:
+            R = constant_curvature(n, kappa)
+            assert R.components.tobytes() == _einsum_sphere(n, kappa).tobytes()
+            assert not np.shares_memory(R.components, _unit_sphere(n))
+        if n < 3:
+            continue
+        sphere = np.zeros((n,) * 4)
+        sphere[1:, 1:, 1:, 1:] = _einsum_sphere(n - 1, 1.0)
+        P = product_sphere(n)
+        assert P.components.tobytes() == sphere.tobytes()
+        assert not np.shares_memory(P.components, _unit_sphere(n - 1))
+        for kappa in kappas:
+            shifted = perturb_constant(P, kappa).components
+            assert shifted.tobytes() == (sphere + _einsum_sphere(n, kappa)).tobytes()
+    # a negative kappa gives -0.0 wherever the unit tensor is 0.0
+    R = constant_curvature(4, -1.5).components
+    assert np.signbit(R[R == 0.0]).all() and (R == 0.0).sum() == 256 - 24
+    # the cache is read-only, and a returned tensor can be written freely
+    with pytest.raises(ValueError):
+        _unit_sphere(4)[0, 1, 0, 1] = 2.0
+    R = constant_curvature(4, 1.0)
+    R.components[0, 1, 0, 1] = 7.0
+    assert constant_curvature(4, 1.0).components[0, 1, 0, 1] == 1.0
 
 
 def test_constant_curvature_rejects_non_finite_kappa():

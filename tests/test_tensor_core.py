@@ -22,7 +22,7 @@ from curvkind import (
     validate_curvature,
 )
 from curvkind.tensor_core import multi_index_array
-from curvkind.tolerance import peak
+from curvkind.tolerance import SYMMETRY, peak
 from helpers import (
     _signed_permutations,
     form_from_dense,
@@ -188,6 +188,51 @@ def test_antisymmetry_violation_reported():
         validate_curvature(CurvatureTensor(3, R))
     assert "antisymmetry" in str(err.value)
     assert err.value.report is not None
+
+
+# entries t on index tuples of {0, 1, 2, 3}, where the constant-curvature
+# tensor is 0, each set breaking the named identity with residual t and no
+# earlier one (ties go to the earlier name): a lone entry breaks all four;
+# one antisymmetric in its first pair spares antisymmetry_first; one
+# antisymmetric in both pairs leaves pair symmetry and Bianchi broken; its
+# pair-symmetric completion leaves Bianchi alone
+BROKEN_BY = {
+    "antisymmetry_first": {(0, 1, 2, 3): 1.0},
+    "antisymmetry_second": {(0, 1, 2, 3): 1.0, (1, 0, 2, 3): -1.0},
+    "pair_symmetry": {(0, 1, 2, 3): 1.0, (1, 0, 2, 3): -1.0, (0, 1, 3, 2): -1.0,
+                      (1, 0, 3, 2): 1.0},
+    "first_bianchi": {(0, 1, 2, 3): 1.0, (1, 0, 2, 3): -1.0, (0, 1, 3, 2): -1.0,
+                      (1, 0, 3, 2): 1.0, (2, 3, 0, 1): 1.0, (3, 2, 0, 1): -1.0,
+                      (2, 3, 1, 0): -1.0, (3, 2, 1, 0): 1.0},
+}
+
+
+@pytest.mark.parametrize("kappa", [1.0, -0.7, 3e-200])
+@pytest.mark.parametrize("identity", BROKEN_BY)
+def test_validation_boundary_is_the_tolerance(identity, kappa):
+    # a worst residual exactly at the tolerance passes and the next float
+    # above it fails, with curvature_symmetry_report's text and report
+    base = constant_curvature(5, kappa).components
+    tol = SYMMETRY * peak(base)
+    for t in (tol, np.nextafter(tol, np.inf)):
+        A = base.copy()
+        for idx, sign in BROKEN_BY[identity].items():
+            A[idx] = sign * t
+        R = CurvatureTensor(5, A)
+        report = curvature_symmetry_report(R)
+        assert max(report, key=lambda name: report[name][0]) == identity
+        assert report[identity][0] == t
+        if t == tol:
+            assert validate_curvature(R) is None
+            continue
+        with pytest.raises(CurvatureSymmetryError) as err:
+            validate_curvature(R)
+        residual, idx = report[identity]
+        assert str(err.value) == (
+            f"{identity} violated: residual {residual:.3e} at indices "
+            f"{tuple(q + 1 for q in idx)} (1-based), tolerance {tol:.3e}"
+        )
+        assert err.value.report == report
 
 
 def test_shape_mismatch():
