@@ -14,6 +14,8 @@ build.  Each input is a model spec (`product_sphere`, `su3_so3`) or a
 discarded.  `test_model_certify_spectrum` runs `certify` and the first-kind
 `spectrum` on the other model kinds at n = 8 and 12, where building the tensor, validating it
 and writing the report are a larger share of a call than the solves.
+`test_report_json` times the report writer alone, `cli._report_json` on
+reports prebuilt from the seeded dense n = 12 tensor.
 """
 
 import contextlib
@@ -23,7 +25,7 @@ import json
 import numpy as np
 import pytest
 
-from curvkind import random_curvature
+from curvkind import cli, random_curvature
 from curvkind.cli import build_parser, main
 
 SMALL_CALLS = [
@@ -38,6 +40,11 @@ MODEL_CALLS = [
     for n in (8, 12)
     for kind in ("constant_curvature", "perturbed", "kn_product")
 ]
+REPORTS = {
+    "certify": ["certify"],
+    "analyze-all": ["analyze", "--p", "all"],
+    "ric_l-6": ["spectrum", "--operator", "ric_l", "--ric-l-p", "6"],
+}
 ANALYZE = [
     (p, source) for p in ("half", "all") for source in ("su3_so3", "product_sphere-12", "dense-12")
 ]
@@ -95,3 +102,12 @@ def test_model_certify_spectrum(benchmark, sources, command, n, kind):
 @pytest.mark.parametrize("p, source", ANALYZE)
 def test_analyze(benchmark, sources, p, source):
     assert benchmark(run_main, ["analyze", *sources[source], "--p", p]) == 0
+
+
+@pytest.mark.parametrize("command", REPORTS)
+def test_report_json(benchmark, sources, command):
+    args = build_parser().parse_args([*REPORTS[command], *sources["dense-12"]])
+    a, descriptor = cli._load_curvature(args)
+    report = args.report(a, descriptor, args)
+    assert benchmark(cli._report_json, report) == json.dumps(
+        report, sort_keys=True, indent=2, allow_nan=False)

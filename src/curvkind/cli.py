@@ -188,7 +188,7 @@ def _finite_repr(x):
     raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
 
 
-# the JSON text of a scalar of each exact type; _scalar_json adds subclasses
+# the JSON text of a scalar of each type a report holds, by exact type
 _SCALAR_JSON = {
     str: encode_basestring_ascii,
     float: _finite_repr,
@@ -198,97 +198,52 @@ _SCALAR_JSON = {
 }
 
 
-def _scalar_json(value):
-    """The JSON text of a str, None, bool, int or float, subclasses included,
-    as json.dumps writes it; None for any other value."""
-    write = _SCALAR_JSON.get(type(value))
-    if write is not None:
-        return write(value)
-    # bool and None have no subclasses, and no class is two of these
-    for kind in (str, int, float):
-        if isinstance(value, kind):
-            return _SCALAR_JSON[kind](value)
-    return None
-
-
-def _key_json(key):
-    """A dict key as json.dumps writes it: a str quoted, and a float, bool,
-    None or int quoted as its JSON text."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    text = _scalar_json(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(text)
-
-
-def _float_list_json(values, separator):
-    """separator joined over the reprs of a list of finite floats; None when
-    values holds anything else, a NaN or an infinity included."""
-    try:
-        text = separator.join(map(float.__repr__, values))
-    except TypeError:
-        return None
-    # 'nan' and 'inf' are the only float reprs with an n in them
-    return None if "n" in text else text
-
-
 def _report_json(report):
     """The text of json.dumps(report, sort_keys=True, indent=2,
     allow_nan=False), written directly: under indent, json.dumps runs its
     pure-Python encoder, which costs more than the rest of a small report.
 
-    It raises json.dumps' ValueError for NaN, the infinities and a circular
-    reference, and its TypeError for a value or key JSON cannot hold, at the
-    same first offending value.  It does not recurse: a spec echoed from
-    --model is written however deep json.loads read it.  A list whose first
-    entry is a float is tried as one join of float reprs."""
-    parts, stack, open_ids = [], [], set()
+    A report holds JSON values only: dicts with str keys, lists, str, int,
+    float, bool and None, as the report builders make them and json.loads
+    reads them.  It raises json.dumps' ValueError for NaN and the
+    infinities, and a TypeError for any other value, a subclass or a tuple
+    included, and for a key that is not a str.  It does not recurse: a spec
+    echoed from --model is written however deep json.loads read it."""
+    parts, stack = [], []
     # the report is the one entry of a list written without brackets; pad is
     # a newline and the indent of the open container's entries
-    entries, keyed, pad, separator, ident = iter((report,)), False, "\n", "", None
+    entries, keyed, pad, separator = iter((report,)), False, "\n", ""
     while True:
         for entry in entries:
             if keyed:
                 key, value = entry
-                key = encode_basestring_ascii(key) if type(key) is str else _key_json(key)
-                parts.append(f"{separator}{key}: ")
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                parts.append(f"{separator}{encode_basestring_ascii(key)}: ")
             else:
                 value = entry
                 parts.append(separator)
             separator = "," + pad
             write = _SCALAR_JSON.get(type(value))
-            text = write(value) if write is not None else _scalar_json(value)
-            if text is not None:
-                parts.append(text)
-                continue
-            if not isinstance(value, (list, tuple, dict)):
+            if write is not None:
+                parts.append(write(value))
+            elif type(value) not in (list, dict):
                 raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-            if not value:
-                parts.append("{}" if isinstance(value, dict) else "[]")
-                continue
-            if id(value) in open_ids:
-                raise ValueError("Circular reference detected")
-            inner = pad + "  "
-            if not isinstance(value, dict) and type(value[0]) is float:
-                text = _float_list_json(value, "," + inner)
-                if text is not None:
-                    parts.append(f"[{inner}{text}{pad}]")
-                    continue
-            # open value: its entries come before the rest of entries
-            stack.append((entries, keyed, pad, ident))
-            keyed, ident = isinstance(value, dict), id(value)
-            entries = iter(sorted(value.items()) if keyed else value)
-            open_ids.add(ident)
-            parts.append("{" if keyed else "[")
-            pad = separator = inner
-            break
+            elif not value:
+                parts.append("{}" if type(value) is dict else "[]")
+            else:
+                # open value: its entries come before the rest of entries
+                stack.append((entries, keyed, pad))
+                keyed = type(value) is dict
+                entries = iter(sorted(value.items()) if keyed else value)
+                parts.append("{" if keyed else "[")
+                pad = separator = pad + "  "
+                break
         else:
             if not stack:
                 return "".join(parts)
-            open_ids.discard(ident)
             closer = "}" if keyed else "]"
-            entries, keyed, pad, ident = stack.pop()
+            entries, keyed, pad = stack.pop()
             separator = "," + pad
             parts.append(pad + closer)
 

@@ -67,6 +67,9 @@ def min_weighted_sum(eigenvalues, omega, total):
         raise InfeasibleWeights(f"highest weight must be positive, got {omega}")
     if total < 0:
         raise InfeasibleWeights(f"total weight must be nonnegative, got {total}")
+    # a NaN passes both checks above, and an infinite omega brackets inf * 0
+    if not math.isfinite(omega) or math.isnan(total):
+        raise InfeasibleWeights(f"weights must be finite, got omega={omega}, total={total}")
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
     N = len(eigs)
     if total > omega * N * (1.0 + CAPACITY):

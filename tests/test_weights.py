@@ -1,4 +1,5 @@
 from dataclasses import is_dataclass
+import math
 from types import SimpleNamespace
 
 from hypothesis import example, given, settings, strategies as st
@@ -123,6 +124,17 @@ def test_min_weighted_sum_infeasible():
         min_weighted_sum([1.0, 2.0], 1.0, 2.5)
     with pytest.raises(InfeasibleWeights):
         min_weighted_sum([1.0, 2.0], -1.0, 2.0)
+
+
+@pytest.mark.parametrize("omega, total", [
+    (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.nan), (math.nan, math.nan),
+    (math.inf, math.inf), (1.0, math.inf),
+])
+def test_min_weighted_sum_refuses_non_finite_weights(omega, total):
+    # unchecked, an infinite omega brackets inf * 0 = NaN, and a NaN omega
+    # or total reaches int(nan), a bare ValueError
+    with pytest.raises(InfeasibleWeights):
+        min_weighted_sum([1.0, 2.0], omega, total)
 
 
 def test_bracket_equivalence():
