@@ -15,17 +15,21 @@ discarded.  `test_model_certify_spectrum` runs `certify` and the first-kind
 `spectrum` on the other model kinds at n = 8 and 12, where building the tensor, validating it
 and writing the report are a larger share of a call than the solves.
 `test_report_json` times the report writer alone, `cli._report_json` on
-reports prebuilt from the seeded dense n = 12 tensor.
+reports prebuilt from the seeded dense n = 12 tensor, and
+`test_curvature_from_spec` the spec reader alone,
+`model_spaces.curvature_from_spec` on the parsed dense n = 12 file and the
+n = 12 `kn_product` spec.
 """
 
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from curvkind import cli, random_curvature
+from curvkind import cli, curvature_from_spec, random_curvature
 from curvkind.cli import build_parser, main
 
 SMALL_CALLS = [
@@ -111,3 +115,11 @@ def test_report_json(benchmark, sources, command):
     report = args.report(a, descriptor, args)
     assert benchmark(cli._report_json, report) == json.dumps(
         report, sort_keys=True, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("source", ["dense-12", "kn_product-12"])
+def test_curvature_from_spec(benchmark, sources, source):
+    flag, value = sources[source]
+    spec = json.loads(Path(value).read_text() if flag == "--dense" else value)
+    spec.setdefault("kind", "dense")
+    assert benchmark(curvature_from_spec, spec).n == 12

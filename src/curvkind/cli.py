@@ -71,21 +71,15 @@ def _load_curvature(args):
 def _spectrum_block(a, eigs):
     """A spectrum of a's tensor and its clusters, which read R's unit scale."""
     return {
-        "eigenvalues": [float(v) for v in eigs],
+        "eigenvalues": eigs.tolist(),
         "clusters": [[value, mult] for value, mult in cluster_eigenvalues(eigs, a.scale)],
     }
 
 
 def _certificate_dicts(certs):
-    """Each Certificate's fields as a dict, every sum a float; p only when set."""
-    return [
-        {
-            key: {k: float(v) for k, v in value.items()} if key == "sums" else value
-            for key, value in vars(c).items()
-            if value is not None
-        }
-        for c in certs
-    ]
+    """Each Certificate's fields as a dict, its sums as certify built them
+    (Python floats); p only when set."""
+    return [{key: value for key, value in vars(c).items() if value is not None} for c in certs]
 
 
 def _per_p_rows(a, p_values):
@@ -121,7 +115,7 @@ def _analyze_report(a, descriptor, args):
     return {
         **_certify_report(a, descriptor, args),
         "summary": {
-            "ricci_eigenvalues": [float(v) for v in np.linalg.eigvalsh(a.summary.ricci)],
+            "ricci_eigenvalues": np.linalg.eigvalsh(a.summary.ricci).tolist(),
             "scalar": a.summary.scalar,
             "einstein_defect": a.summary.einstein_defect,
         },

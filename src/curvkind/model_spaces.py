@@ -135,33 +135,24 @@ def _capped(n):
 
 
 def _numbers(value, name):
-    """A JSON number, or nested lists of them, as a float array.  Strings and
-    booleans are refused, not converted, because the report echoes the spec
-    as given.  Each distinct entry type is checked once, and the first
-    refused entry is named."""
+    """A JSON number, or nested lists of them, as a float array: every entry
+    an int or a float by exact type, as json.loads returns them.  Strings,
+    booleans and numpy scalars are refused, not converted, because the report
+    echoes the spec as given; an ndarray converts, since its object view holds
+    Python scalars.  The first refused entry is named."""
     array = np.asarray(value, dtype=object)
     entries = array.ravel()
-    refused = {
-        kind
-        for kind in set(map(type, entries))
-        if issubclass(kind, (bool, np.bool_))
-        or not issubclass(kind, (int, float, np.integer, np.floating))
-    }
-    if refused:
-        bad = next(x for x in entries if type(x) in refused)
+    if not set(map(type, entries)) <= {int, float}:
+        bad = next(x for x in entries if type(x) not in (int, float))
         raise ShapeMismatch(f"{name} must be a number, got {bad!r}")
     return array.astype(float)
 
 
 def _number(value, name):
-    """A JSON number as a float, under the rule of _numbers; a plain int or
-    float is converted directly."""
-    if type(value) in (int, float):
-        return float(value)
-    x = _numbers(value, name)
-    if x.ndim:
+    """A JSON number, an int or a float by exact type, as a float."""
+    if type(value) not in (int, float):
         raise ShapeMismatch(f"{name} must be a number, got {value!r}")
-    return float(x)
+    return float(value)
 
 
 def curvature_from_spec(spec):

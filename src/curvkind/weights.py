@@ -7,8 +7,8 @@ exact minimum of sum w_i l_i over the polytope {0 <= w_i <= W, sum w_i = S};
 it has the closed form (S - m W) l_{m+1} + W sum_{i<=m} l_i with
 m = floor(S/W), i.e. W * k_partial_sum(S/W).  `_bracket` computes it on an
 ascending spectrum such as operators.Analysis.second_kind; every bound and
-certificate here reads it, and only k_partial_sum and min_weighted_sum sort
-and check their input.
+certificate here reads it, and only k_partial_sum, min_weighted_sum and
+k_positivity_profile sort and check their input, through _ascending.
 
 The certified lower bounds for the curvature term on p-forms (p <= n/2) are
 2/3 of the bracket minimum with
@@ -31,6 +31,7 @@ from .errors import (
     InfeasibleWeights,
     KOutOfRange,
     POutOfRange,
+    ShapeMismatch,
     VariantPreconditionFailed,
 )
 from .tensor_core import is_degree
@@ -49,9 +50,18 @@ def _bracket(ascending, omega, total):
     return value
 
 
+def _ascending(eigenvalues):
+    """The eigenvalues as an ascending float array; a NaN or an infinity
+    raises ShapeMismatch, since no partial sum or order is defined on it."""
+    eigs = np.sort(np.asarray(eigenvalues, dtype=float))
+    if not np.isfinite(eigs).all():
+        raise ShapeMismatch("spectrum has a non-finite eigenvalue")
+    return eigs
+
+
 def k_partial_sum(eigenvalues, k):
     """l_1 + ... + l_floor(k) + (k - floor(k)) l_{floor(k)+1} for 1 <= k <= N."""
-    eigs = np.sort(np.asarray(eigenvalues, dtype=float))
+    eigs = _ascending(eigenvalues)
     if not 1.0 <= k <= len(eigs):
         raise KOutOfRange(f"need 1 <= k <= {len(eigs)}, got k={k}")
     return float(_bracket(eigs, 1.0, k))
@@ -70,7 +80,7 @@ def min_weighted_sum(eigenvalues, omega, total):
     # a NaN passes both checks above, and an infinite omega brackets inf * 0
     if not math.isfinite(omega) or math.isnan(total):
         raise InfeasibleWeights(f"weights must be finite, got omega={omega}, total={total}")
-    eigs = np.sort(np.asarray(eigenvalues, dtype=float))
+    eigs = _ascending(eigenvalues)
     N = len(eigs)
     if total > omega * N * (1.0 + CAPACITY):
         raise InfeasibleWeights(
@@ -233,7 +243,7 @@ def k_positivity_profile(eigenvalues):
     (-1.2e-10) and holds again at k = 3, and the profile reads
     {'positive': 3, 'nonnegative': 1}.
     """
-    eigs = np.sort(np.asarray(eigenvalues, dtype=float))
+    eigs = _ascending(eigenvalues)
     return _first_orders(eigs, peak(eigs))
 
 
@@ -251,6 +261,8 @@ def certify(analysis, kappa=None):
     spectrum, so 2^e R (with 2^e kappa) has the verdicts of R; A concludes
     "flat" only when that radius is 0, i.e. R = 0.
     """
+    if kappa is not None and kappa > 0:
+        raise VariantPreconditionFailed(f"hypothesis is stated for kappa <= 0, got {kappa}")
     n, eigs = analysis.n, analysis.second_kind
     radius = peak(eigs)
     first_nonnegative = _first_orders(eigs, radius)["nonnegative"]
@@ -288,8 +300,6 @@ def certify(analysis, kappa=None):
         c = (f"b_{p} vanishes", f"b_{p} vanishes unless flat", f"harmonic {p}-forms parallel")
         three("C", constants(n, p).c_p, c, p)
     if kappa is not None:
-        if kappa > 0:
-            raise VariantPreconditionFailed(f"hypothesis is stated for kappa <= 0, got {kappa}")
         required = (n + 2) / 2 * kappa
         check(
             "D-hypothesis",

@@ -143,6 +143,37 @@ def test_spec_kn_product_and_dense():
     assert np.abs(R2.components - constant_curvature(3, 1.0).components).max() == 0.0
 
 
+def _numpy_scalar_specs():
+    """(spec, refused entry, the name the message gives it) with numpy
+    scalars where a spec holds numbers."""
+    eye = np.eye(2).tolist()
+    yield {"kind": "constant_curvature", "n": 4, "kappa": np.float64(1.5)}, np.float64(1.5), "kappa"
+    h = [[1.0, np.int64(0)], [0.0, 1.0]]
+    yield {"kind": "kn_product", "h": h, "k": eye}, np.int64(0), "every entry of h"
+    h = [[np.bool_(True), 0.0], [0.0, 1.0]]
+    yield {"kind": "kn_product", "h": h, "k": eye}, np.bool_(True), "every entry of h"
+    spec = {"kind": "dense", "n": 2, "components": list(np.zeros(16))}
+    yield spec, np.float64(0.0), "every entry of components"
+
+
+@pytest.mark.parametrize("spec, bad, name", _numpy_scalar_specs(),
+                         ids=["float64-kappa", "int64-h", "bool_-h", "float64-components"])
+def test_spec_refuses_numpy_scalars(spec, bad, name):
+    # a spec number is an int or a float by exact type, as json.loads returns
+    # it; a numpy scalar is refused, and the message names it
+    with pytest.raises(ShapeMismatch) as info:
+        curvature_from_spec(spec)
+    assert str(info.value) == f"{name} must be a number, got {bad!r}"
+
+
+def test_spec_converts_an_ndarray_as_its_list():
+    # an ndarray's object view holds Python scalars, which the reader accepts
+    components = random_curvature(4, np.random.default_rng(5)).components.ravel()
+    from_array = curvature_from_spec({"kind": "dense", "n": 4, "components": components})
+    from_list = curvature_from_spec({"kind": "dense", "n": 4, "components": components.tolist()})
+    assert from_array.components.tobytes() == from_list.components.tobytes()
+
+
 def test_spec_rejects_garbage():
     with pytest.raises(ShapeMismatch):
         curvature_from_spec({"kind": "moebius"})

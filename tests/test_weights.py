@@ -13,6 +13,7 @@ from curvkind import (
     InfeasibleWeights,
     KOutOfRange,
     POutOfRange,
+    ShapeMismatch,
     VariantPreconditionFailed,
     certify,
     constant_curvature,
@@ -32,6 +33,7 @@ from curvkind import (
     second_kind_matrix,
     spectrum,
     su3_so3,
+    weights,
 )
 from curvkind.weights import _bracket, _first_orders, _nonnegative_below
 from helpers import (
@@ -135,6 +137,17 @@ def test_min_weighted_sum_refuses_non_finite_weights(omega, total):
     # or total reaches int(nan), a bare ValueError
     with pytest.raises(InfeasibleWeights):
         min_weighted_sum([1.0, 2.0], omega, total)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    k_positivity_profile,
+    lambda eigs: k_partial_sum(eigs, 1.5),
+    lambda eigs: min_weighted_sum(eigs, 1.0, 1.5),
+], ids=["k_positivity_profile", "k_partial_sum", "min_weighted_sum"])
+def test_weight_calculus_refuses_non_finite_eigenvalues(call, bad):
+    with pytest.raises(ShapeMismatch, match="spectrum has a non-finite eigenvalue"):
+        call([1.0, bad, 2.0])
 
 
 def test_bracket_equivalence():
@@ -637,6 +650,15 @@ def test_theorem_d_hypothesis():
     assert not d_holds(product_sphere(5), -0.1)
     with pytest.raises(VariantPreconditionFailed):
         certify(Analysis(product_sphere(5)), 0.5)
+
+
+def test_certify_checks_kappa_before_any_partial_sum(monkeypatch):
+    a = Analysis(product_sphere(5))
+    calls = []
+    monkeypatch.setattr(weights, "_bracket", lambda *args: calls.append(args))
+    with pytest.raises(VariantPreconditionFailed, match="got 0.5"):
+        certify(a, 0.5)
+    assert calls == []
 
 
 def _with_spectrum(ascending, n, einstein):
