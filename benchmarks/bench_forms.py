@@ -1,21 +1,23 @@
-"""Timings of the p-form paths at the CLI cap: the two-point matrix, the
-expansion over the canonical S^2_0 basis, the Bochner decomposition, the
-curvature term ric_l_quadratic, and the two oracles of the decomposition's
-operator term, the canonical-basis second_kind_form_term and the
-Ogiue-Tachibana term.
+"""Timings of the p-form paths at (7, 3) and at the CLI cap: the two-point
+matrix, the expansion over the canonical S^2_0 basis, the Bochner
+decomposition, the curvature term ric_l_quadratic, and the two oracles of
+the decomposition's operator term, the canonical-basis second_kind_form_term
+and the Ogiue-Tachibana term.
 
 Run from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_forms.py --benchmark-only
 
 This directory lies outside the pytest test paths, so the tier-1 suite does
-not run it.  (12, 6) is the middle degree at the cap.  No n^p dense form is
-built in the library: bochner_decomposition, ric_l_quadratic and
-form_two_point read the wedge tables, and ric_l_quadratic is timed on the
-same two Grams that bochner_decomposition's left side and operator term
-read; form_s02_expansion and ogiue_tachibana_term read the matrix-unit table
-X[a, j] = E_aj w.  The bochner_decomposition cases also record, as
-extra_info, the tracemalloc peak of one warm call.
+not run it.  (12, 6) is the middle degree at the cap.  (7, 3) sits in the
+middle of perfbench's form-identities grid (n = 3..11, p <= n/2), where the
+fixed cost of a call is most of its time.  No n^p dense form is built in the library:
+bochner_decomposition, ric_l_quadratic and form_two_point read the wedge
+tables w_{G K} (_opened), and ric_l_quadratic is timed on the same two Grams
+that bochner_decomposition's left side and operator term read;
+form_s02_expansion and ogiue_tachibana_term read the symmetric-pair rows
+E_ll w and E_il w + E_li w (_pair_rows).  The bochner_decomposition cases
+also record, as extra_info, the tracemalloc peak of one warm call.
 """
 
 import math
@@ -35,7 +37,7 @@ from curvkind import (
     second_kind_form_term,
 )
 
-CASES = [(11, 5), (12, 6)]
+CASES = [(7, 3), (11, 5), (12, 6)]
 
 
 @pytest.fixture(scope="module")

@@ -49,12 +49,26 @@ evaluate it independently: second_kind_form_term pairs second_kind_matrix
 with the expansion Gram over the canonical basis, and ogiue_tachibana_term
 uses the non-orthogonal family e^i (.) e^j.
 
-Every symmetric action is read off one table per form, X[a, j] = E_aj w
-with E_aj = e_a ^ i_j the matrix unit on p-forms (_matrix_units, one
-scatter through _unit_positions): act_sym_on_form contracts S with it, the
-expansion's canonical-basis rows and the Ogiue-Tachibana family are sums of
-its rows.  None of the tables (_wedge_table, _through, _unit_positions,
-_symmetric_pairs) reads curvature; each is cached and read-only.
+Each evaluation reads w through one table per form, each filled by one
+1-D scatter into zeros through cached flat positions (_scatter), so no
+index is rebuilt per call.  With E_aj = e_a ^ i_j the matrix unit on
+p-forms:
+
+* act_sym_on_form contracts S with X[a, j] = E_aj w (_matrix_units,
+  through _unit_positions), since S need not be symmetric;
+* form_s02_expansion and ogiue_tachibana_term read the symmetric-pair
+  rows E_ll w, then E_il w + E_li w for i < l (_pair_rows, through
+  _pair_positions): the expansion's canonical-basis rows and the
+  Ogiue-Tachibana family are these rows, scaled or shifted;
+* form_two_point, ric_l_quadratic and bochner_decomposition read
+  w_{G K} (_opened, through _opened_positions).
+
+The curvature side reads R's sorted 2-form pairs R[i, j, k, l], i < j and
+k < l, with one take through operators._sorted_pair_positions: the
+first-kind matrix and the pair block of _s02_form_term.  None of the
+tables (_wedge_table, _through, _unit_positions, _pair_positions,
+_opened_positions, _symmetric_pairs) reads curvature; each is cached and
+read-only.
 
 The five evaluations on one p-form (form_s02_expansion,
 second_kind_form_term, bochner_decomposition, ogiue_tachibana_term and
@@ -93,6 +107,8 @@ from .operators import (
     ricci_scalar,
     second_kind_matrix,
     _rbar_matrix,
+    _ricci,
+    _sorted_pair_positions,
 )
 from .tensor_core import (
     PForm,
@@ -188,17 +204,46 @@ def _symmetric_pairs(n):
     return tuple(read_only(x, np.intp) for x in (i, l, i * n + l, l * n + i))
 
 
+@lru_cache(maxsize=None)
+def _pair_positions(n, p):
+    """_unit_positions(n, p) with E_aj's row of the n x n table moved to the
+    row of the pair {a, j} in _symmetric_pairs(n): flat is the position in the
+    flattened n(n+1)/2 x C(n,p) table of _pair_rows.  E_il w and E_li w,
+    i != l, reach disjoint p-tuples (those holding i and not l, and the other
+    way round), so no position repeats."""
+    flat, source, sign = _unit_positions(n, p)
+    count = math.comb(n, p)
+    _, _, il, li = _symmetric_pairs(n)
+    pair_row = np.empty(n * n, np.intp)
+    pair_row[il] = pair_row[li] = np.arange(len(il))
+    return read_only(pair_row[flat // count] * count + flat % count), source, sign
+
+
+def _scatter(positions, w, shape):
+    """Zeros of the given shape with sign * w.coeffs[source] put at flat, for
+    positions = (flat, source, sign) naming each flat position once."""
+    flat, source, sign = positions
+    values = w.coeffs[source]
+    values *= sign
+    X = np.zeros(math.prod(shape))
+    # each position occurs once, so plain assignment loses no term
+    X[flat] = values
+    return X.reshape(shape)
+
+
 def _matrix_units(w):
     """X[a, j] = E_aj w, the sorted coefficients of e_a ^ i_j w, shape
     (n, n, C(n,p)): S w = sum_{a,j} S[a, j] X[a, j] for every 2-tensor S."""
     n = w.n
-    flat, source, sign = _unit_positions(n, w.p)
-    values = w.coeffs[source]
-    values *= sign
-    X = np.zeros(n * n * len(w.coeffs))
-    # each (a, j, target) occurs once, so plain assignment loses no term
-    X[flat] = values
-    return X.reshape(n, n, -1)
+    return _scatter(_unit_positions(n, w.p), w, (n, n, len(w.coeffs)))
+
+
+def _pair_rows(w):
+    """The rows E_ll w, then E_il w + E_li w for i < l, in the order of
+    _symmetric_pairs(n), shape (n(n+1)/2, C(n,p)): row (i, l) of
+    _matrix_units(w) summed with row (l, i), whose supports are disjoint."""
+    n = w.n
+    return _scatter(_pair_positions(n, w.p), w, (n * (n + 1) // 2, len(w.coeffs)))
 
 
 def act_sym_on_form(S, w):
@@ -208,13 +253,21 @@ def act_sym_on_form(S, w):
     return PForm(w.n, w.p, coeffs)
 
 
+@lru_cache(maxsize=None)
+def _opened_positions(n, p, k):
+    """_through(n, p-k, k) as read-only flat arrays (flat, source, sign): flat
+    is the position of (K, G) in the flattened C(n,p-k) x C(n,k) table of
+    _opened, and e_G ^ e_K = sign * e_source."""
+    row, sign, g = _through(n, p - k, k)
+    flat = np.arange(len(row))[:, None] * math.comb(n, k) + g
+    return read_only(flat.ravel()), read_only(row.ravel(), np.intp), sign.ravel()
+
+
 def _opened(w, k):
     """X[K, G] = w_{G K} over sorted (p-k)-tuples K and k-tuples G (the rows
     of first_kind_matrix for k = 2): E_k^T c in ric_l_matrix's notation."""
-    row, sign, g = _through(w.n, w.p - k, k)
-    X = np.zeros((len(row), math.comb(w.n, k)))
-    X[np.arange(len(row))[:, None], g] = sign * w.coeffs[row]
-    return X
+    n = w.n
+    return _scatter(_opened_positions(n, w.p, k), w, (math.comb(n, w.p - k), math.comb(n, k)))
 
 
 def form_two_point(w):
@@ -252,19 +305,18 @@ def form_s02_expansion(w):
     The total satisfies sum_a |S_a w|^2 = (p(n-p)/n)((n+2)/2) |w|^2 and each
     weight is bounded by (p(n-p)/n) |w|^2 for unit-norm basis elements.
 
-    Each S_a w is read off X = _matrix_units(w): (X[i, j] + X[j, i])/sqrt(2)
-    for the pair rows i < j, and the (n-1) x n diagonal block of the basis
-    times the rows X[l, l] for the rest.
+    Each S_a w is read off Y = _pair_rows(w): (E_ij w + E_ji w)/sqrt(2) for
+    the pair rows i < j, and the (n-1) x n diagonal block of the basis times
+    the rows E_ll w for the rest.
     """
     n = w.n
     basis = canonical_s02_basis(n)
-    X = _matrix_units(w).reshape(n * n, -1)
-    _, _, il, li = _symmetric_pairs(n)
+    Y = _pair_rows(w)
     pairs = len(basis) - (n - 1)
-    coeff = np.empty((len(basis), X.shape[1]))
-    coeff[:pairs] = (X[il[n:]] + X[li[n:]]) / math.sqrt(2.0)
+    coeff = np.empty((len(basis), Y.shape[1]))
+    np.divide(Y[n:], math.sqrt(2.0), out=coeff[:pairs])
     diagonal = np.diagonal(basis[pairs:], axis1=1, axis2=2)
-    coeff[pairs:] = diagonal @ X[il[:n]]
+    coeff[pairs:] = diagonal @ Y[:n]
     fact = math.factorial(w.p)
     weights = fact * np.einsum("ad,ad->a", coeff, coeff)
     return FormS02Expansion(
@@ -294,7 +346,7 @@ def ric_l_quadratic(R, w):
     _same_dimension(R, w)
     if w.p == 0:
         return 0.0
-    return _curvature_term(R, w, ricci_scalar(R))[0]
+    return _curvature_term(R, w, _ricci(R))[0]
 
 
 def _hodge_class(n, p):
@@ -459,15 +511,14 @@ def _s02_form_term(R, W, G, p):
         Y = X.transpose(1, 2, 3, 0)
         Y = Y - Y.transpose(1, 0, 2, 3)
         Y = Y - Y.transpose(0, 1, 3, 2)
-        i, j = multi_index_array(n, 2).T
-        term -= p * (p - 1) * float(np.vdot(Y[i[:, None], j[:, None], i, j], G))
+        term -= p * (p - 1) * float(np.vdot(Y.ravel().take(_sorted_pair_positions(n)), G))
     return term
 
 
-def _curvature_term(R, w, summary):
+def _curvature_term(R, w, ricci):
     """g(Ric_L w, w) in ric_l_matrix's Weitzenboeck form, with no matrix and
     no dense form: p! (<Ric, U^T U> - 2 <F, V^T V>), with U, V = _opened(w, 1),
-    _opened(w, 2), F = first_kind_matrix(R) and Ric = summary.ricci.
+    _opened(w, 2), F = first_kind_matrix(R) and Ric = ricci.
 
     Returns (g(Ric_L w, w), W, G, <Ric, W>), with the two Grams W =
     form_two_point(w) and G = (p-2)! V^T V (None for p < 2) that
@@ -475,7 +526,7 @@ def _curvature_term(R, w, summary):
     """
     n, p = R.n, w.p
     W = form_two_point(w)
-    ricci_w = float(np.einsum("ij,ij->", summary.ricci, W))
+    ricci_w = float(np.einsum("ij,ij->", ricci, W))
     quadratic = p * ricci_w
     G = None
     if p >= 2:
@@ -502,7 +553,7 @@ def bochner_decomposition(R, w):
     norm_sq = w.norm_sq
     if p == 0:
         return BochnerReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    quadratic, W, G, ricci_w = _curvature_term(R, w, summary)
+    quadratic, W, G, ricci_w = _curvature_term(R, w, summary.ricci)
     lhs = 1.5 * quadratic
     # S w = tr(S) w vanishes for every trace-free S
     term_op = _s02_form_term(R, W, G, p) if p < n else 0.0
@@ -523,16 +574,16 @@ def ogiue_tachibana_term(R, w):
         1/4 sum_{ijkl} <(e^i (.) e^l) w, (e^j (.) e^k) w> R_{ijkl}.
 
     As sum_a E_aa = p on p-forms, (e^i (.) e^l) w = E_il w + E_li w -
-    (2p/n) d_il w, a sum of rows of X = _matrix_units(w).  The family is
-    symmetric in (i, l), so its Gram is taken over the pairs i <= l and R
-    is summed over the orderings of each pair.  R must already be valid
+    (2p/n) d_il w, a row of _pair_rows(w), doubled for i = l.  The family
+    is symmetric in (i, l), so its Gram is taken over the pairs i <= l and
+    R is summed over the orderings of each pair.  R must already be valid
     (see the module docstring).
     """
     n, p = w.n, w.p
     _same_dimension(R, w)
     i, l, il, li = _symmetric_pairs(n)
-    X = _matrix_units(w).reshape(n * n, -1)
-    family = X[il] + X[li]
+    family = _pair_rows(w)
+    family[:n] += family[:n]
     family[:n] -= (2.0 * p / n) * w.coeffs
     gram = math.factorial(p) * (family @ family.T)
     # rsum[(i, l), (j, k)]: R_{ijkl} summed over the orderings of both pairs,

@@ -24,7 +24,7 @@ scal/2, and the second-kind trace is (n+2)/(2n) * scal.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,11 +64,16 @@ def ricci_scalar(R):
     defect of 2^e R is 2^e times that of R.
     """
     scale = unit_scale(R.components)
-    ric = np.einsum("ikjk->ij", R.components)
+    ric = _ricci(R)
     scal = float(np.trace(ric))
     deviation = ric - (scal / R.n) * np.eye(R.n)
     defect = scale * float(np.linalg.norm(deviation / scale))
     return CurvatureSummary(ricci=ric, scalar=scal, einstein_defect=defect, scale=scale)
+
+
+def _ricci(R):
+    """The Ricci contraction Ric_{ij} = sum_k R_{ikjk} alone."""
+    return np.einsum("ikjk->ij", R.components)
 
 
 def _rbar_matrix(R):
@@ -94,10 +99,18 @@ def second_kind_matrix(R):
     return _gram_against(R, canonical_s02_basis(R.n))
 
 
+@lru_cache(maxsize=None)
+def _sorted_pair_positions(n):
+    """The flat positions of [i, j, k, l] in an n^4 array, i < j and k < l,
+    as a read-only C(n,2) x C(n,2) array over the sorted pairs."""
+    i, j = multi_index_array(n, 2).T
+    ij = i * n + j
+    return read_only(ij[:, None] * (n * n) + ij)
+
+
 def first_kind_matrix(R):
     """Matrix over the unit wedges {e_i ^ e_j}_{i<j}: entries R_{ijkl}."""
-    i, j = multi_index_array(R.n, 2).T
-    return R.components[i[:, None], j[:, None], i[None, :], j[None, :]]
+    return R.components.ravel().take(_sorted_pair_positions(R.n))
 
 
 def require_symmetric(M):

@@ -45,7 +45,7 @@ from .model_spaces import (
 )
 from .operators import Analysis, second_kind_matrix, spectrum
 from .tensor_core import PForm, canonical_s02_basis, random_trace_free
-from .tolerance import residual, unit_scale
+from .tolerance import CHECK_CHAIN, CHECK_ROUNDING, CHECK_SUM, residual, unit_scale
 from .weights import k_partial_sum, min_weighted_sum, ric_l_lower_bounds
 
 MODEL_DIMS = range(3, 9)
@@ -175,19 +175,19 @@ def _constant_shift(rng, draws, n_max):
 
 
 CHECKS = (
-    ("canonical basis orthonormal and trace-free", _canonical_basis, 1e-12),
-    ("trace identities on random curvature", _trace_identities, 1e-10),
-    ("unit sphere gives the identity operator", _unit_sphere, 1e-12),
-    ("three-term decomposition residual", _decomposition, 1e-9),
-    ("non-orthogonal family evaluation agrees", _ogiue_tachibana, 1e-10),
-    ("total weight identity", _total_weight, 1e-10),
-    ("single weight bound", _single_weight, 1e-10),
-    ("bracket equivalence (closed form vs partial sum)", _bracket, 1e-12),
-    ("estimate soundness on random curvature", _estimate_soundness, 1e-9),
-    ("einstein estimate exact on the sphere", _einstein_sphere, 1e-9),
-    ("product sphere spectrum and positivity profile", _product_sphere, 1e-10),
-    ("SU(3)/SO(3) spectra, Ricci, positivity profile", _su3_so3, 1e-10),
-    ("constant perturbation shifts the spectrum", _constant_shift, 1e-10),
+    ("canonical basis orthonormal and trace-free", _canonical_basis, CHECK_ROUNDING),
+    ("trace identities on random curvature", _trace_identities, CHECK_SUM),
+    ("unit sphere gives the identity operator", _unit_sphere, CHECK_ROUNDING),
+    ("three-term decomposition residual", _decomposition, CHECK_CHAIN),
+    ("non-orthogonal family evaluation agrees", _ogiue_tachibana, CHECK_SUM),
+    ("total weight identity", _total_weight, CHECK_SUM),
+    ("single weight bound", _single_weight, CHECK_SUM),
+    ("bracket equivalence (closed form vs partial sum)", _bracket, CHECK_ROUNDING),
+    ("estimate soundness on random curvature", _estimate_soundness, CHECK_CHAIN),
+    ("einstein estimate exact on the sphere", _einstein_sphere, CHECK_CHAIN),
+    ("product sphere spectrum and positivity profile", _product_sphere, CHECK_SUM),
+    ("SU(3)/SO(3) spectra, Ricci, positivity profile", _su3_so3, CHECK_SUM),
+    ("constant perturbation shifts the spectrum", _constant_shift, CHECK_SUM),
 )
 
 

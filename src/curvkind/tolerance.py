@@ -22,6 +22,8 @@ of R.  The scales are:
   R -> 2^e R and w -> 2^f w.
 
 CAPACITY is not a floor: it is a unitless slack on a ratio of weights.
+The CHECK_* constants are not floors either: they gate the values the
+entries of selftest.CHECKS yield, which already carry their scale.
 """
 
 import math
@@ -40,6 +42,15 @@ EINSTEIN = 1e-10
 CLUSTER = 1e-7
 # a total weight fits omega * N eigenvalues up to omega * N * (1 + CAPACITY)
 CAPACITY = 1e-12
+# the gate of a selftest check whose two sides are a few roundings apart:
+# an orthonormal basis, the unit sphere's operator, a closed form and its sum
+CHECK_ROUNDING = 1e-12
+# ... one sum over a basis, a form or a spectrum apart: the traces, the
+# weights, the spectra of the model spaces
+CHECK_SUM = 1e-10
+# ... a chain of such sums apart: the decomposition's three terms, the Ric_L
+# bounds against the lowest eigenvalue
+CHECK_CHAIN = 1e-9
 
 
 def peak(x):

@@ -96,7 +96,7 @@ def test_nested_and_overlapping_calls_restore_once(count):
 
 def test_form_functions_run_on_one_thread(count, monkeypatch):
     seen = {}
-    for name in ("ricci_scalar", "_matrix_units", "second_kind_matrix"):
+    for name in ("ricci_scalar", "_pair_rows", "second_kind_matrix"):
         original = getattr(bochner, name)
 
         def recording(*args, _name=name, _original=original):
@@ -111,7 +111,7 @@ def test_form_functions_run_on_one_thread(count, monkeypatch):
     for name in FORM_FUNCTIONS:
         assert hasattr(getattr(bochner, name), "__wrapped__"), name
         getattr(bochner, name)(*((w,) if name == "form_s02_expansion" else (R, w)))
-    assert seen == {"ricci_scalar": {1}, "_matrix_units": {1}, "second_kind_matrix": {1}}
+    assert seen == {"ricci_scalar": {1}, "_pair_rows": {1}, "second_kind_matrix": {1}}
     assert count() == 2
 
 

@@ -37,6 +37,10 @@ from curvkind import (
 from curvkind.bochner import (
     _hodge_table,
     _matrix_units,
+    _opened,
+    _opened_positions,
+    _pair_positions,
+    _pair_rows,
     _ric_l_diagonal,
     _ric_l_rows,
     _symmetric_pairs,
@@ -44,7 +48,7 @@ from curvkind.bochner import (
     _unit_positions,
     _wedge_table,
 )
-from curvkind.operators import first_kind_matrix, ricci_scalar
+from curvkind.operators import _sorted_pair_positions, first_kind_matrix, ricci_scalar
 from curvkind.tensor_core import canonical_s02_basis, multi_index_array
 from helpers import (
     act_sym_dense,
@@ -333,6 +337,38 @@ def test_wedge_table_signs_and_anticommutation():
                 assert np.array_equal(anti, (i == j) * eye)
 
 
+def test_opened_equals_the_two_index_scatter():
+    # one 1-D scatter through _opened_positions puts every value where the
+    # 2-D assignment over (K, G) did, bit for bit
+    rng = np.random.default_rng(41)
+    for n in range(2, 9):
+        for p in range(n + 1):
+            w = PForm.random(n, p, rng)
+            for k in (1, 2)[:p]:
+                row, sign, g = _through(n, p - k, k)
+                want = np.zeros((len(row), math.comb(n, k)))
+                want[np.arange(len(row))[:, None], g] = sign * w.coeffs[row]
+                got = _opened(w, k)
+                assert got.shape == want.shape and np.array_equal(got, want), (n, p, k)
+
+
+def test_pair_rows_sum_the_matrix_units():
+    # row l is E_ll w, and row (i, l), i < l, is E_il w + E_li w, the rows of
+    # _matrix_units summed: bit for bit, including p = 0 and p = n
+    rng = np.random.default_rng(42)
+    for n in range(2, 9):
+        i, l, _, _ = _symmetric_pairs(n)
+        for p in range(n + 1):
+            w = PForm.random(n, p, rng)
+            X = _matrix_units(w)
+            Y = _pair_rows(w)
+            assert Y.shape == (n * (n + 1) // 2, math.comb(n, p)), (n, p)
+            assert np.array_equal(Y[:n], X[l[:n], l[:n]]), (n, p)
+            assert np.array_equal(Y[n:], X[i[n:], l[n:]] + X[l[n:], i[n:]]), (n, p)
+            flat = _pair_positions(n, p)[0]
+            assert len(np.unique(flat)) == len(flat), (n, p)
+
+
 def test_cached_tables_are_read_only():
     row, sign = _wedge_table(5, 2)
     assert row.dtype == np.int32 and sign.dtype == np.int8
@@ -350,6 +386,11 @@ def test_form_tables_cached_read_only_and_equal_a_rebuild():
         "_through": (_through, [(n, q, k) for n in (4, 7) for q in range(n - 1) for k in (1, 2)]),
         "_unit_positions": (_unit_positions, [(n, p) for n in (4, 7) for p in range(n + 1)]),
         "_symmetric_pairs": (_symmetric_pairs, [(n,) for n in (2, 5, 12)]),
+        "_opened_positions": (
+            _opened_positions, [(n, p, k) for n in (4, 7) for p in range(n + 1) for k in (1, 2)[:p]]
+        ),
+        "_pair_positions": (_pair_positions, [(n, p) for n in (4, 7) for p in range(n + 1)]),
+        "_sorted_pair_positions": (_sorted_pair_positions, [(n,) for n in (2, 5, 12)]),
         "multi_index_array": (multi_index_array, [(n, p) for n in (4, 7) for p in range(n + 1)]),
         "canonical_s02_basis": (canonical_s02_basis, [(n,) for n in (2, 5, 12)]),
     }

@@ -137,6 +137,20 @@ def test_first_kind_su3_spectrum():
     assert np.abs(eigs - expected).max() < 1e-10
 
 
+def test_first_kind_matrix_equals_the_four_index_gather():
+    # one take through the cached sorted-pair positions reads R[i, j, k, l],
+    # i < j and k < l, as the 4-index gather does; a transposed layout of
+    # the same tensor (R_klij = R_ijkl) reads the same bits
+    rng = np.random.default_rng(43)
+    for n in range(2, 13):
+        R = random_curvature(n, rng)
+        i, j = np.triu_indices(n, 1)
+        want = R.components[i[:, None], j[:, None], i, j]
+        assert np.array_equal(first_kind_matrix(R), want), n
+        swapped = CurvatureTensor(n, R.components.transpose(2, 3, 0, 1))
+        assert np.array_equal(first_kind_matrix(swapped), want), n
+
+
 def test_ricci_scalar_models():
     for n in (3, 5, 7):
         s = ricci_scalar(constant_curvature(n, 1.0))
